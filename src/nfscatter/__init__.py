@@ -29,14 +29,8 @@ from .oracles import OracleCurve, envelope_attenuation, first_order_amplitude, r
 from .solver import (
     CoherenceSnapshot,
     NumericalError,
-    SolverState,
     TraceSet,
-    apply_impulse,
-    bloch_step,
-    field_sweep,
     gaussian_input,
-    init_state,
-    mirror_feedback,
     run_scenario,
 )
 from .analysis import (
@@ -61,9 +55,7 @@ __all__ = [
     "ScenarioConfig", "ValidatedScenario", "ScenarioError",
     "build_schedule", "derived_timings", "validate_scenario", "delta_b_from_gamma",
     "OracleCurve", "first_order_amplitude", "envelope_attenuation", "relative_l2",
-    "SolverState", "TraceSet", "CoherenceSnapshot", "NumericalError",
-    "init_state", "apply_impulse", "bloch_step", "field_sweep", "mirror_feedback",
-    "gaussian_input", "run_scenario",
+    "TraceSet", "CoherenceSnapshot", "NumericalError", "gaussian_input", "run_scenario",
     "IntensitySeries", "EntanglementReport", "ExcitationPattern",
     "intensities", "entanglement_report", "excitation_pattern", "per_depth_density",
     "storage_suppression", "beat_period",

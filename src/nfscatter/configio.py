@@ -31,9 +31,25 @@ class ConfigError(ValueError):
 
 
 def _pick(d: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object (got {d!r})")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+
+
+def _float(value: Any, where: str) -> float:
+    """``float(value)``, or a ConfigError naming the field; finiteness is checked at validation."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number (got {value!r})") from None
+
+
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list (got {value!r})")
+    return value
 
 
 def _level(d: dict, key: str, gamma: float, where: str) -> float | None:
@@ -42,8 +58,8 @@ def _level(d: dict, key: str, gamma: float, where: str) -> float | None:
     if raw is not None and in_gamma is not None:
         raise ConfigError(f"{where}: give {key} or {key}_in_gamma, not both")
     if in_gamma is not None:
-        return float(in_gamma) * gamma
-    return None if raw is None else float(raw)
+        return _float(in_gamma, f"{where}.{key}_in_gamma") * gamma
+    return None if raw is None else _float(raw, f"{where}.{key}")
 
 
 def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
@@ -68,19 +84,19 @@ def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
 
     schedule = _schedule_from_dict(data.get("schedule", {}), consts.gamma)
 
-    try:
-        t_end = float(data["t_end"])
-    except KeyError:
-        raise ConfigError("config is missing required key 't_end'") from None
+    if "t_end" not in data:
+        raise ConfigError("config is missing required key 't_end'")
     return ScenarioConfig(
         consts=consts,
         sample=sample,
         pulse=pulse,
         mirror=mirror,
         schedule=schedule,
-        t_end=t_end,
-        dt=float(data.get("dt", 0.005)),
-        record_snapshots_at=tuple(float(t) for t in data.get("record_snapshots_at", ())),
+        t_end=_float(data["t_end"], "t_end"),
+        dt=_float(data.get("dt", 0.005), "dt"),
+        record_snapshots_at=tuple(_float(t, f"record_snapshots_at[{i}]")
+                                  for i, t in enumerate(_list(data.get("record_snapshots_at", []),
+                                                              "record_snapshots_at"))),
     )
 
 
@@ -90,7 +106,13 @@ def _schedule_from_dict(sd: dict, gamma: float) -> HyperfineSchedule:
     if "segments" in sd:
         if "events" in sd:
             raise ConfigError("schedule: give segments or events, not both")
-        return HyperfineSchedule(tuple(Segment(float(t), float(lvl)) for t, lvl in sd["segments"]))
+        segments = []
+        for i, pair in enumerate(_list(sd["segments"], "schedule.segments")):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(f"schedule.segments[{i}] must be a [t_start, delta_b] pair (got {pair!r})")
+            segments.append(Segment(_float(pair[0], f"schedule.segments[{i}].t_start"),
+                                    _float(pair[1], f"schedule.segments[{i}].delta_b")))
+        return HyperfineSchedule(tuple(segments))
     if "delta_b_in_gamma" in sd and "initial_level_in_gamma" in sd:
         raise ConfigError("schedule: delta_b_in_gamma is an alias for initial_level_in_gamma")
     initial = _level(
@@ -102,7 +124,7 @@ def _schedule_from_dict(sd: dict, gamma: float) -> HyperfineSchedule:
     for i, ed in enumerate(sd.get("events", ())):
         _pick(ed, {"t", "action", "level", "level_in_gamma"}, f"schedule.events[{i}]")
         events.append(ScheduleEvent(
-            t=float(ed["t"]),
+            t=_float(ed["t"], f"schedule.events[{i}].t"),
             action=str(ed["action"]),
             level=_level(ed, "level", gamma, f"schedule.events[{i}]"),
         ))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -26,6 +27,17 @@ _DT_BEAT_FACTOR = 20.0
 
 class ScenarioError(ValueError):
     """A scenario, schedule or event list violates a model invariant."""
+
+
+def _require_finite(name: str, value, optional: bool = False) -> None:
+    """Reject a float field that is not a finite number, naming the field.
+
+    ``optional`` fields may also be None.
+    """
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ScenarioError(f"{name} must be a finite number (got {value!r})")
 
 
 def delta_b_from_gamma(multiple: float, gamma: float = DEFAULT_GAMMA) -> float:
@@ -47,6 +59,8 @@ class PhysConsts:
         return 2.0 * math.pi * self.transition_energy_kev / HC_KEV_ANGSTROM
 
     def validate(self) -> None:
+        for name in ("gamma", "transition_energy_kev", "clebsch_a"):
+            _require_finite(f"consts.{name}", getattr(self, name))
         if not self.gamma > 0.0:
             raise ScenarioError(f"consts.gamma must be > 0 (got {self.gamma})")
         if not self.transition_energy_kev > 0.0:
@@ -68,6 +82,10 @@ class SampleSpec:
     n_depth: int = 201           # depth grid points across the slab
 
     def validate(self) -> None:
+        _require_finite("sample.xi", self.xi)
+        _require_finite("sample.thickness_um", self.thickness_um)
+        if isinstance(self.n_depth, bool) or not isinstance(self.n_depth, numbers.Integral):
+            raise ScenarioError(f"sample.n_depth must be an integer (got {self.n_depth!r})")
         if self.xi < 0.0:
             raise ScenarioError(f"sample.xi must be >= 0 (got {self.xi})")
         if not self.thickness_um > 0.0:
@@ -95,6 +113,9 @@ class PulseSpec:
     def validate(self) -> None:
         if self.mode not in ("impulsive", "gaussian"):
             raise ScenarioError(f"pulse.mode must be 'impulsive' or 'gaussian' (got {self.mode!r})")
+        _require_finite("pulse.area", self.area)
+        _require_finite("pulse.fwhm", self.fwhm, optional=True)
+        _require_finite("pulse.t0", self.t0)
         if not self.area > 0.0:
             raise ScenarioError(f"pulse.area must be > 0 (got {self.area})")
         if self.linear_regime and self.area > 1e-3:
@@ -123,6 +144,9 @@ class MirrorSpec:
     disable_time: float | None = None
 
     def validate(self) -> None:
+        _require_finite("mirror.reflectivity", self.reflectivity)
+        _require_finite("mirror.delay_tau", self.delay_tau, optional=True)
+        _require_finite("mirror.disable_time", self.disable_time, optional=True)
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ScenarioError(
                 f"mirror.reflectivity must be in [0, 1] (got {self.reflectivity})"
@@ -152,6 +176,9 @@ class HyperfineSchedule:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ScenarioError("schedule must contain at least one segment")
+        for i, seg in enumerate(self.segments):
+            _require_finite(f"schedule.segments[{i}].t_start", seg.t_start)
+            _require_finite(f"schedule.segments[{i}].delta_b", seg.delta_b)
         starts = [s.t_start for s in self.segments]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ScenarioError(f"schedule segment times must be strictly increasing (got {starts})")
@@ -210,7 +237,9 @@ def build_schedule(
     level = initial_level
     last_nonzero = initial_level if initial_level != 0.0 else None
     prev_t = -math.inf
-    for ev in events:
+    for i, ev in enumerate(events):
+        _require_finite(f"schedule.events[{i}].t", ev.t)
+        _require_finite(f"schedule.events[{i}].level", ev.level, optional=True)
         if ev.t < prev_t:
             raise ScenarioError(f"schedule event times must be non-decreasing (got {ev.t} after {prev_t})")
         if ev.action == "set":
@@ -366,6 +395,11 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
     config.sample.validate()
     config.pulse.validate()
     config.mirror.validate()
+
+    _require_finite("dt", config.dt)
+    _require_finite("t_end", config.t_end)
+    for i, t in enumerate(config.record_snapshots_at):
+        _require_finite(f"record_snapshots_at[{i}]", t)
 
     dt = config.dt
     if not dt > 0.0:

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfscatter.cli import main
 from nfscatter.traceio import TRACES_HEADER, read_traces_csv
@@ -50,6 +57,32 @@ def test_run_preset_and_config_conflict(tmp_path, capsys):
 def test_run_invalid_override_is_input_error(tmp_path):
     assert run_cli(["run", "--preset", "fig2a", "--set", "mirror.reflectivity=1.5",
                     "--out", str(tmp_path / "x")]) == 1
+
+
+# every float field of a scenario, as a --set key and a template for its value
+FLOAT_FIELDS = [
+    ("consts.gamma", "{}"), ("consts.transition_energy_kev", "{}"), ("consts.clebsch_a", "{}"),
+    ("sample.xi", "{}"), ("sample.thickness_um", "{}"),
+    ("pulse.area", "{}"), ("pulse.fwhm", "{}"), ("pulse.t0", "{}"),
+    ("mirror.reflectivity", "{}"), ("mirror.delay_tau", "{}"), ("mirror.disable_time", "{}"),
+    ("t_end", "{}"), ("dt", "{}"),
+    ("schedule.segments", "[[0.0, {}]]"), ("schedule.segments", "[[{}, 0.2]]"),
+    ("record_snapshots_at", "[{}]"),
+]
+# JSON NaN and +-Infinity parse to floats; inf and the quoted text stay strings
+BAD_VALUES = ["NaN", "Infinity", "-Infinity", "inf", "-inf", '"abc"', "abc"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FLOAT_FIELDS), st.sampled_from(BAD_VALUES))
+def test_non_finite_float_field_is_input_error(field, bad):
+    key, template = field
+    value = template.format(bad)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        rc = run_cli(["run", "--preset", "fig2b", "--set", f"{key}={value}", "--out", out])
+    assert rc == 1, (key, value)
+    assert key in err.getvalue(), (key, value, err.getvalue())
 
 
 def test_run_json_format(tmp_path):
@@ -135,3 +168,17 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fig2a" in proc.stdout
+
+
+def test_trace_digest_script_is_stable():
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(repo / "scripts" / "trace_digest.py"),
+           "--set", "t_end=20", "--set", "record_snapshots_at=[10.0]", "fig2b"]
+    first, second = (subprocess.run(cmd, capture_output=True, text=True, env=env, check=True).stdout
+                     for _ in range(2))
+    lines = first.splitlines()
+    assert [line.split()[1] for line in lines] == ["traces.csv", "report.json", "meta.json", "pattern.csv"]
+    assert all(len(line.split()[2]) == 64 for line in lines)
+    assert first == second

@@ -50,6 +50,14 @@ def test_unknown_key_rejected():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("section", ["sample", "pulse", "mirror", "schedule", "consts"])
+def test_section_must_be_object(section):
+    data = fig2a_dict()
+    data[section] = 5
+    with pytest.raises(ConfigError, match=section):
+        scenario_from_dict(data)
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(fig2a_dict()))

@@ -1,4 +1,6 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +11,7 @@ from nfscatter import (
     PulseSpec,
     SampleSpec,
     ScenarioConfig,
-    apply_impulse,
-    bloch_step,
-    field_sweep,
     gaussian_input,
-    init_state,
-    mirror_feedback,
     relative_l2,
     run_scenario,
     validate_scenario,
@@ -26,6 +23,7 @@ from nfscatter.solver import NumericalError
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA
 A = math.sqrt(2.0 / 3.0)
+KICK = 0.25j * A * 1e-3  # coherence deposited by a prompt of area 1e-3
 
 
 def small_scenario(**kwargs):
@@ -41,63 +39,88 @@ def small_scenario(**kwargs):
     return validate_scenario(ScenarioConfig(**base))
 
 
+def replace_snapshot(sc, times):
+    cfg = ScenarioConfig(
+        sample=sc.sample, pulse=sc.pulse, mirror=sc.mirror, schedule=sc.schedule,
+        t_end=sc.t_end, dt=sc.dt, consts=sc.consts, record_snapshots_at=tuple(times),
+    )
+    return validate_scenario(cfg)
+
+
+def step_of(sc, t):
+    return round(t / sc.dt)
+
+
 class TestInitState:
     def test_all_zero(self):
-        st = init_state(preset_scenario("fig2a"))
-        for arr in (st.f31, st.f42, st.b31, st.b42, st.omega_f, st.omega_b):
-            assert arr.shape == (201,)
-            assert np.all(arr == 0.0)
-        assert st.t == 0.0
+        # before the pulse arrives every coherence and both fields are zero
+        sc = replace_snapshot(small_scenario(sample=SampleSpec(xi=0.5, n_depth=201),
+                                             pulse=PulseSpec(area=1e-3, t0=2.0)), (0.0, 1.99))
+        traces, snaps = run_scenario(sc)
+        for snap in snaps:
+            for arr in (snap.f31, snap.f42, snap.b31, snap.b42):
+                assert arr.shape == (201,)
+                assert np.all(arr == 0.0)
+        assert snaps[0].t == 0.0
+        before = traces.t_grid < 2.0
+        assert np.all(traces.fwd_amp[before] == 0.0) and np.all(traces.bwd_amp[before] == 0.0)
 
     def test_custom_depth(self):
-        sc = small_scenario(sample=SampleSpec(xi=0.5, n_depth=200))
-        assert init_state(sc).f31.shape == (200,)
+        sc = replace_snapshot(small_scenario(sample=SampleSpec(xi=0.5, n_depth=200)), (1.0,))
+        _, snaps = run_scenario(sc)
+        assert all(arr.shape == (200,) for arr in (snaps[0].f31, snaps[0].b42))
 
     def test_deterministic(self):
-        sc = small_scenario()
-        a, b = init_state(sc), init_state(sc)
-        assert np.array_equal(a.f31, b.f31) and a.t == b.t
+        sc = replace_snapshot(small_scenario(), (3.0,))
+        (ta, sa), (tb, sb) = run_scenario(sc), run_scenario(sc)
+        assert np.array_equal(ta.fwd_amp, tb.fwd_amp) and np.array_equal(ta.bwd_amp, tb.bwd_amp)
+        assert np.array_equal(sa[0].f31, sb[0].f31) and sa[0].t == sb[0].t
 
 
 class TestApplyImpulse:
+    # a snapshot taken at a kick step shows the coherence right after the kick
     def test_forward_kick(self):
-        st = init_state(small_scenario())
-        apply_impulse(st, "forward", 1e-3)
-        expected = 0.25j * A * 1e-3
-        assert np.allclose(st.f31, expected) and np.allclose(st.f42, expected)
-        assert np.all(st.b31 == 0.0)
+        sc = replace_snapshot(small_scenario(pulse=PulseSpec(area=1e-3, t0=1.0)), (1.0,))
+        _, snaps = run_scenario(sc)
+        assert np.allclose(snaps[0].f31, KICK) and np.allclose(snaps[0].f42, KICK)
+        assert np.all(snaps[0].b31 == 0.0)
 
     def test_zero_area_noop(self):
-        st = init_state(small_scenario())
-        apply_impulse(st, "forward", 0.0)
-        assert np.all(st.f31 == 0.0)
+        # the reflected prompt has area -sqrt(R)*theta: at R = 0 it deposits nothing
+        mirror = MirrorSpec(present=True, reflectivity=0.0, delay_tau=math.pi / DB30)
+        sc = replace_snapshot(small_scenario(mirror=mirror), (mirror.delay_tau + 0.01, 19.0))
+        _, snaps = run_scenario(sc)
+        for snap in snaps:
+            assert np.all(snap.b31 == 0.0) and np.all(snap.b42 == 0.0)
 
     def test_backward_reflected_kick(self):
-        st = init_state(small_scenario())
-        amp = -math.sqrt(0.99) * 1e-3
-        apply_impulse(st, "backward", amp)
-        assert np.allclose(st.b31, -0.25j * A * math.sqrt(0.99) * 1e-3)
-        assert np.allclose(st.b42, st.b31)
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            apply_impulse(init_state(small_scenario()), "sideways", 1e-3)
+        mirror = MirrorSpec(present=True, reflectivity=0.99, delay_tau=math.pi / DB30, disable_time=7.39)
+        sc = small_scenario(sample=SampleSpec(xi=0.0, n_depth=41), mirror=mirror)
+        t_back = math.ceil(sc.tau / sc.dt - 1e-9) * sc.dt  # first grid time >= tau
+        _, snaps = run_scenario(replace_snapshot(sc, (t_back - sc.dt, t_back)))
+        assert np.all(snaps[0].b31 == 0.0)
+        expected = -0.25j * A * math.sqrt(0.99) * 1e-3
+        assert np.allclose(snaps[1].b31, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(snaps[1].b42, snaps[1].b31)
 
 
 class TestBlochStep:
+    # with xi = 0 there is no radiated field, so a kicked coherence evolves freely
     def test_pure_decay(self):
-        st = init_state(small_scenario())
-        st.f31[:] = 1e-3
-        bloch_step(st, 0.5, 0.0, gamma=GAMMA)
-        assert np.allclose(st.f31, 1e-3 * math.exp(-0.5 * GAMMA * 0.5))
+        sc = small_scenario(sample=SampleSpec(xi=0.0, n_depth=11),
+                            schedule=HyperfineSchedule.constant(0.0))
+        _, snaps = run_scenario(replace_snapshot(sc, (0.5, 7.0, 19.5)))
+        for snap in snaps:
+            assert np.allclose(snap.f31, KICK * math.exp(-0.5 * GAMMA * snap.t), rtol=1e-9, atol=0.0)
 
     def test_decay_and_precession(self):
-        st = init_state(small_scenario())
-        st.f31[:] = 1e-3
-        dt = 0.25
-        bloch_step(st, dt, DB30, gamma=GAMMA)
-        assert np.allclose(np.abs(st.f31), 1e-3 * math.exp(-0.5 * GAMMA * dt))
-        assert np.allclose(np.angle(st.f31), -DB30 * dt)
+        sc = small_scenario(sample=SampleSpec(xi=0.0, n_depth=11))
+        _, snaps = run_scenario(replace_snapshot(sc, (0.25, 3.0, 11.0)))
+        for snap in snaps:
+            decay = math.exp(-0.5 * GAMMA * snap.t)
+            phase = cmath.exp(-1j * DB30 * snap.t)
+            assert np.allclose(snap.f31, KICK * decay * phase, rtol=1e-9, atol=0.0)
+            assert np.allclose(snap.f42, KICK * decay / phase, rtol=1e-9, atol=0.0)
 
     def test_zero_field_closed_form_over_many_steps(self):
         # xi = 0 disables the radiated field entirely; the coherence sum must
@@ -110,64 +133,105 @@ class TestBlochStep:
             assert s == pytest.approx(expected, rel=1e-9)
 
 
-def replace_snapshot(sc, times):
-    cfg = ScenarioConfig(
-        sample=sc.sample, pulse=sc.pulse, mirror=sc.mirror, schedule=sc.schedule,
-        t_end=sc.t_end, dt=sc.dt, consts=sc.consts, record_snapshots_at=tuple(times),
-    )
-    return validate_scenario(cfg)
-
-
 class TestFieldSweep:
     def test_zero_coherence_keeps_boundaries(self):
-        st = init_state(small_scenario())
-        om_f, om_b = field_sweep(st, eta_l=6 * GAMMA, clebsch=A,
-                                 omega_f_front=0.5, omega_b_back=0.25)
-        assert np.allclose(om_f, 0.5) and np.allclose(om_b, 0.25)
+        # xi = 0: the field equals its boundary value, the drive at the front face
+        sc = small_scenario(sample=SampleSpec(xi=0.0, n_depth=41),
+                            pulse=PulseSpec(mode="gaussian", area=1e-3, fwhm=0.3, t0=2.0))
+        traces, _ = run_scenario(sc)
+        drive = gaussian_input(traces.t_grid, sc.pulse)
+        assert np.allclose(traces.fwd_amp, drive, rtol=1e-12, atol=0.0)
+        assert np.all(traces.bwd_amp == 0.0)
 
     def test_constant_source(self):
-        st = init_state(small_scenario())
-        c = 1e-3 + 0j
-        st.f31[:] = 0.5 * c
-        st.f42[:] = 0.5 * c
-        eta_l = 6 * GAMMA * 0.5
-        om_f, _ = field_sweep(st, eta_l=eta_l, clebsch=A)
-        assert om_f[-1] == pytest.approx(1j * eta_l * A * c)
-        assert om_f[0] == 0.0
+        # right after the kick the coherence sum is uniform, so the trapezoid
+        # sweep is exact: Omega_F(L) = i*eta_l*a*(f31 + f42), Omega_F(0) = 0
+        sc = small_scenario()
+        traces, _ = run_scenario(sc)
+        i0 = step_of(sc, sc.pulse.t0)
+        assert traces.fwd_amp[i0] == pytest.approx(1j * sc.eta_l * A * 2.0 * KICK, rel=1e-12)
+        assert np.all(traces.fwd_amp[:i0] == 0.0)
 
     def test_impulse_emits_first_order_amplitude(self):
         sc = small_scenario(sample=SampleSpec(xi=0.01, n_depth=201))
-        st = init_state(sc)
-        apply_impulse(st, "forward", 1e-3)
-        om_f, _ = field_sweep(st, eta_l=sc.eta_l, clebsch=A)
-        assert om_f[-1] == pytest.approx(-2.0 * 0.01 * GAMMA * 1e-3, rel=1e-12)
+        traces, _ = run_scenario(sc)
+        i0 = step_of(sc, sc.pulse.t0)
+        assert traces.fwd_amp[i0] == pytest.approx(-2.0 * 0.01 * GAMMA * 1e-3, rel=1e-12)
 
 
 class TestMirrorFeedback:
     def test_no_mirror(self):
-        st = init_state(small_scenario())
-        st.mirror_buffer.append(1.0)
         mirror = MirrorSpec(present=True, reflectivity=0.0, delay_tau=1.0)
-        assert mirror_feedback(st, 5.0, mirror) == 0.0
+        traces, _ = run_scenario(small_scenario(mirror=mirror))
+        assert np.all(traces.bwd_amp == 0.0)
+        assert np.any(traces.fwd_amp != 0.0)
 
     def test_prompt_admitted_and_delayed_rejected(self):
-        sc = small_scenario()
-        st = init_state(sc)
-        tau = math.pi / DB30
-        mirror = MirrorSpec(present=True, reflectivity=0.99, delay_tau=tau, disable_time=7.39)
-        # build a boundary history: prompt-scale value at t=0, then smaller tail
-        n = int(20.0 / sc.dt)
-        for k in range(n):
-            st.mirror_buffer.append(1.0 if k == 0 else 0.01)
-        # field re-entering at t=tau left at 0, met the mirror at tau/2 < t_d
-        assert mirror_feedback(st, tau, mirror) == pytest.approx(-math.sqrt(0.99) * 1.0)
-        # field re-entering at tau + 1 left at t=1, reached the mirror after t_d
-        assert mirror_feedback(st, tau + 1.0, mirror) == 0.0
+        # xi = 0 and a resolved drive: the back face sees the drive itself.
+        # The prompt meets the mirror at t0 + tau/2 < t_d and comes back at
+        # t0 + tau; its tail, leaving once t_exit + tau/2 > t_d, is not reflected
+        pulse = PulseSpec(mode="gaussian", area=1e-3, fwhm=0.3, t0=1.0)
+        mirror = MirrorSpec(present=True, reflectivity=0.99, delay_tau=14.78, disable_time=1.0 + 7.39 + 0.25)
+        sc = small_scenario(sample=SampleSpec(xi=0.0, n_depth=41), pulse=pulse, mirror=mirror)
+        traces, _ = run_scenario(sc)
+        t_exit = traces.t_grid - sc.tau
+        i0 = step_of(sc, pulse.t0)
+        peak = -math.sqrt(0.99) * traces.fwd_amp[i0]
+        assert traces.bwd_amp[i0 + step_of(sc, sc.tau)] == pytest.approx(peak, rel=1e-9)
+        late = t_exit + 0.5 * sc.tau > mirror.disable_time
+        tail = np.interp(t_exit[late], traces.t_grid, traces.fwd_amp.real)
+        assert np.all(tail[: 10] > 0.0)  # delayed light does reach the mirror ...
+        assert np.all(traces.bwd_amp[late] == 0.0)  # ... and is rejected
 
     def test_underrun_is_zero(self):
-        st = init_state(small_scenario())
+        # nothing has come back from the mirror before one round trip
         mirror = MirrorSpec(present=True, reflectivity=0.99, delay_tau=5.0)
-        assert mirror_feedback(st, 2.0, mirror) == 0.0
+        traces, _ = run_scenario(small_scenario(mirror=mirror))
+        assert np.all(traces.bwd_amp[traces.t_grid < 5.0 - 1e-9] == 0.0)
+        assert np.all(traces.bwd_amp[traces.t_grid >= 5.0] != 0.0)
+
+
+class TestDelayLine:
+    @pytest.mark.parametrize("tau, disable_time", [
+        (2.3456, 6.0),        # round trip off the step grid, gated
+        (0.0, 6.0),           # mirror on the back face: same-instant coupling
+        (2.3456, None),       # never disabled
+    ])
+    def test_backward_boundary_is_delayed_forward(self, tau, disable_time):
+        # xi = 0: fwd_amp is the drive and bwd_amp the mirror boundary value,
+        # -sqrt(R) * fwd_amp(t - tau) interpolated on the grid while the gate is open
+        pulse = PulseSpec(mode="gaussian", area=1e-3, fwhm=1.5, t0=4.0)
+        mirror = MirrorSpec(present=True, reflectivity=0.64, delay_tau=tau, disable_time=disable_time)
+        sc = small_scenario(sample=SampleSpec(xi=0.0, n_depth=11), pulse=pulse, mirror=mirror)
+        traces, _ = run_scenario(sc)
+        t = traces.t_grid
+        assert np.allclose(traces.fwd_amp, gaussian_input(t, pulse), rtol=1e-12, atol=0.0)
+
+        t_exit = t - tau
+        gate = (t_exit >= 0.0) & (True if disable_time is None else t_exit + 0.5 * tau <= disable_time)
+        delayed = (np.interp(t_exit, t, traces.fwd_amp.real)
+                   + 1j * np.interp(t_exit, t, traces.fwd_amp.imag))
+        expected = np.where(gate, -0.8 * delayed, 0.0)
+        scale = np.abs(traces.fwd_amp).max()
+        np.testing.assert_allclose(traces.bwd_amp, expected, rtol=1e-12, atol=1e-12 * scale)
+        assert np.all(traces.bwd_amp[~gate] == 0.0)
+        if disable_time is not None:
+            assert np.abs(delayed[~gate & (t_exit >= 0.0)]).max() > 1e-3 * scale
+
+    def test_forward_branch_ignores_mirror(self):
+        # nothing reflects at the front face, so the forward trace is the same
+        # with the mirror reflecting, absent or at R = 0, to the last bit
+        base = replace(preset_scenario("fig2b"), t_end=30.0, record_snapshots_at=())
+        runs = {
+            "mirror": base,
+            "absent": replace(base, mirror=replace(base.mirror, present=False)),
+            "R0": replace(base, mirror=replace(base.mirror, reflectivity=0.0)),
+        }
+        traces = {name: run_scenario(cfg)[0] for name, cfg in runs.items()}
+        assert np.any(traces["mirror"].bwd_amp != 0.0)
+        for name in ("absent", "R0"):
+            assert np.array_equal(traces[name].fwd_amp, traces["mirror"].fwd_amp), name
+            assert np.all(traces[name].bwd_amp == 0.0), name
 
 
 class TestRunScenario:
@@ -196,9 +260,10 @@ class TestRunScenario:
         assert traces.metadata["config_hash"] == sc.config_hash
 
     def test_numerical_guard_reports_time(self):
-        # an infinite pulse area drives the state non-finite immediately
-        sc = small_scenario(pulse=PulseSpec(area=math.inf, linear_regime=False))
-        with np.errstate(invalid="ignore"):
+        # an enormous pulse area on an enormous thickness overflows the first field sweep
+        sc = small_scenario(sample=SampleSpec(xi=1e300, n_depth=41),
+                            pulse=PulseSpec(area=1e300, linear_regime=False))
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="t = 0.0000 ns"):
                 run_scenario(sc)
 
