@@ -74,15 +74,6 @@ class ExcitationPattern:
     b31_mean: complex
     b42_mean: complex
 
-    @property
-    def f_mean(self) -> complex:
-        """Depth-averaged radiating sum of the forward branch."""
-        return self.f31_mean + self.f42_mean
-
-    @property
-    def b_mean(self) -> complex:
-        return self.b31_mean + self.b42_mean
-
 
 def intensities(traces: TraceSet) -> IntensitySeries:
     """Pointwise squared magnitudes of the detected envelopes."""

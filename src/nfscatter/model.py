@@ -24,6 +24,11 @@ DEFAULT_GAMMA = 1.0 / FE57_LIFETIME_NS
 #: time resolution safety factor: dt must resolve the fastest beat
 _DT_BEAT_FACTOR = 20.0
 
+#: most time points (n_steps + 1) and depth points (n_depth) a run may have,
+#: checked before anything is allocated: at the cap the state buffers take about
+#: 0.4 GB; presets and benchmark workloads use at most 40,001 and 4,001 points
+MAX_GRID_POINTS = 1_000_000
+
 
 class ScenarioError(ValueError):
     """A scenario, schedule or event list violates a model invariant."""
@@ -38,6 +43,12 @@ def _require_finite(name: str, value, optional: bool = False) -> None:
         return
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ScenarioError(f"{name} must be a finite number (got {value!r})")
+
+
+def _require_bool(name: str, value) -> None:
+    """Reject a flag that is not a boolean (a string such as "no" is truthy)."""
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{name} must be true or false (got {value!r})")
 
 
 def delta_b_from_gamma(multiple: float, gamma: float = DEFAULT_GAMMA) -> float:
@@ -90,8 +101,8 @@ class SampleSpec:
             raise ScenarioError(f"sample.xi must be >= 0 (got {self.xi})")
         if not self.thickness_um > 0.0:
             raise ScenarioError(f"sample.thickness_um must be > 0 (got {self.thickness_um})")
-        if self.n_depth < 2:
-            raise ScenarioError(f"sample.n_depth must be >= 2 (got {self.n_depth})")
+        if not 2 <= self.n_depth <= MAX_GRID_POINTS:
+            raise ScenarioError(f"sample.n_depth must be in [2, {MAX_GRID_POINTS}] (got {self.n_depth})")
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,7 @@ class PulseSpec:
     def validate(self) -> None:
         if self.mode not in ("impulsive", "gaussian"):
             raise ScenarioError(f"pulse.mode must be 'impulsive' or 'gaussian' (got {self.mode!r})")
+        _require_bool("pulse.linear_regime", self.linear_regime)
         _require_finite("pulse.area", self.area)
         _require_finite("pulse.fwhm", self.fwhm, optional=True)
         _require_finite("pulse.t0", self.t0)
@@ -144,6 +156,7 @@ class MirrorSpec:
     disable_time: float | None = None
 
     def validate(self) -> None:
+        _require_bool("mirror.present", self.present)
         _require_finite("mirror.reflectivity", self.reflectivity)
         _require_finite("mirror.delay_tau", self.delay_tau, optional=True)
         _require_finite("mirror.disable_time", self.disable_time, optional=True)
@@ -412,6 +425,10 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
             f"dt={dt} ns cannot resolve the fastest beat: need dt <= "
             f"{1.0 / (_DT_BEAT_FACTOR * max_level):.4g} ns for |delta_b|={max_level:.4g} rad/ns"
         )
+
+    if config.t_end / dt + 1.0 > MAX_GRID_POINTS:
+        raise ScenarioError(f"t_end/dt + 1 must be at most {MAX_GRID_POINTS} time points "
+                            f"(got t_end={config.t_end}, dt={dt})")
 
     nudges: list[tuple[str, float, float]] = []
 

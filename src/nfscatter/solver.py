@@ -177,18 +177,18 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     pulse = sc.pulse
     gaussian = pulse.mode == "gaussian"
 
-    # impulsive-mode kicks, (branch row, coherence added): the prompt at t0
-    # and, when the gate admits it, the mirror-reflected prompt arriving one
-    # round trip later
-    kicks: dict[int, tuple[int, complex]] = {}
+    # impulsive-mode kicks per step, [(branch row, coherence added), ...]: the
+    # prompt at t0 and, when the gate admits it, the mirror-reflected prompt
+    # arriving one round trip later (on the prompt's own step when tau = 0)
+    kicks: dict[int, list[tuple[int, complex]]] = {}
     if not gaussian:
         theta = pulse.area
         kick_amp = 0.25j * a
-        kicks[round(pulse.t0 / dt)] = (0, kick_amp * theta)
+        kicks[round(pulse.t0 / dt)] = [(0, kick_amp * theta)]
         if n_br == 2 and _reflects(pulse.t0, tau, disable_time):
             ib = math.ceil((pulse.t0 + tau) / dt - 1e-9)  # first grid time >= t0 + tau
             if ib < n_t:
-                kicks[ib] = (1, kick_amp * (-refl_amp * theta))
+                kicks.setdefault(ib, []).append((1, kick_amp * (-refl_amp * theta)))
 
     x = np.zeros((2, n_br, n_u), dtype=complex)
     x_half = np.empty_like(x)
@@ -244,9 +244,10 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
         e_full, p_full = _propagators(gamma, level, dt, a, x.shape)
         for i in range(first, stop):
             t = i * dt
-            hit = kicks.get(i)
-            if hit is not None:
-                x[:, hit[0]] += hit[1]
+            hits = kicks.get(i)
+            if hits is not None:
+                for row, amp in hits:
+                    x[:, row] += amp
 
             bf, bb = fields(x, t, i)
             om_f_L = fwd[i] = om[0, -1]

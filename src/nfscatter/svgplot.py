@@ -15,7 +15,7 @@ _ML, _MR, _MT, _MB = 70, 20, 30, 45
 
 
 def _poly(xs, ys, stroke, dash: str = "", width: float = 1.2) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    pts = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"'
             f'{dash_attr} points="{pts}"/>')

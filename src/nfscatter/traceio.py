@@ -18,6 +18,10 @@ from .solver import TraceSet
 SCHEMA_VERSION = "1"
 TRACES_HEADER = "t_ns,re_fwd,im_fwd,re_bwd,im_bwd,i_fwd,i_bwd,mirror_in_beam"
 
+#: rows formatted per block when writing traces.csv: keeps the transient lists
+#: under 1 MB, where whole columns would raise peak memory above the per-row loop's
+_ROW_BLOCK = 1024
+
 
 class TraceFormatError(ValueError):
     """A traces CSV file does not match the expected schema."""
@@ -28,11 +32,12 @@ def _fmt(x: float) -> str:
 
 
 def write_traces_csv(path: Path, traces: TraceSet) -> None:
+    """Write ``traces.csv``; each block of rows is formatted from whole-column lists."""
     meta = traces.metadata
     sched = ";".join(f"{t:.9g}:{lvl:.9g}" for t, lvl in meta.get("schedule", []))
     i_fwd = np.abs(traces.fwd_detected) ** 2
     i_bwd = np.abs(traces.bwd_amp) ** 2
-    lines = [
+    header = [
         f"# nfscatter traces v{SCHEMA_VERSION}",
         f"# config_hash={meta.get('config_hash', '')}",
         f"# reflectivity={_fmt(meta.get('reflectivity', 0.0))}",
@@ -40,15 +45,15 @@ def write_traces_csv(path: Path, traces: TraceSet) -> None:
         f"# schedule={sched}",
         TRACES_HEADER,
     ]
-    for k in range(len(traces.t_grid)):
-        lines.append(",".join((
-            _fmt(traces.t_grid[k]),
-            _fmt(traces.fwd_amp[k].real), _fmt(traces.fwd_amp[k].imag),
-            _fmt(traces.bwd_amp[k].real), _fmt(traces.bwd_amp[k].imag),
-            _fmt(i_fwd[k]), _fmt(i_bwd[k]),
-            "1" if traces.mirror_in_beam[k] else "0",
-        )))
-    path.write_text("\n".join(lines) + "\n")
+    columns = (traces.t_grid, traces.fwd_amp.real, traces.fwd_amp.imag,
+               traces.bwd_amp.real, traces.bwd_amp.imag, i_fwd, i_bwd,
+               traces.mirror_in_beam.astype(np.uint8))
+    row = ",".join(["{:.9g}"] * 7 + ["{:d}"]).format
+    with open(path, "w") as fh:
+        fh.write("\n".join(header) + "\n")
+        for k in range(0, len(traces.t_grid), _ROW_BLOCK):
+            block = [c[k:k + _ROW_BLOCK].tolist() for c in columns]
+            fh.write("\n".join(map(row, *block)) + "\n")
 
 
 @dataclass
@@ -67,8 +72,14 @@ class TraceFile:
 
 
 def read_traces_csv(path: Path) -> TraceFile:
+    """Parse a traces CSV; ``# key=value`` lines may appear anywhere, blank lines are skipped.
+
+    ``np.loadtxt`` reads the data lines as ``float()`` does; only if it fails
+    are they rescanned with ``float()``, which names the first bad line.
+    """
     attrs: dict = {}
-    rows: list[list[float]] = []
+    data: list[str] = []
+    linenos: list[int] = []
     saw_header = False
     try:
         text = Path(path).read_text()
@@ -88,18 +99,26 @@ def read_traces_csv(path: Path) -> TraceFile:
                 raise TraceFormatError(f"{path}:{lineno}: expected header {TRACES_HEADER!r}")
             saw_header = True
             continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise TraceFormatError(f"{path}:{lineno}: expected 8 columns, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise TraceFormatError(f"{path}:{lineno}: non-numeric value") from None
+        n_cols = line.count(",") + 1
+        if n_cols != 8:
+            raise TraceFormatError(f"{path}:{lineno}: expected 8 columns, got {n_cols}")
+        data.append(line)
+        linenos.append(lineno)
     if not saw_header:
         raise TraceFormatError(f"{path}: missing header line")
-    if not rows:
+    if not data:
         raise TraceFormatError(f"{path}: no data rows")
-    cols = np.array(rows, dtype=float).T
+    try:
+        cols = np.loadtxt(data, delimiter=",", comments=None, ndmin=2).T
+    except ValueError:
+        # float() also takes spellings loadtxt rejects, such as "1_0": keep its values
+        rows = []
+        for lineno, line in zip(linenos, data):
+            try:
+                rows.append([float(p) for p in line.split(",")])
+            except ValueError:
+                raise TraceFormatError(f"{path}:{lineno}: non-numeric value") from None
+        cols = np.array(rows, dtype=float).T
     return TraceFile(
         t=cols[0], re_fwd=cols[1], im_fwd=cols[2], re_bwd=cols[3], im_bwd=cols[4],
         i_fwd=cols[5], i_bwd=cols[6], mirror_in_beam=cols[7] != 0.0, attrs=attrs,

@@ -5,13 +5,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfscatter.cli import main
+from nfscatter.model import MAX_GRID_POINTS
 from nfscatter.traceio import TRACES_HEADER, read_traces_csv
 
 QUICK = [
@@ -83,6 +86,42 @@ def test_non_finite_float_field_is_input_error(field, bad):
         rc = run_cli(["run", "--preset", "fig2b", "--set", f"{key}={value}", "--out", out])
     assert rc == 1, (key, value)
     assert key in err.getvalue(), (key, value, err.getvalue())
+
+
+@pytest.mark.parametrize("key", ["mirror.present", "pulse.linear_regime"])
+@pytest.mark.parametrize("value", ["no", "abc", "0", '"true"', "null"])
+def test_boolean_field_must_be_boolean(tmp_path, capsys, key, value):
+    # "no" reached the solver as a truthy string and ran with the mirror
+    out = str(tmp_path / "x")
+    assert run_cli(["run", "--preset", "fig2b", "--set", f"{key}={value}", "--out", out]) == 1
+    assert f"{key} must be true or false" in capsys.readouterr().err
+
+
+def test_boolean_field_takes_json_booleans(tmp_path):
+    args = ["run", "--preset", "fig2a", *QUICK, "--set", "pulse.linear_regime=false"]
+    assert run_cli([*args, "--set", "mirror.present=true", "--out", str(tmp_path / "on")]) == 0
+    assert run_cli([*args, "--set", "mirror.present=false", "--out", str(tmp_path / "off")]) == 0
+    on = read_traces_csv(tmp_path / "on" / "traces.csv")
+    off = read_traces_csv(tmp_path / "off" / "traces.csv")
+    assert on.mirror_in_beam.any() and not off.mirror_in_beam.any()
+    assert np.any(on.re_bwd != 0.0) and np.all(off.re_bwd == 0.0)
+
+
+@pytest.mark.parametrize("sets, field", [
+    (["sample.n_depth=100000000", "t_end=1e6"], "sample.n_depth"),
+    (["t_end=1e6"], "t_end"),
+    (["t_end=1e300", "dt=1e-300"], "t_end"),
+])
+def test_oversized_grid_rejected_before_allocation(tmp_path, capsys, sets, field):
+    argv = ["run", "--preset", "fig2b", "--out", str(tmp_path / "x")]
+    for item in sets:
+        argv += ["--set", item]
+    start = time.perf_counter()
+    assert run_cli(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert field in err and str(MAX_GRID_POINTS) in err
+    assert not (tmp_path / "x" / "traces.csv").exists()
 
 
 def test_run_json_format(tmp_path):
@@ -179,6 +218,7 @@ def test_trace_digest_script_is_stable():
     first, second = (subprocess.run(cmd, capture_output=True, text=True, env=env, check=True).stdout
                      for _ in range(2))
     lines = first.splitlines()
-    assert [line.split()[1] for line in lines] == ["traces.csv", "report.json", "meta.json", "pattern.csv"]
+    assert [line.split()[1] for line in lines] == ["traces.csv", "report.json", "meta.json", "pattern.csv",
+                                                   "traces_intensity.svg", "traces_amplitude.svg"]
     assert all(len(line.split()[2]) == 64 for line in lines)
     assert first == second

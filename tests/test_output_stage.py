@@ -1,0 +1,160 @@
+"""Contract of the output stage: traces.csv bytes, its parse, SVG polylines.
+
+Each writer is checked against a per-element reference kept here, so the
+column-wise implementations in ``traceio`` and ``svgplot`` must reproduce
+the per-row output byte for byte.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nfscatter.solver import TraceSet
+from nfscatter.svgplot import _poly
+from nfscatter.traceio import TRACES_HEADER, TraceFormatError, read_traces_csv, write_traces_csv
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072014e-308,
+           1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0]
+values = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def reference_traces_csv(traces: TraceSet) -> str:
+    """traces.csv text formatted one numpy scalar at a time."""
+    def fmt(x):
+        return f"{x:.9g}"
+
+    meta = traces.metadata
+    sched = ";".join(f"{t:.9g}:{lvl:.9g}" for t, lvl in meta.get("schedule", []))
+    with np.errstate(over="ignore"):
+        i_fwd = np.abs(traces.fwd_detected) ** 2
+        i_bwd = np.abs(traces.bwd_amp) ** 2
+    lines = [
+        "# nfscatter traces v1",
+        f"# config_hash={meta.get('config_hash', '')}",
+        f"# reflectivity={fmt(meta.get('reflectivity', 0.0))}",
+        f"# tau={fmt(meta.get('tau', 0.0))}",
+        f"# schedule={sched}",
+        TRACES_HEADER,
+    ]
+    for k in range(len(traces.t_grid)):
+        lines.append(",".join((
+            fmt(traces.t_grid[k]),
+            fmt(traces.fwd_amp[k].real), fmt(traces.fwd_amp[k].imag),
+            fmt(traces.bwd_amp[k].real), fmt(traces.bwd_amp[k].imag),
+            fmt(i_fwd[k]), fmt(i_bwd[k]),
+            "1" if traces.mirror_in_beam[k] else "0",
+        )))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def trace_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    col = st.lists(values, min_size=n, max_size=n).map(np.array)
+    fwd = draw(col) + 1j * draw(col)
+    bwd = draw(col) + 1j * draw(col)
+    in_beam = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    detected = np.where(in_beam, 0.1 * fwd, fwd)
+    return TraceSet(
+        t_grid=draw(col), fwd_amp=fwd, bwd_amp=bwd, fwd_detected=detected, mirror_in_beam=in_beam,
+        metadata={"config_hash": "abc123", "reflectivity": draw(values), "tau": draw(values),
+                  "schedule": [[0.0, draw(values)], [draw(values), 0.0]]},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_sets())
+def test_write_traces_csv_matches_per_element_reference(traces):
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+        path = Path(tmp) / "traces.csv"
+        write_traces_csv(path, traces)
+        assert path.read_bytes() == reference_traces_csv(traces).encode()
+
+
+def test_write_traces_csv_spans_row_blocks(tmp_path):
+    # many formatting blocks and a partial last one, with the gate closing mid-run
+    n = 20_011
+    t = np.arange(n) * 0.005
+    fwd = np.exp((-0.01 + 0.2j) * t) * 1e-4
+    traces = TraceSet(t_grid=t, fwd_amp=fwd, bwd_amp=-0.3 * fwd[::-1], fwd_detected=0.1 * fwd,
+                      mirror_in_beam=t < 41.0, metadata={"config_hash": "x", "schedule": [[0.0, 0.2]]})
+    write_traces_csv(tmp_path / "traces.csv", traces)
+    assert (tmp_path / "traces.csv").read_text() == reference_traces_csv(traces)
+
+
+cells = st.one_of(
+    values.map("{:.9g}".format), values.map(repr), st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["inf", "-inf", "Infinity", "1e5", "-0", "+3.25", " 2.5", "7 "]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(cells, min_size=8, max_size=8), min_size=1, max_size=30))
+def test_read_traces_csv_is_float_of_each_cell(rows):
+    text = "# config_hash=h0\n" + TRACES_HEADER + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traces.csv"
+        path.write_text(text)
+        tf = read_traces_csv(path)
+    expected = np.array([[float(c) for c in r] for r in rows])
+    for j, got in enumerate((tf.t, tf.re_fwd, tf.im_fwd, tf.re_bwd, tf.im_bwd, tf.i_fwd, tf.i_bwd)):
+        assert got.tobytes() == np.ascontiguousarray(expected[:, j]).tobytes(), j
+    assert np.array_equal(tf.mirror_in_beam, expected[:, 7] != 0.0)
+
+
+def test_read_traces_csv_late_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "traces.csv"
+    path.write_text("\n".join([
+        "# config_hash=abc", "", TRACES_HEADER, "0,1,2,3,4,5,6,1", "",
+        "# tau=14.7", "   ", "0.5,1e-3,-0,3,4,5,6,0", "# note without a value",
+        "1_0.5,1_2,2,3,4,5,6,0",  # float() accepts digit separators, loadtxt does not
+    ]) + "\n")
+    tf = read_traces_csv(path)
+    assert tf.attrs == {"config_hash": "abc", "tau": "14.7"}
+    assert tf.t.tolist() == [0.0, 0.5, 10.5]
+    assert tf.re_fwd.tolist() == [1.0, 1e-3, 12.0]
+    assert np.signbit(tf.im_fwd[1])
+    assert tf.mirror_in_beam.tolist() == [True, False, False]
+
+
+GOOD_ROW = "0,1,2,3,4,5,6,1"
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    (["# c=1", "t,x,y", GOOD_ROW], 2, "expected header"),              # wrong header
+    (["# c=1", "", GOOD_ROW, GOOD_ROW], 3, "expected header"),         # header missing
+    ([TRACES_HEADER, GOOD_ROW, "", "# c=1", "0,1,2,x,4,5,6,1", GOOD_ROW], 5, "non-numeric value"),
+    ([TRACES_HEADER, GOOD_ROW, "0,1,2,3,4,5,6,"], 3, "non-numeric value"),
+    ([TRACES_HEADER, "0,1,2,3,4,5,6,1#x"], 2, "non-numeric value"),
+])
+def test_read_traces_csv_names_path_and_line(tmp_path, lines, lineno, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as exc:
+        read_traces_csv(path)
+    assert f"{path}:{lineno}: {message}" in str(exc.value)
+
+
+def test_read_traces_csv_without_header_line(tmp_path):
+    path = tmp_path / "comments.csv"
+    path.write_text("# config_hash=abc\n\n")
+    with pytest.raises(TraceFormatError, match="missing header line"):
+        read_traces_csv(path)
+
+
+def reference_poly_points(xs, ys) -> str:
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=60).flatmap(
+    lambda n: st.tuples(*(st.lists(values, min_size=n, max_size=n) for _ in range(2)))))
+def test_poly_matches_per_point_reference(pair):
+    xs, ys = (np.array(v) for v in pair)
+    svg = _poly(xs, ys, "#c0392b", dash="6,4")
+    assert svg == ('<polyline fill="none" stroke="#c0392b" stroke-width="1.2" stroke-dasharray="6,4" '
+                   f'points="{reference_poly_points(xs, ys)}"/>')

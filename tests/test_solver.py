@@ -233,6 +233,17 @@ class TestDelayLine:
             assert np.array_equal(traces[name].fwd_amp, traces["mirror"].fwd_amp), name
             assert np.all(traces[name].bwd_amp == 0.0), name
 
+    def test_zero_delay_keeps_forward_kick(self):
+        # tau = 0: the reflected prompt lands on the prompt's own step and
+        # must be added beside the forward kick, not replace it
+        base = replace(preset_scenario("fig2b"), t_end=5.0, record_snapshots_at=())
+        mirror = replace(base.mirror, delay_tau=0.0, disable_time=None)
+        kicked, _ = run_scenario(replace(base, mirror=mirror))
+        absent, _ = run_scenario(replace(base, mirror=replace(mirror, present=False)))
+        assert np.any(absent.fwd_amp != 0.0)
+        assert np.array_equal(kicked.fwd_amp, absent.fwd_amp)
+        assert np.any(kicked.bwd_amp != 0.0)
+
 
 class TestRunScenario:
     def test_backward_onset_delay(self, fig2a_run):
