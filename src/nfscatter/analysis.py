@@ -69,10 +69,6 @@ class ExcitationPattern:
     s_grid: np.ndarray        # angstrom, over [0, 2*pi/k)
     density: np.ndarray
     period: float             # carrier period 2*pi/k, angstrom
-    f31_mean: complex
-    f42_mean: complex
-    b31_mean: complex
-    b42_mean: complex
 
 
 def intensities(traces: TraceSet) -> IntensitySeries:
@@ -148,8 +144,7 @@ def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float, n_s: i
     fwd = np.exp(1j * wave_number_k * s)
     bwd = np.conj(fwd)
     density = np.abs(f31 * fwd + b31 * bwd) ** 2 + np.abs(f42 * fwd + b42 * bwd) ** 2
-    return ExcitationPattern(s_grid=s, density=density, period=period,
-                             f31_mean=f31, f42_mean=f42, b31_mean=b31, b42_mean=b42)
+    return ExcitationPattern(s_grid=s, density=density, period=period)
 
 
 def per_depth_density(snapshot: CoherenceSnapshot, wave_number_k: float, n_s: int = 512) -> np.ndarray:

@@ -49,12 +49,12 @@ def _load_scenario(args) -> ValidatedScenario:
         config = load_config(args.config)
     else:
         raise ConfigError("one of --preset or --config is required")
-    if args.set or args.dt:
-        data = validate_scenario(config).as_dict()
+    if args.set or args.dt is not None:
+        # overrides apply to the scenario as written, so one validation reports every nudge
         overrides = list(args.set or [])
-        if args.dt:
+        if args.dt is not None:
             overrides.append(f"dt={args.dt}")
-        config = scenario_from_dict(apply_overrides(data, overrides))
+        config = scenario_from_dict(apply_overrides(config.as_dict(), overrides))
     return validate_scenario(config)
 
 

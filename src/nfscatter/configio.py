@@ -9,6 +9,7 @@ multiples of the decay rate through the ``*_in_gamma`` key variants
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -62,36 +63,24 @@ def _level(d: dict, key: str, gamma: float, where: str) -> float | None:
     return None if raw is None else _float(raw, f"{where}.{key}")
 
 
+def _section(data: dict, key: str, cls):
+    """Section ``key`` of ``data`` as a ``cls``, whose field names are the allowed keys."""
+    d = data.get(key, {})
+    _pick(d, {f.name for f in fields(cls)}, key)
+    return cls(**d)
+
+
 def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
-    _pick(data, {"consts", "sample", "pulse", "mirror", "schedule", "t_end", "dt",
-                 "record_snapshots_at"}, "config")
-
-    cd = data.get("consts", {})
-    _pick(cd, {"gamma", "transition_energy_kev", "clebsch_a"}, "consts")
-    consts = PhysConsts(**cd)
-
-    sd = data.get("sample", {})
-    _pick(sd, {"xi", "thickness_um", "n_depth"}, "sample")
-    sample = SampleSpec(**sd)
-
-    pd = data.get("pulse", {})
-    _pick(pd, {"mode", "area", "fwhm", "t0", "linear_regime"}, "pulse")
-    pulse = PulseSpec(**pd)
-
-    md = data.get("mirror", {})
-    _pick(md, {"present", "reflectivity", "delay_tau", "disable_time"}, "mirror")
-    mirror = MirrorSpec(**md)
-
-    schedule = _schedule_from_dict(data.get("schedule", {}), consts.gamma)
-
+    _pick(data, {f.name for f in fields(ScenarioConfig)}, "config")
+    consts = _section(data, "consts", PhysConsts)
     if "t_end" not in data:
         raise ConfigError("config is missing required key 't_end'")
     return ScenarioConfig(
         consts=consts,
-        sample=sample,
-        pulse=pulse,
-        mirror=mirror,
-        schedule=schedule,
+        sample=_section(data, "sample", SampleSpec),
+        pulse=_section(data, "pulse", PulseSpec),
+        mirror=_section(data, "mirror", MirrorSpec),
+        schedule=_schedule_from_dict(data.get("schedule", {}), consts.gamma),
         t_end=_float(data["t_end"], "t_end"),
         dt=_float(data.get("dt", 0.005), "dt"),
         record_snapshots_at=tuple(_float(t, f"record_snapshots_at[{i}]")
@@ -104,8 +93,9 @@ def _schedule_from_dict(sd: dict, gamma: float) -> HyperfineSchedule:
     _pick(sd, {"segments", "events", "initial_level", "initial_level_in_gamma",
                "delta_b_in_gamma"}, "schedule")
     if "segments" in sd:
-        if "events" in sd:
-            raise ConfigError("schedule: give segments or events, not both")
+        others = sorted(set(sd) - {"segments"})
+        if others:
+            raise ConfigError(f"schedule: segments takes no other keys (got {', '.join(others)})")
         segments = []
         for i, pair in enumerate(_list(sd["segments"], "schedule.segments")):
             if not isinstance(pair, list) or len(pair) != 2:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Sequence
 
 HC_KEV_ANGSTROM = 12.39842
@@ -327,63 +327,33 @@ class ScenarioConfig:
     consts: PhysConsts = field(default_factory=PhysConsts)
     record_snapshots_at: tuple[float, ...] = ()
 
+    def as_dict(self) -> dict:
+        """The scenario fields as a JSON-compatible dict (round-trips through configio).
 
-@dataclass(frozen=True)
-class ValidatedScenario:
+        Derived fields of a validated scenario are left out; the schedule is
+        written as ``{"segments": [[t_start, delta_b], ...]}``.
+        """
+        out = {f.name: getattr(self, f.name) for f in fields(ScenarioConfig)}
+        out = {name: asdict(value) if is_dataclass(value) else value for name, value in out.items()}
+        out["schedule"] = {"segments": [[s.t_start, s.delta_b] for s in self.schedule.segments]}
+        out["record_snapshots_at"] = list(self.record_snapshots_at)
+        return out
+
+
+@dataclass(frozen=True, kw_only=True)
+class ValidatedScenario(ScenarioConfig):
     """A scenario with every invariant checked and derived quantities filled.
 
     ``nudges`` records every time that was moved onto the step grid, as
     (field, requested, used) triples.
     """
 
-    consts: PhysConsts
-    sample: SampleSpec
-    pulse: PulseSpec
-    mirror: MirrorSpec
-    schedule: HyperfineSchedule
-    t_end: float
-    dt: float
-    record_snapshots_at: tuple[float, ...]
     tau: float                  # mirror round trip actually used, ns
     eta_l: float                # field coupling integrated over the slab, 6*gamma*xi
     wave_number_k: float        # 1/angstrom
     n_steps: int                # time grid has n_steps + 1 points
     nudges: tuple[tuple[str, float, float], ...]
     config_hash: str
-
-    def as_dict(self) -> dict:
-        """Resolved scenario as a JSON-compatible dict (round-trips through configio)."""
-        return {
-            "consts": {
-                "gamma": self.consts.gamma,
-                "transition_energy_kev": self.consts.transition_energy_kev,
-                "clebsch_a": self.consts.clebsch_a,
-            },
-            "sample": {
-                "xi": self.sample.xi,
-                "thickness_um": self.sample.thickness_um,
-                "n_depth": self.sample.n_depth,
-            },
-            "pulse": {
-                "mode": self.pulse.mode,
-                "area": self.pulse.area,
-                "fwhm": self.pulse.fwhm,
-                "t0": self.pulse.t0,
-                "linear_regime": self.pulse.linear_regime,
-            },
-            "mirror": {
-                "present": self.mirror.present,
-                "reflectivity": self.mirror.reflectivity,
-                "delay_tau": self.mirror.delay_tau,
-                "disable_time": self.mirror.disable_time,
-            },
-            "schedule": {
-                "segments": [[s.t_start, s.delta_b] for s in self.schedule.segments],
-            },
-            "t_end": self.t_end,
-            "dt": self.dt,
-            "record_snapshots_at": list(self.record_snapshots_at),
-        }
 
 
 def _scenario_hash(resolved: dict) -> str:
@@ -399,9 +369,11 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
     """Check every invariant and fill derived quantities.
 
     Idempotent: validating an already validated scenario returns it
-    unchanged.  Rejections name the offending field.
+    unchanged, unless a field was replaced since (its config_hash no longer
+    matches), in which case it is validated again.  Rejections name the
+    offending field.
     """
-    if isinstance(config, ValidatedScenario):
+    if isinstance(config, ValidatedScenario) and config.config_hash == _scenario_hash(config.as_dict()):
         return config
 
     config.consts.validate()
@@ -471,6 +443,10 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
         mirror = replace(mirror, delay_tau=derived_timings(abs(base)).tau)
     tau = mirror.delay_tau if (mirror.present and mirror.delay_tau is not None) else 0.0
 
+    # each snapshot stores four n_depth rows
+    if len(config.record_snapshots_at) * config.sample.n_depth > MAX_GRID_POINTS:
+        raise ScenarioError(f"record_snapshots_at times x sample.n_depth must be at most {MAX_GRID_POINTS} "
+                            f"(got {len(config.record_snapshots_at)} x {config.sample.n_depth})")
     snaps = []
     for t in config.record_snapshots_at:
         tn = _nudge(t, dt)
@@ -479,6 +455,8 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
         if tn != t:
             nudges.append(("record_snapshots_at", t, tn))
         snaps.append(tn)
+    if len(set(snaps)) != len(snaps):
+        raise ScenarioError(f"record_snapshots_at entries collide after grid alignment: {snaps}")
 
     resolved = ValidatedScenario(
         consts=config.consts,

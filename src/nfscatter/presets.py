@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .model import (
+    HyperfineSchedule,
     MirrorSpec,
     PulseSpec,
     SampleSpec,
@@ -22,26 +23,19 @@ SWEEP_AXES = ("xi", "R", "delta_B", "tau")
 
 def gated_mirror_scenario(
     xi: float = 1.0,
-    reflectivity: float = 0.99,
     delta_b_in_gamma: float = 30.0,
     invert: bool = False,
-    reon_level: float | None = None,
     snapshots: Sequence[float] = (),
-    t_on: float = 100.0,
-    t_end: float = 200.0,
-    dt: float = 0.005,
-    n_depth: int = 201,
-    area: float = 1e-3,
     disable_time: float | None = None,
 ) -> ScenarioConfig:
     """Storage/retrieval protocol scenario built from the splitting.
 
     The mirror sits half a beat period away (round trip tau = pi/delta_b),
     its reflection is disabled just after the prompt pulse reaches it, the
-    field switches off at the second beat node and back on at ``t_on``.
-    ``invert`` adds the field inversion at the first beat node, which flips
-    the retrieved relative phase from 0 to pi.  ``reon_level`` overrides
-    the restored level (default: the level in force before switch-off).
+    field switches off at the second beat node and back on at 100 ns with
+    the level in force before switch-off.  ``invert`` adds the field
+    inversion at the first beat node, which flips the retrieved relative
+    phase from 0 to pi.  Every other field keeps its dataclass default.
     """
     delta_b = delta_b_from_gamma(delta_b_in_gamma)
     timings = derived_timings(delta_b)
@@ -52,37 +46,25 @@ def gated_mirror_scenario(
     if invert:
         events.append(ScheduleEvent(timings.t_invert, "invert"))
     events.append(ScheduleEvent(timings.t_off, "off"))
-    events.append(ScheduleEvent(t_on, "on", reon_level))
+    events.append(ScheduleEvent(100.0, "on"))
     return ScenarioConfig(
-        sample=SampleSpec(xi=xi, n_depth=n_depth),
-        pulse=PulseSpec(mode="impulsive", area=area),
-        mirror=MirrorSpec(present=True, reflectivity=reflectivity,
-                          delay_tau=timings.tau, disable_time=disable_time),
+        sample=SampleSpec(xi=xi),
+        pulse=PulseSpec(),
+        mirror=MirrorSpec(delay_tau=timings.tau, disable_time=disable_time),
         schedule=build_schedule(events, initial_level=delta_b),
-        t_end=t_end,
-        dt=dt,
+        t_end=200.0,
         record_snapshots_at=tuple(snapshots),
     )
 
 
-def single_pass_scenario(
-    xi: float = 0.01,
-    delta_b_in_gamma: float = 30.0,
-    t_end: float = 160.0,
-    dt: float = 0.005,
-    n_depth: int = 201,
-    area: float = 1e-3,
-) -> ScenarioConfig:
+def single_pass_scenario() -> ScenarioConfig:
     """Thin slab, no mirror, constant field: the first-order reference case."""
-    from .model import HyperfineSchedule
-
     return ScenarioConfig(
-        sample=SampleSpec(xi=xi, n_depth=n_depth),
-        pulse=PulseSpec(mode="impulsive", area=area),
+        sample=SampleSpec(xi=0.01),
+        pulse=PulseSpec(),
         mirror=MirrorSpec(present=False, reflectivity=0.0, delay_tau=0.0),
-        schedule=HyperfineSchedule.constant(delta_b_from_gamma(delta_b_in_gamma)),
-        t_end=t_end,
-        dt=dt,
+        schedule=HyperfineSchedule.constant(delta_b_from_gamma(30.0)),
+        t_end=160.0,
     )
 
 

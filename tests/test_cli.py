@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nfscatter import cli
 from nfscatter.cli import main
-from nfscatter.model import MAX_GRID_POINTS
+from nfscatter.model import MAX_GRID_POINTS, validate_scenario
+from nfscatter.presets import preset_scenario
 from nfscatter.traceio import TRACES_HEADER, read_traces_csv
 
 QUICK = [
@@ -111,6 +115,7 @@ def test_boolean_field_takes_json_booleans(tmp_path):
     (["sample.n_depth=100000000", "t_end=1e6"], "sample.n_depth"),
     (["t_end=1e6"], "t_end"),
     (["t_end=1e300", "dt=1e-300"], "t_end"),
+    (["record_snapshots_at=[1, 2, 3, 4, 5, 6]", "sample.n_depth=200000"], "record_snapshots_at"),
 ])
 def test_oversized_grid_rejected_before_allocation(tmp_path, capsys, sets, field):
     argv = ["run", "--preset", "fig2b", "--out", str(tmp_path / "x")]
@@ -122,6 +127,59 @@ def test_oversized_grid_rejected_before_allocation(tmp_path, capsys, sets, field
     err = capsys.readouterr().err
     assert field in err and str(MAX_GRID_POINTS) in err
     assert not (tmp_path / "x" / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--set", "schedule.delta_b_in_gamma=5"], "delta_b_in_gamma"),
+    (["--set", "schedule.initial_level=0.1", "--set", "schedule.events=[]"], "events, initial_level"),
+    (["--set", "record_snapshots_at=[1.0, 1.001, 1.0]"], "record_snapshots_at"),
+    (["--dt", "0"], "dt must be > 0"),
+])
+def test_rejected_input_names_field(tmp_path, capsys, args, field):
+    assert run_cli(["run", "--preset", "single_pass", *args, "--out", str(tmp_path / "x")]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x" / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--set", "t_end=200"], ["--dt", "0.02"]])
+def test_load_scenario_validates_once(monkeypatch, extra):
+    calls = []
+    monkeypatch.setattr(cli, "validate_scenario", lambda sc: calls.append(sc) or validate_scenario(sc))
+    cli._load_scenario(cli._parser().parse_args(["run", "--preset", "fig2c", *extra]))
+    assert len(calls) == 1
+
+
+def test_noop_override_keeps_meta(tmp_path):
+    # nudges are reported against the preset's times, with or without --set
+    plain, noop = tmp_path / "plain", tmp_path / "noop"
+    assert run_cli(["run", "--preset", "fig2a", "--out", str(plain)]) == 0
+    assert run_cli(["run", "--preset", "fig2a", "--set", "t_end=200", "--out", str(noop)]) == 0
+    meta = (plain / "meta.json").read_bytes()
+    assert (noop / "meta.json").read_bytes() == meta
+    assert json.loads(meta)["nudges"]
+
+
+def test_dt_override_applies_before_validation(tmp_path):
+    # the inversion at pi/(2 delta_b) = 7.388 ns aligns once, to the 0.02 ns grid
+    out = tmp_path / "c"
+    assert run_cli(["run", "--preset", "fig2c", "--dt", "0.02", "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    want = validate_scenario(replace(preset_scenario("fig2c"), dt=0.02))
+    assert meta["config_hash"] == want.config_hash
+    assert meta["scenario"]["schedule"] == want.as_dict()["schedule"]
+    assert meta["scenario"]["schedule"]["segments"][1][0] == pytest.approx(7.38)
+
+
+def test_benchmark_hooks_exist_in_cli(monkeypatch):
+    # the benchmark rebinds these cli attributes; a rename would break it silently
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec.loader.exec_module(spans)
+    for attr in [*spans.HOOKS, "_parser", "_load_scenario", "SweepSpec"]:
+        assert hasattr(cli, attr), attr
 
 
 def test_run_json_format(tmp_path):

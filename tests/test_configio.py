@@ -4,7 +4,7 @@ import pytest
 
 from nfscatter import validate_scenario
 from nfscatter.configio import ConfigError, apply_overrides, load_config, scenario_from_dict
-from nfscatter.presets import preset_scenario
+from nfscatter.presets import PRESETS, preset_scenario
 
 GAMMA = 1.0 / 141.1
 
@@ -17,6 +17,13 @@ def test_round_trip_preserves_hash():
     sc = validate_scenario(preset_scenario("fig2a"))
     again = validate_scenario(scenario_from_dict(sc.as_dict()))
     assert again.config_hash == sc.config_hash
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_round_trip_every_preset(name):
+    sc = preset_scenario(name)
+    again = validate_scenario(scenario_from_dict(sc.as_dict()))
+    assert again.config_hash == validate_scenario(sc).config_hash
 
 
 def test_delta_b_in_gamma_key():

@@ -129,6 +129,12 @@ class TestValidateScenario:
         sc = validate_scenario(preset_scenario("fig2a"))
         assert validate_scenario(sc) is sc
 
+    def test_replaced_field_is_revalidated(self):
+        sc = validate_scenario(preset_scenario("fig2a"))
+        again = validate_scenario(replace(sc, t_end=100.0))
+        assert again.n_steps == 20000
+        assert again.config_hash == validate_scenario(replace(preset_scenario("fig2a"), t_end=100.0)).config_hash
+
     def test_coarse_dt_rejected(self):
         cfg = replace(preset_scenario("fig2a"), dt=1.0)
         with pytest.raises(ScenarioError, match="dt"):
