@@ -365,16 +365,39 @@ def _nudge(t: float, dt: float) -> float:
     return round(t / dt) * dt
 
 
+def _requested(sc: ValidatedScenario) -> ScenarioConfig:
+    """The scenario with every grid-nudged field that still holds its nudged value put back as requested."""
+    asked = {(name, used): requested for name, requested, used in sc.nudges}
+
+    def back(name: str, value: float) -> float:
+        return asked.get((name, value), value)
+
+    return ScenarioConfig(
+        sample=sc.sample,
+        pulse=replace(sc.pulse, t0=back("pulse.t0", sc.pulse.t0)),
+        mirror=sc.mirror,
+        schedule=HyperfineSchedule(tuple(replace(seg, t_start=back(f"schedule[{i}].t_start", seg.t_start))
+                                         for i, seg in enumerate(sc.schedule.segments))),
+        t_end=back("t_end", sc.t_end),
+        dt=sc.dt,
+        consts=sc.consts,
+        record_snapshots_at=tuple(back("record_snapshots_at", t) for t in sc.record_snapshots_at),
+    )
+
+
 def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedScenario:
     """Check every invariant and fill derived quantities.
 
     Idempotent: validating an already validated scenario returns it
     unchanged, unless a field was replaced since (its config_hash no longer
-    matches), in which case it is validated again.  Rejections name the
-    offending field.
+    matches), in which case it is validated again from the values first
+    requested, so no time is rounded twice.  Rejections name the offending
+    field.
     """
-    if isinstance(config, ValidatedScenario) and config.config_hash == _scenario_hash(config.as_dict()):
-        return config
+    if isinstance(config, ValidatedScenario):
+        if config.config_hash == _scenario_hash(config.as_dict()):
+            return config
+        config = _requested(config)
 
     config.consts.validate()
     config.sample.validate()

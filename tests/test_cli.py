@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -280,3 +281,28 @@ def test_trace_digest_script_is_stable():
                                                    "traces_intensity.svg", "traces_amplitude.svg"]
     assert all(len(line.split()[2]) == 64 for line in lines)
     assert first == second
+
+
+def test_trace_diff_script(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "trace_diff.py"
+    spec = importlib.util.spec_from_file_location("trace_diff", path)
+    trace_diff = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(trace_diff)
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["run", "--preset", "fig2b", *QUICK, "--out", str(a)]) == 0
+    shutil.copytree(a, b)
+    capsys.readouterr()
+    assert trace_diff.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.split() == ["traces.csv", "0", "pattern.csv", "0", "report.json", "0"]
+
+    # one forward amplitude moved in its 6th significant digit
+    lines = (b / "traces.csv").read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line[0].isdigit() and float(line.split(",")[1]) != 0.0)
+    cells = lines[row].split(",")
+    cells[1] = repr(float(cells[1]) * (1.0 + 1e-5))
+    lines[row] = ",".join(cells)
+    (b / "traces.csv").write_text("".join(lines))
+    assert trace_diff.main([str(a), str(b)]) == 1
+    assert trace_diff.main([str(a), str(b), "--rtol", "1e-4"]) == 0

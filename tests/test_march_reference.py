@@ -1,0 +1,202 @@
+"""The depth-marching solver against an independent per-step reference loop.
+
+``reference_run`` steps the same discrete scheme the plain way: every time
+step sweeps both fields across the slab with a cumulative trapezoid, takes
+an exponential-midpoint half step, sweeps again and takes the full step.
+It shares no code with the solver beyond ``gaussian_input``.  Both are the
+same discretisation, so they agree to rounding; the bound is 1e-10 of each
+array's largest magnitude.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from nfscatter import MirrorSpec, PulseSpec, SampleSpec, ScenarioConfig, gaussian_input, run_scenario, validate_scenario
+from nfscatter.model import HyperfineSchedule
+from nfscatter.presets import preset_scenario
+from nfscatter.solver import NumericalError
+
+GAMMA = 1.0 / 141.1
+DB30 = 30.0 * GAMMA
+TAU = math.pi / DB30
+
+
+def reference_run(sc):
+    """(fwd, bwd, {step: state}) with state (branch, family, depth), both branches in physical depth."""
+    a, dt, n_t, n_u = sc.consts.clebsch_a, sc.dt, sc.n_steps + 1, sc.sample.n_depth
+    kappa, du, tau, t_off, pulse = 1j * sc.eta_l * a, 1.0 / (n_u - 1), sc.tau, sc.mirror.disable_time, sc.pulse
+    r = math.sqrt(sc.mirror.reflectivity) if sc.mirror.present else 0.0
+    fwd, bwd = np.zeros(n_t, dtype=complex), np.zeros(n_t, dtype=complex)
+
+    def gated(t_exit):
+        return t_exit >= 0.0 and (t_off is None or t_exit + 0.5 * tau <= t_off)
+
+    def integral(s):  # cumulative trapezoid of s from u = 0
+        return np.concatenate(([0.0], np.cumsum(0.5 * du * (s[1:] + s[:-1]))))
+
+    def fields(x, t, n_rec):  # n_rec: forward back-face samples recorded so far
+        drive = gaussian_input(t, pulse) if pulse.mode == "gaussian" else 0.0
+        om_f = drive + kappa * integral(x[0].sum(0))
+        t_exit, feed = t - tau, 0.0
+        if r > 0.0 and gated(t_exit):
+            if t_exit >= t:
+                feed = om_f[-1]
+            else:
+                xs = t_exit / dt
+                j = int(xs)
+                feed = fwd[n_rec - 1] if j >= n_rec - 1 else fwd[j] + (fwd[j + 1] - fwd[j]) * (xs - j)
+        return np.array([om_f, -r * feed + kappa * integral(x[1].sum(0)[::-1])[::-1]])
+
+    def advance(x, om, h, level):
+        lam = np.array([-(0.5 * sc.consts.gamma + 1j * level), -(0.5 * sc.consts.gamma - 1j * level)])
+        e = np.exp(lam * h)[:, None]
+        return e * x + (0.25j * a * (e - 1.0) / lam[:, None]) * om[:, None, :]
+
+    kicks = {}
+    if pulse.mode == "impulsive":
+        kicks.setdefault(round(pulse.t0 / dt), []).append((0, 1.0))
+        if r > 0.0 and gated(pulse.t0):
+            kicks.setdefault(math.ceil((pulse.t0 + tau) / dt - 1e-9), []).append((1, -r))
+    snap_steps = {round(t / dt) for t in sc.record_snapshots_at}
+    x, snaps = np.zeros((2, 2, n_u), dtype=complex), {}
+    for i in range(n_t):
+        t = i * dt
+        for branch, scale in kicks.get(i, []):
+            x[branch] += 0.25j * a * scale * pulse.area
+        om = fields(x, t, i)
+        fwd[i], bwd[i] = om[0, -1], om[1, 0]
+        if i in snap_steps:
+            snaps[i] = x.copy()
+        if i < n_t - 1:
+            level = sc.schedule.level_at(t)
+            x = advance(x, fields(advance(x, om, 0.5 * dt, level), t + 0.5 * dt, i + 1), dt, level)
+    return fwd, bwd, snaps
+
+
+def node_map(sc, level):
+    """The 2x2 one-step map of an interior depth node, from the reference's own coefficients."""
+    a, dt, gamma = sc.consts.clebsch_a, sc.dt, sc.consts.gamma
+    w = 1j * sc.eta_l * a * 0.5 / (sc.sample.n_depth - 1)
+    lam = np.array([-(0.5 * gamma + 1j * level), -(0.5 * gamma - 1j * level)])
+    e_h, e_f = np.exp(0.5 * dt * lam), np.exp(dt * lam)
+    p_h, p_f = 0.25j * a * (e_h - 1.0) / lam, 0.25j * a * (e_f - 1.0) / lam
+    return np.diag(e_f) + w * np.outer(p_f, e_h + w * p_h.sum())
+
+
+def coalescing_level(sc):
+    """delta_b in (0, 2 gamma) where the interior map's eigenvalues coincide (discriminant 0)."""
+    def disc(level):
+        m = node_map(sc, level)
+        return (0.25 * (m[0, 0] - m[1, 1]) ** 2 + m[0, 1] * m[1, 0]).real
+
+    lo, hi = 1e-6 * GAMMA, 2.0 * GAMMA
+    assert disc(lo) > 0.0 > disc(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if disc(mid) > 0.0 else (lo, mid)
+    return lo
+
+
+BASE = ScenarioConfig(
+    sample=SampleSpec(xi=1.0, n_depth=21),
+    pulse=PulseSpec(area=1e-3, t0=0.5),
+    mirror=MirrorSpec(present=True, reflectivity=0.81, delay_tau=TAU, disable_time=8.0),
+    schedule=HyperfineSchedule.constant(DB30),
+    t_end=30.0,
+    dt=0.01,
+    record_snapshots_at=(12.0, 29.0),
+)
+
+
+def with_mirror(**kwargs):
+    return replace(BASE, mirror=replace(BASE.mirror, **kwargs))
+
+
+def fig2c_short():
+    cfg = preset_scenario("fig2c")
+    return replace(cfg, sample=replace(cfg.sample, n_depth=41), t_end=120.0, dt=0.05)
+
+
+def coalescing():
+    cfg = replace(BASE, sample=SampleSpec(xi=5.0, n_depth=11))
+    return replace(cfg, schedule=HyperfineSchedule.constant(coalescing_level(validate_scenario(cfg))))
+
+
+CASES = {
+    "gaussian": lambda: replace(BASE, pulse=PulseSpec(mode="gaussian", area=1e-3, fwhm=0.3, t0=2.0)),
+    "tau_zero": lambda: with_mirror(delay_tau=0.0),
+    "tau_zero_gaussian": lambda: replace(with_mirror(delay_tau=0.0, disable_time=None),
+                                         pulse=PulseSpec(mode="gaussian", area=1e-3, fwhm=0.3, t0=2.0)),
+    "tau_below_half_step": lambda: with_mirror(delay_tau=0.004),
+    "tau_off_grid": lambda: with_mirror(delay_tau=2.3456),
+    "ungated": lambda: with_mirror(disable_time=None),
+    "reflectivity_zero": lambda: with_mirror(reflectivity=0.0),
+    "mirror_absent": lambda: with_mirror(present=False),
+    "late_pulse": lambda: replace(with_mirror(disable_time=None), pulse=PulseSpec(area=1e-3, t0=12.0)),
+    "pulse_after_gate": lambda: replace(BASE, pulse=PulseSpec(area=1e-3, t0=10.0)),
+    "fig2c_segments": fig2c_short,
+    "xi_zero": lambda: replace(BASE, sample=SampleSpec(xi=0.0, n_depth=21)),
+    "field_off": lambda: replace(BASE, schedule=HyperfineSchedule.constant(0.0)),
+    "coalescing_eigenvalues": coalescing,
+    "extreme_coupling": lambda: replace(BASE, sample=SampleSpec(xi=50.0, n_depth=11), pulse=PulseSpec(area=1e-5, t0=0.0),
+                                        schedule=HyperfineSchedule.constant(0.0), t_end=27000.0, dt=3.0,
+                                        record_snapshots_at=(12.0, 300.0)),
+    "snapshot_on_kick": lambda: replace(BASE, record_snapshots_at=(0.5, math.ceil((0.5 + TAU) / 0.01 - 1e-9) * 0.01)),
+}
+
+
+def assert_close(got, ref, name):
+    scale = np.abs(ref).max()
+    if scale == 0.0:
+        assert np.all(got == 0.0), name
+    else:
+        err = np.abs(got - ref).max() / scale
+        assert err <= 1e-10, f"{name}: relative max error {err:.2e}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_march_matches_reference_loop(case):
+    sc = validate_scenario(CASES[case]())
+    traces, snapshots = run_scenario(sc)
+    fwd, bwd, snaps = reference_run(sc)
+    # the scheme keeps both fields exactly real (conjugate lines, imaginary kicks,
+    # real inputs); the solver drops the rounding its Schur basis leaves in Im
+    assert np.all(fwd.imag == 0.0) and np.all(bwd.imag == 0.0)
+    assert np.all(traces.fwd_amp.imag == 0.0) and np.all(traces.bwd_amp.imag == 0.0)
+    assert_close(traces.fwd_amp, fwd, "fwd")
+    assert_close(traces.bwd_amp, bwd, "bwd")
+    assert len(snapshots) == len(snaps)
+    for snap, step in zip(snapshots, sorted(snaps)):
+        assert snap.t == pytest.approx(step * sc.dt)
+        for name, got, ref in (("f31", snap.f31, snaps[step][0, 0]), ("f42", snap.f42, snaps[step][0, 1]),
+                               ("b31", snap.b31, snaps[step][1, 0]), ("b42", snap.b42, snaps[step][1, 1])):
+            assert_close(got, ref, f"t = {snap.t} {name}")
+
+
+def test_cases_reach_their_regimes():
+    # the coalescing case sits on the exceptional point of the interior map; in
+    # the extreme case |mu|^-m overflows within 8192 steps, so the run holds
+    # several blocks cut short to keep |mu|^(+-m) within [1e-8, 1e8]
+    sc = validate_scenario(CASES["coalescing_eigenvalues"]())
+    mu = np.linalg.eigvals(node_map(sc, sc.schedule.segments[0].delta_b))
+    assert abs(mu[0] - mu[1]) < 1e-6 * abs(mu[0])
+    sc = validate_scenario(CASES["extreme_coupling"]())
+    rate = np.abs(np.log(np.abs(np.linalg.eigvals(node_map(sc, 0.0))))).max()
+    assert math.log(np.finfo(float).max) / rate < 8192
+    assert 2 * math.log(1e8) / rate < sc.n_steps
+
+
+@pytest.mark.parametrize("present", [False, True])
+def test_first_non_finite_time_matches_reference(present):
+    # a representable step map whose state overflows a few steps after the prompt
+    sc = validate_scenario(replace(BASE, sample=SampleSpec(xi=1e60, n_depth=41),
+                                   pulse=PulseSpec(area=1e-3, t0=5.0, linear_regime=False),
+                                   mirror=replace(BASE.mirror, present=present), t_end=8.0, record_snapshots_at=()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fwd, bwd, _ = reference_run(sc)
+        bad = np.flatnonzero(~(np.isfinite(fwd) & np.isfinite(bwd)))[0]
+        with pytest.raises(NumericalError, match=f"t = {bad * sc.dt:.4f} ns"):
+            run_scenario(sc)

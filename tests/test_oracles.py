@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nfscatter import OracleCurve, envelope_attenuation, first_order_amplitude, relative_l2
+from nfscatter import OracleCurve, envelope_attenuation, first_order_amplitude, relative_l2, run_scenario
+from nfscatter.model import HyperfineSchedule
+from nfscatter.oracles import single_line_forward
+from nfscatter.presets import single_pass_scenario
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA
@@ -28,6 +32,38 @@ class TestFirstOrderAmplitude:
             t_anti = n * math.pi / DB30
             val = first_order_amplitude(1.0, GAMMA, DB30, t_anti)
             assert math.copysign(1.0, val) == (-1.0 if n % 2 == 0 else 1.0)
+
+
+def field_off_error(xi, n_depth):
+    """relL2 of the field-off single_pass forward trace against the exact single-line response."""
+    cfg = single_pass_scenario()
+    cfg = replace(cfg, sample=replace(cfg.sample, xi=xi, n_depth=n_depth), schedule=HyperfineSchedule.constant(0.0))
+    traces, _ = run_scenario(cfg)
+    ref = single_line_forward(traces.t_grid, xi, cfg.pulse.area, cfg.consts.gamma)
+    return float(np.linalg.norm(traces.fwd_amp - ref) / np.linalg.norm(ref))
+
+
+class TestSingleLineForward:
+    def test_thin_limit_is_first_order(self):
+        t = np.linspace(0.0, 150.0, 301)
+        exact = single_line_forward(t, 1e-6, 1e-3, GAMMA)
+        born = 1e-3 * first_order_amplitude(1e-6, GAMMA, 0.0, t)
+        assert np.allclose(exact, born, rtol=1e-5, atol=0.0)
+
+    def test_dynamical_beat_node(self):
+        # the first zero of J1 (3.8317) puts a node at t = 3.8317**2 / (8 gamma xi)
+        t_node = 3.8317059702075125 ** 2 / (8.0 * GAMMA * 2.0)
+        assert abs(single_line_forward(t_node, 2.0, 1e-3, GAMMA)) < 1e-15
+
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0, 5.0])
+    def test_solver_matches_at_default_depth(self, xi):
+        assert field_off_error(xi, 201) <= 1e-4
+
+    def test_depth_convergence_is_second_order(self):
+        n_depth = [51, 101, 201]
+        errors = [field_off_error(1.0, n) for n in n_depth]
+        slope = np.polyfit(np.log(np.array(n_depth) - 1.0), np.log(errors), 1)[0]
+        assert 1.8 <= -slope <= 2.2
 
 
 class TestEnvelopeAttenuation:

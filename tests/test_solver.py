@@ -278,6 +278,15 @@ class TestRunScenario:
             with pytest.raises(NumericalError, match="t = 0.0000 ns"):
                 run_scenario(sc)
 
+    def test_numerical_guard_reports_late_time(self):
+        # the same overflow with the prompt at t0 = 5 ns: every state and field is
+        # exactly zero before it, so the run turns non-finite at 5 ns, not earlier
+        sc = small_scenario(sample=SampleSpec(xi=1e300, n_depth=41),
+                            pulse=PulseSpec(area=1e300, t0=5.0, linear_regime=False))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"t = 5\.0000 ns"):
+                run_scenario(sc)
+
 
 class TestGaussianInput:
     def test_area_normalization(self):
