@@ -8,10 +8,11 @@ relative phase and the sub-angstrom standing-wave excitation pattern.
 """
 
 from .model import (
+    CLEBSCH_A,
     DEFAULT_GAMMA,
+    WAVE_NUMBER_K,
     HyperfineSchedule,
     MirrorSpec,
-    PhysConsts,
     ProtocolTimings,
     PulseSpec,
     SampleSpec,
@@ -41,7 +42,6 @@ from .analysis import (
     entanglement_report,
     excitation_pattern,
     intensities,
-    per_depth_density,
     storage_suppression,
 )
 from .presets import PRESETS, SweepSpec, gated_mirror_scenario, preset_scenario, single_pass_scenario
@@ -49,15 +49,15 @@ from .presets import PRESETS, SweepSpec, gated_mirror_scenario, preset_scenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_GAMMA",
-    "PhysConsts", "SampleSpec", "PulseSpec", "MirrorSpec",
+    "DEFAULT_GAMMA", "CLEBSCH_A", "WAVE_NUMBER_K",
+    "SampleSpec", "PulseSpec", "MirrorSpec",
     "Segment", "HyperfineSchedule", "ScheduleEvent", "ProtocolTimings",
     "ScenarioConfig", "ValidatedScenario", "ScenarioError",
     "build_schedule", "derived_timings", "validate_scenario", "delta_b_from_gamma",
     "OracleCurve", "first_order_amplitude", "envelope_attenuation", "relative_l2",
     "TraceSet", "CoherenceSnapshot", "NumericalError", "gaussian_input", "run_scenario",
     "IntensitySeries", "EntanglementReport", "ExcitationPattern",
-    "intensities", "entanglement_report", "excitation_pattern", "per_depth_density",
+    "intensities", "entanglement_report", "excitation_pattern",
     "storage_suppression", "beat_period",
     "PRESETS", "SweepSpec", "preset_scenario", "gated_mirror_scenario", "single_pass_scenario",
 ]

@@ -147,15 +147,6 @@ def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float, n_s: i
     return ExcitationPattern(s_grid=s, density=density, period=period)
 
 
-def per_depth_density(snapshot: CoherenceSnapshot, wave_number_k: float, n_s: int = 512) -> np.ndarray:
-    """Excitation density per depth point, shape (n_depth, n_s), for inspection."""
-    period = 2.0 * math.pi / wave_number_k
-    fwd = np.exp(1j * wave_number_k * np.arange(n_s) * (period / n_s))[None, :]
-    bwd = np.conj(fwd)
-    return (np.abs(snapshot.f31[:, None] * fwd + snapshot.b31[:, None] * bwd) ** 2
-            + np.abs(snapshot.f42[:, None] * fwd + snapshot.b42[:, None] * bwd) ** 2)
-
-
 def storage_suppression(traces: TraceSet, t_off: float, t_on: float) -> float:
     """Peak total intensity inside the dark window over the peak just before it.
 

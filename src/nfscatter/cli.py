@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import beat_period, entanglement_report, excitation_pattern, intensities, storage_suppression
 from .configio import ConfigError, apply_overrides, load_config, scenario_from_dict
-from .model import ScenarioError, ValidatedScenario, validate_scenario
+from .model import DEFAULT_GAMMA, WAVE_NUMBER_K, ScenarioError, ValidatedScenario, validate_scenario
 from .oracles import envelope_attenuation
 from .presets import PRESETS, SweepSpec, preset_scenario
 from .solver import NumericalError, run_scenario
@@ -125,7 +125,7 @@ def cmd_run(args) -> int:
     if snapshots:
         patterns = []
         for snap in snapshots:
-            pat = excitation_pattern(snap, scenario.wave_number_k)
+            pat = excitation_pattern(snap, WAVE_NUMBER_K)
             patterns.append((snap.t, pat.s_grid, pat.density))
         write_pattern_csv(out / "pattern.csv", patterns, scenario.config_hash)
 
@@ -137,7 +137,7 @@ def cmd_run(args) -> int:
         "derived": {
             "tau": scenario.tau,
             "eta_l": scenario.eta_l,
-            "wave_number_k": scenario.wave_number_k,
+            "wave_number_k": WAVE_NUMBER_K,
         },
         "nudges": [list(n) for n in scenario.nudges],
     })
@@ -149,7 +149,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = tuple(float(v) for v in args.values.split(","))
+    try:
+        values = tuple(float(v) for v in args.values.split(","))
+    except ValueError:
+        raise ConfigError(f"--values must be comma separated numbers (got {args.values!r})") from None
     spec = SweepSpec(axis=args.axis, values=values, base=args.base)
     out = _out_dir(args.out)
     rows = []
@@ -163,7 +166,7 @@ def cmd_sweep(args) -> int:
             predicted = None
             if base_level and scenario.mirror.present:
                 predicted = scenario.mirror.reflectivity / envelope_attenuation(
-                    scenario.sample.xi, scenario.consts.gamma, abs(base_level))
+                    scenario.sample.xi, DEFAULT_GAMMA, abs(base_level))
             row.update(
                 balance=report["balance"],
                 mean_phase_rad=report["mean_phase_rad"],
@@ -217,9 +220,17 @@ def cmd_presets(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed argument is an input error: exit 1, not argparse's 2 (numerical failure here)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="nfscatter",
-                                description="gated forward/backward resonant scattering simulator")
+    p = _Parser(prog="nfscatter",
+                description="gated forward/backward resonant scattering simulator")
     p.add_argument("--version", action="version", version=f"nfscatter {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
 

@@ -1,9 +1,8 @@
 """Structured-text (JSON) scenario configuration.
 
-The file mirrors the ScenarioConfig field names; times are ns, lengths
-micrometers.  Hyperfine levels may be given directly in rad/ns or as
-multiples of the decay rate through the ``*_in_gamma`` key variants
-(``delta_b_in_gamma`` on the schedule is an alias for the initial level).
+The file mirrors the ScenarioConfig field names; times are ns.  Hyperfine
+levels may be given directly in rad/ns or as multiples of the decay rate
+through the ``*_in_gamma`` key variants.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from pathlib import Path
 from typing import Any
 
 from .model import (
+    DEFAULT_GAMMA,
     HyperfineSchedule,
     MirrorSpec,
-    PhysConsts,
     PulseSpec,
     SampleSpec,
     ScenarioConfig,
@@ -53,13 +52,13 @@ def _list(value: Any, where: str) -> list:
     return value
 
 
-def _level(d: dict, key: str, gamma: float, where: str) -> float | None:
+def _level(d: dict, key: str, where: str) -> float | None:
     raw = d.get(key)
     in_gamma = d.get(f"{key}_in_gamma")
     if raw is not None and in_gamma is not None:
         raise ConfigError(f"{where}: give {key} or {key}_in_gamma, not both")
     if in_gamma is not None:
-        return _float(in_gamma, f"{where}.{key}_in_gamma") * gamma
+        return _float(in_gamma, f"{where}.{key}_in_gamma") * DEFAULT_GAMMA
     return None if raw is None else _float(raw, f"{where}.{key}")
 
 
@@ -72,15 +71,13 @@ def _section(data: dict, key: str, cls):
 
 def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     _pick(data, {f.name for f in fields(ScenarioConfig)}, "config")
-    consts = _section(data, "consts", PhysConsts)
     if "t_end" not in data:
         raise ConfigError("config is missing required key 't_end'")
     return ScenarioConfig(
-        consts=consts,
         sample=_section(data, "sample", SampleSpec),
         pulse=_section(data, "pulse", PulseSpec),
         mirror=_section(data, "mirror", MirrorSpec),
-        schedule=_schedule_from_dict(data.get("schedule", {}), consts.gamma),
+        schedule=_schedule_from_dict(data.get("schedule", {})),
         t_end=_float(data["t_end"], "t_end"),
         dt=_float(data.get("dt", 0.005), "dt"),
         record_snapshots_at=tuple(_float(t, f"record_snapshots_at[{i}]")
@@ -89,9 +86,8 @@ def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     )
 
 
-def _schedule_from_dict(sd: dict, gamma: float) -> HyperfineSchedule:
-    _pick(sd, {"segments", "events", "initial_level", "initial_level_in_gamma",
-               "delta_b_in_gamma"}, "schedule")
+def _schedule_from_dict(sd: dict) -> HyperfineSchedule:
+    _pick(sd, {"segments", "events", "initial_level", "initial_level_in_gamma"}, "schedule")
     if "segments" in sd:
         others = sorted(set(sd) - {"segments"})
         if others:
@@ -103,20 +99,14 @@ def _schedule_from_dict(sd: dict, gamma: float) -> HyperfineSchedule:
             segments.append(Segment(_float(pair[0], f"schedule.segments[{i}].t_start"),
                                     _float(pair[1], f"schedule.segments[{i}].delta_b")))
         return HyperfineSchedule(tuple(segments))
-    if "delta_b_in_gamma" in sd and "initial_level_in_gamma" in sd:
-        raise ConfigError("schedule: delta_b_in_gamma is an alias for initial_level_in_gamma")
-    initial = _level(
-        {"initial_level": sd.get("initial_level"),
-         "initial_level_in_gamma": sd.get("initial_level_in_gamma", sd.get("delta_b_in_gamma"))},
-        "initial_level", gamma, "schedule",
-    ) or 0.0
+    initial = _level(sd, "initial_level", "schedule") or 0.0
     events = []
     for i, ed in enumerate(sd.get("events", ())):
         _pick(ed, {"t", "action", "level", "level_in_gamma"}, f"schedule.events[{i}]")
         events.append(ScheduleEvent(
             t=_float(ed["t"], f"schedule.events[{i}].t"),
             action=str(ed["action"]),
-            level=_level(ed, "level", gamma, f"schedule.events[{i}]"),
+            level=_level(ed, "level", f"schedule.events[{i}]"),
         ))
     return build_schedule(events, initial_level=initial)
 

@@ -1,8 +1,8 @@
 """Domain model: physical constants, scenario description, control schedules.
 
-Units throughout: times in ns, rates and Rabi frequencies in 1/ns, lengths in
-micrometers, wave numbers in 1/angstrom.  The hyperfine splitting ``delta_b``
-is a signed angular frequency in rad/ns; a value of 0 means "field off".
+Units throughout: times in ns, rates and Rabi frequencies in 1/ns, wave
+numbers in 1/angstrom.  The hyperfine splitting ``delta_b`` is a signed
+angular frequency in rad/ns; a value of 0 means "field off".
 
 All types here are frozen dataclasses.  Once a scenario has passed
 :func:`validate_scenario` it is immutable and safe to share between threads.
@@ -13,13 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import Sequence
 
+# the 14.413 keV Moessbauer line of 57Fe, the one transition modelled
 HC_KEV_ANGSTROM = 12.39842
 FE57_LIFETIME_NS = 141.1
-DEFAULT_GAMMA = 1.0 / FE57_LIFETIME_NS
+DEFAULT_GAMMA = 1.0 / FE57_LIFETIME_NS        # gamma-decay rate of the excited level, 1/ns
+CLEBSCH_A = math.sqrt(2.0 / 3.0)              # Delta m = 0 transition amplitude
+WAVE_NUMBER_K = 2.0 * math.pi * 14.413 / HC_KEV_ANGSTROM  # photon wave number 2*pi*E/(hc), 1/angstrom
 
 #: time resolution safety factor: dt must resolve the fastest beat
 _DT_BEAT_FACTOR = 20.0
@@ -35,14 +37,16 @@ class ScenarioError(ValueError):
 
 
 def _require_finite(name: str, value, optional: bool = False) -> None:
-    """Reject a float field that is not a finite number, naming the field.
+    """Reject a float field that is not a finite Python int or float, naming the field.
 
-    ``optional`` fields may also be None.
+    ``optional`` fields may also be None.  Other number types (numpy scalars)
+    are rejected because the scenario hash and ``meta.json`` serialise the
+    fields as JSON.
     """
     if optional and value is None:
         return
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ScenarioError(f"{name} must be a finite number (got {value!r})")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(f"{name} must be a finite int or float (got {value!r})")
 
 
 def _require_bool(name: str, value) -> None:
@@ -51,37 +55,9 @@ def _require_bool(name: str, value) -> None:
         raise ScenarioError(f"{name} must be true or false (got {value!r})")
 
 
-def delta_b_from_gamma(multiple: float, gamma: float = DEFAULT_GAMMA) -> float:
+def delta_b_from_gamma(multiple: float) -> float:
     """Hyperfine splitting given as a multiple of the decay rate, in rad/ns."""
-    return multiple * gamma
-
-
-@dataclass(frozen=True)
-class PhysConsts:
-    """Constants of the 14.4 keV Moessbauer transition."""
-
-    gamma: float = DEFAULT_GAMMA          # gamma-decay rate of the excited level, 1/ns
-    transition_energy_kev: float = 14.413
-    clebsch_a: float = math.sqrt(2.0 / 3.0)  # Delta m = 0 transition amplitude
-
-    @property
-    def wave_number_k(self) -> float:
-        """Photon wave number 2*pi*E/(hc), in 1/angstrom."""
-        return 2.0 * math.pi * self.transition_energy_kev / HC_KEV_ANGSTROM
-
-    def validate(self) -> None:
-        for name in ("gamma", "transition_energy_kev", "clebsch_a"):
-            _require_finite(f"consts.{name}", getattr(self, name))
-        if not self.gamma > 0.0:
-            raise ScenarioError(f"consts.gamma must be > 0 (got {self.gamma})")
-        if not self.transition_energy_kev > 0.0:
-            raise ScenarioError(
-                f"consts.transition_energy_kev must be > 0 (got {self.transition_energy_kev})"
-            )
-        if abs(self.clebsch_a - math.sqrt(2.0 / 3.0)) > 1e-12:
-            raise ScenarioError(
-                f"consts.clebsch_a must equal sqrt(2/3) within 1e-12 (got {self.clebsch_a!r})"
-            )
+    return multiple * DEFAULT_GAMMA
 
 
 @dataclass(frozen=True)
@@ -89,18 +65,14 @@ class SampleSpec:
     """Resonant slab: dimensionless effective thickness and geometry."""
 
     xi: float = 1.0              # effective resonant thickness (optical depth parameter)
-    thickness_um: float = 10.0
     n_depth: int = 201           # depth grid points across the slab
 
     def validate(self) -> None:
         _require_finite("sample.xi", self.xi)
-        _require_finite("sample.thickness_um", self.thickness_um)
-        if isinstance(self.n_depth, bool) or not isinstance(self.n_depth, numbers.Integral):
-            raise ScenarioError(f"sample.n_depth must be an integer (got {self.n_depth!r})")
+        if isinstance(self.n_depth, bool) or not isinstance(self.n_depth, int):
+            raise ScenarioError(f"sample.n_depth must be a Python int (got {self.n_depth!r})")
         if self.xi < 0.0:
             raise ScenarioError(f"sample.xi must be >= 0 (got {self.xi})")
-        if not self.thickness_um > 0.0:
-            raise ScenarioError(f"sample.thickness_um must be > 0 (got {self.thickness_um})")
         if not 2 <= self.n_depth <= MAX_GRID_POINTS:
             raise ScenarioError(f"sample.n_depth must be in [2, {MAX_GRID_POINTS}] (got {self.n_depth})")
 
@@ -324,7 +296,6 @@ class ScenarioConfig:
     schedule: HyperfineSchedule
     t_end: float
     dt: float = 0.005
-    consts: PhysConsts = field(default_factory=PhysConsts)
     record_snapshots_at: tuple[float, ...] = ()
 
     def as_dict(self) -> dict:
@@ -350,7 +321,6 @@ class ValidatedScenario(ScenarioConfig):
 
     tau: float                  # mirror round trip actually used, ns
     eta_l: float                # field coupling integrated over the slab, 6*gamma*xi
-    wave_number_k: float        # 1/angstrom
     n_steps: int                # time grid has n_steps + 1 points
     nudges: tuple[tuple[str, float, float], ...]
     config_hash: str
@@ -380,7 +350,6 @@ def _requested(sc: ValidatedScenario) -> ScenarioConfig:
                                          for i, seg in enumerate(sc.schedule.segments))),
         t_end=back("t_end", sc.t_end),
         dt=sc.dt,
-        consts=sc.consts,
         record_snapshots_at=tuple(back("record_snapshots_at", t) for t in sc.record_snapshots_at),
     )
 
@@ -399,7 +368,6 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
             return config
         config = _requested(config)
 
-    config.consts.validate()
     config.sample.validate()
     config.pulse.validate()
     config.mirror.validate()
@@ -482,7 +450,6 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
         raise ScenarioError(f"record_snapshots_at entries collide after grid alignment: {snaps}")
 
     resolved = ValidatedScenario(
-        consts=config.consts,
         sample=config.sample,
         pulse=pulse,
         mirror=mirror,
@@ -491,8 +458,7 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
         dt=dt,
         record_snapshots_at=tuple(snaps),
         tau=tau,
-        eta_l=6.0 * config.consts.gamma * config.sample.xi,
-        wave_number_k=config.consts.wave_number_k,
+        eta_l=6.0 * DEFAULT_GAMMA * config.sample.xi,
         n_steps=n_steps,
         nudges=tuple(nudges),
         config_hash="",

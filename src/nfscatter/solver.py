@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import PulseSpec, ScenarioConfig, ValidatedScenario, validate_scenario
+from .model import CLEBSCH_A, DEFAULT_GAMMA, PulseSpec, ScenarioConfig, ValidatedScenario, validate_scenario
 
 #: warn when |Omega| exceeds this multiple of gamma (linear regime monitor)
 LINEAR_FIELD_WARN = 0.1
@@ -95,15 +95,15 @@ class TraceSet:
     metadata: dict = field(default_factory=dict)
 
 
-def _propagators(gamma: float, delta_b: float, h: float, clebsch: float):
+def _propagators(delta_b: float, h: float):
     """Exact one-substep coefficients ((e31, e42), (p31, p42)).
 
     f' = e*f + p*Omega solves df/dt = lam*f + i*(a/4)*Omega with Omega
     constant over the substep, lam = -(gamma/2 +- i*delta_b) for the 31 and
     42 families.
     """
-    drive = 0.25j * clebsch
-    lams = (-(0.5 * gamma + 1j * delta_b), -(0.5 * gamma - 1j * delta_b))
+    drive = 0.25j * CLEBSCH_A
+    lams = (-(0.5 * DEFAULT_GAMMA + 1j * delta_b), -(0.5 * DEFAULT_GAMMA - 1j * delta_b))
     e = tuple(cmath.exp(lam * h) for lam in lams)
     return e, tuple(drive * (ek - 1.0) / lam for ek, lam in zip(e, lams))
 
@@ -328,13 +328,11 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     is left out.
     """
     sc = validate_scenario(scenario)
-    gamma = sc.consts.gamma
-    a = sc.consts.clebsch_a
     dt = sc.dt
     n_t = sc.n_steps + 1
     t_grid = np.arange(n_t) * dt
     n_u = sc.sample.n_depth
-    w = 1j * sc.eta_l * a * (0.5 * (1.0 / (n_u - 1)))  # kappa * du / 2
+    w = 1j * sc.eta_l * CLEBSCH_A * (0.5 * (1.0 / (n_u - 1)))  # kappa * du / 2
     mirror = sc.mirror
     tau = sc.tau
     disable_time = mirror.disable_time
@@ -343,8 +341,8 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
 
     segments = []
     for level, first, stop in _segment_steps(sc, n_t):
-        e_h, p_h = _propagators(gamma, level, 0.5 * dt, a)
-        e_f, p_f = _propagators(gamma, level, dt, a)
+        e_h, p_h = _propagators(level, 0.5 * dt)
+        e_f, p_f = _propagators(level, dt)
         segments.append((e_h, e_f, p_h, p_f, first, stop))
 
     # impulsive-mode kicks per branch, {step: coherence added}: the prompt at t0
@@ -354,7 +352,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     kicks_b: dict[int, complex] = {}
     if pulse.mode == "impulsive":
         theta = pulse.area
-        kick_amp = 0.25j * a
+        kick_amp = 0.25j * CLEBSCH_A
         kicks_f[round(pulse.t0 / dt)] = kick_amp * theta
         if refl_amp > 0.0 and _reflects(pulse.t0, tau, disable_time):
             ib = math.ceil((pulse.t0 + tau) / dt - 1e-9)  # first grid time >= t0 + tau
@@ -408,7 +406,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
         raise NumericalError(f"non-finite field at t = {np.argmax(bad) * dt:.4f} ns")
     # the peak counts the medium-generated field only; a resolved input pulse
     # is transiently large by construction without breaking linearity
-    if peak_field > LINEAR_FIELD_WARN * gamma:
+    if peak_field > LINEAR_FIELD_WARN * DEFAULT_GAMMA:
         warnings.warn(
             f"peak scattered |Omega| = {peak_field:.3g} exceeds {LINEAR_FIELD_WARN}*gamma; "
             "linear-regime assumption is strained",

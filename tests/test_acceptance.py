@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from nfscatter import (
+    DEFAULT_GAMMA,
+    WAVE_NUMBER_K,
     MirrorSpec,
     OracleCurve,
     PulseSpec,
@@ -63,7 +65,7 @@ def test_A2_residual_forward_attenuation(fig2a_run):
 def test_A3_thin_sample_oracle_equivalence(single_pass_run):
     sc, traces, _ = single_pass_run
     theta = sc.pulse.area
-    ref = theta * first_order_amplitude(sc.sample.xi, sc.consts.gamma,
+    ref = theta * first_order_amplitude(sc.sample.xi, DEFAULT_GAMMA,
                                         sc.schedule.level_at(0.0), traces.t_grid)
     err = relative_l2(OracleCurve(traces.t_grid, traces.fwd_amp),
                       OracleCurve(traces.t_grid, ref.astype(complex)),
@@ -153,7 +155,7 @@ def test_A7_beat_period(fig2a_run):
 def test_A8_standing_wave_pattern(fig2b_run, fig2c_run):
     _, _, snaps_b = fig2b_run
     _, _, snaps_c = fig2c_run
-    k = validate_scenario(preset_scenario("fig2b")).wave_number_k
+    k = WAVE_NUMBER_K
 
     pat_b = excitation_pattern(snaps_b[0], k)
     pat_c = excitation_pattern(snaps_c[0], k)

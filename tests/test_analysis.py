@@ -8,7 +8,6 @@ from nfscatter import (
     entanglement_report,
     excitation_pattern,
     intensities,
-    per_depth_density,
     storage_suppression,
 )
 from nfscatter.solver import CoherenceSnapshot, TraceSet
@@ -129,11 +128,6 @@ class TestExcitationPattern:
     def test_empty_snapshot_rejected(self):
         with pytest.raises(ValueError, match="no excitation"):
             excitation_pattern(make_snapshot(0.0, 0.0), K)
-
-    def test_per_depth_shape(self):
-        dens = per_depth_density(make_snapshot(1.0, 1.0, n=7), K, n_s=64)
-        assert dens.shape == (7, 64)
-        assert np.allclose(dens[0], dens[-1])
 
 
 class TestStorageSuppression:

@@ -69,8 +69,7 @@ def test_run_invalid_override_is_input_error(tmp_path):
 
 # every float field of a scenario, as a --set key and a template for its value
 FLOAT_FIELDS = [
-    ("consts.gamma", "{}"), ("consts.transition_energy_kev", "{}"), ("consts.clebsch_a", "{}"),
-    ("sample.xi", "{}"), ("sample.thickness_um", "{}"),
+    ("sample.xi", "{}"),
     ("pulse.area", "{}"), ("pulse.fwhm", "{}"), ("pulse.t0", "{}"),
     ("mirror.reflectivity", "{}"), ("mirror.delay_tau", "{}"), ("mirror.disable_time", "{}"),
     ("t_end", "{}"), ("dt", "{}"),
@@ -135,11 +134,96 @@ def test_oversized_grid_rejected_before_allocation(tmp_path, capsys, sets, field
     (["--set", "schedule.initial_level=0.1", "--set", "schedule.events=[]"], "events, initial_level"),
     (["--set", "record_snapshots_at=[1.0, 1.001, 1.0]"], "record_snapshots_at"),
     (["--dt", "0"], "dt must be > 0"),
+    # the 57Fe constants, the unread slab thickness and the initial-level alias are not settings
+    (["--set", "consts.gamma=0.01"], "config: consts"),
+    (["--set", "sample.thickness_um=5"], "sample: thickness_um"),
+    (["--set", 'schedule={"delta_b_in_gamma": 30}'], "schedule: delta_b_in_gamma"),
 ])
 def test_rejected_input_names_field(tmp_path, capsys, args, field):
     assert run_cli(["run", "--preset", "single_pass", *args, "--out", str(tmp_path / "x")]) == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "x" / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["run", "--preset", "fig2a", "--dt", "abc"], 1, "--dt"),
+    (["run", "--preset", "fig2a", "--format", "xml"], 1, "--format"),
+    (["sweep", "--axis", "bogus", "--values", "1"], 1, "--axis"),
+    (["sweep", "--axis", "xi", "--values", "abc"], 1, "--values"),
+    (["--help"], 0, ""),
+    (["--version"], 0, ""),
+])
+def test_malformed_argument_is_input_error(tmp_path, capsys, argv, code, text):
+    # argparse exits 2 on its own, which here would read as a numerical failure
+    try:
+        rc = run_cli([*argv, "--out", str(tmp_path / "x")] if argv[0] in ("run", "sweep") else argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    assert text in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def _setting_keys(section: dict, prefix: str = ""):
+    """Dotted leaf keys of a scenario dict; the schedule is one setting."""
+    for key, value in section.items():
+        if isinstance(value, dict) and key != "schedule":
+            yield from _setting_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+# a short fig2b run; its snapshot at 60 ns lies beyond t_end, so it moves to 30 ns, still in the storage window
+GUARD_BASE = ["sample.n_depth=11", "dt=0.05", "t_end=40", "record_snapshots_at=[30.0]"]
+# pulse.fwhm is read only in gaussian mode, so it is exercised there
+GAUSSIAN = ["pulse.mode=gaussian", "pulse.fwhm=1.0"]
+# setting -> (extra base overrides, overrides that must change a result on top of them)
+SETTING_EFFECTS = {
+    "sample.xi": ([], ["sample.xi=2.0"]),
+    "sample.n_depth": ([], ["sample.n_depth=21"]),
+    "pulse.mode": ([], GAUSSIAN),
+    "pulse.area": ([], ["pulse.area=5e-4"]),
+    "pulse.fwhm": (GAUSSIAN, ["pulse.fwhm=2.0"]),
+    "pulse.t0": ([], ["pulse.t0=1.0"]),
+    "mirror.present": ([], ["mirror.present=false"]),
+    "mirror.reflectivity": ([], ["mirror.reflectivity=0.5"]),
+    "mirror.delay_tau": ([], ["mirror.delay_tau=10.0"]),
+    "mirror.disable_time": ([], ["mirror.disable_time=null"]),
+    "schedule": ([], ["schedule.segments=[[0.0, 0.1]]"]),
+    "t_end": ([], ["t_end=35"]),
+    "dt": ([], ["dt=0.04"]),
+    "record_snapshots_at": ([], ["record_snapshots_at=[20.0]"]),
+}
+
+
+def _guard_run(out: Path, sets: list[str]):
+    """Exit code and the hash-masked result files of a short fig2b run."""
+    argv = ["run", "--preset", "fig2b", "--out", str(out)]
+    for item in [*GUARD_BASE, *sets]:
+        argv += ["--set", item]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = run_cli(argv)
+    if rc != 0:
+        return rc, None
+    config_hash = json.loads((out / "meta.json").read_text())["config_hash"]
+    return rc, {name: (out / name).read_text().replace(config_hash, "")
+                for name in ("traces.csv", "pattern.csv", "report.json")}
+
+
+@pytest.mark.parametrize("key", sorted(_setting_keys(preset_scenario("fig2b").as_dict())))
+def test_every_setting_changes_a_result(tmp_path, key):
+    # a setting that changes no number (as sample.thickness_um did) only moves the config_hash
+    if key == "pulse.linear_regime":
+        # exempt: it only relaxes the pulse.area bound, so its effect is which runs are allowed
+        assert _guard_run(tmp_path / "a", ["pulse.area=2e-3"])[0] == 1
+        assert _guard_run(tmp_path / "b", ["pulse.area=2e-3", "pulse.linear_regime=false"])[0] == 0
+        return
+    assert key in SETTING_EFFECTS, f"{key} has no SETTING_EFFECTS entry showing what it changes"
+    base, change = SETTING_EFFECTS[key]
+    rc_base, before = _guard_run(tmp_path / "base", base)
+    rc_change, after = _guard_run(tmp_path / "change", [*base, *change])
+    assert rc_base == rc_change == 0
+    assert before != after, f"{key}: {change} left traces.csv, pattern.csv and report.json as they were"
 
 
 @pytest.mark.parametrize("extra", [[], ["--set", "t_end=200"], ["--dt", "0.02"]])

@@ -29,7 +29,7 @@ def test_round_trip_every_preset(name):
 def test_delta_b_in_gamma_key():
     data = fig2a_dict()
     data["schedule"] = {
-        "delta_b_in_gamma": 30.0,
+        "initial_level_in_gamma": 30.0,
         "events": [
             {"t": 22.165, "action": "off"},
             {"t": 100.0, "action": "on", "level_in_gamma": 30.0},
@@ -57,7 +57,7 @@ def test_unknown_key_rejected():
         scenario_from_dict(data)
 
 
-@pytest.mark.parametrize("section", ["sample", "pulse", "mirror", "schedule", "consts"])
+@pytest.mark.parametrize("section", ["sample", "pulse", "mirror", "schedule"])
 def test_section_must_be_object(section):
     data = fig2a_dict()
     data[section] = 5

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from nfscatter import MirrorSpec, PulseSpec, SampleSpec, ScenarioConfig, gaussian_input, run_scenario, validate_scenario
-from nfscatter.model import HyperfineSchedule
+from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule
 from nfscatter.presets import preset_scenario
 from nfscatter.solver import NumericalError
 
@@ -26,7 +26,7 @@ TAU = math.pi / DB30
 
 def reference_run(sc):
     """(fwd, bwd, {step: state}) with state (branch, family, depth), both branches in physical depth."""
-    a, dt, n_t, n_u = sc.consts.clebsch_a, sc.dt, sc.n_steps + 1, sc.sample.n_depth
+    a, dt, n_t, n_u = CLEBSCH_A, sc.dt, sc.n_steps + 1, sc.sample.n_depth
     kappa, du, tau, t_off, pulse = 1j * sc.eta_l * a, 1.0 / (n_u - 1), sc.tau, sc.mirror.disable_time, sc.pulse
     r = math.sqrt(sc.mirror.reflectivity) if sc.mirror.present else 0.0
     fwd, bwd = np.zeros(n_t, dtype=complex), np.zeros(n_t, dtype=complex)
@@ -51,7 +51,7 @@ def reference_run(sc):
         return np.array([om_f, -r * feed + kappa * integral(x[1].sum(0)[::-1])[::-1]])
 
     def advance(x, om, h, level):
-        lam = np.array([-(0.5 * sc.consts.gamma + 1j * level), -(0.5 * sc.consts.gamma - 1j * level)])
+        lam = np.array([-(0.5 * DEFAULT_GAMMA + 1j * level), -(0.5 * DEFAULT_GAMMA - 1j * level)])
         e = np.exp(lam * h)[:, None]
         return e * x + (0.25j * a * (e - 1.0) / lam[:, None]) * om[:, None, :]
 
@@ -78,7 +78,7 @@ def reference_run(sc):
 
 def node_map(sc, level):
     """The 2x2 one-step map of an interior depth node, from the reference's own coefficients."""
-    a, dt, gamma = sc.consts.clebsch_a, sc.dt, sc.consts.gamma
+    a, dt, gamma = CLEBSCH_A, sc.dt, DEFAULT_GAMMA
     w = 1j * sc.eta_l * a * 0.5 / (sc.sample.n_depth - 1)
     lam = np.array([-(0.5 * gamma + 1j * level), -(0.5 * gamma - 1j * level)])
     e_h, e_f = np.exp(0.5 * dt * lam), np.exp(dt * lam)

@@ -1,12 +1,12 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nfscatter import (
     HyperfineSchedule,
     MirrorSpec,
-    PhysConsts,
     PulseSpec,
     SampleSpec,
     ScenarioConfig,
@@ -17,6 +17,7 @@ from nfscatter import (
     derived_timings,
     validate_scenario,
 )
+from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, WAVE_NUMBER_K
 from nfscatter.presets import preset_scenario
 
 GAMMA = 1.0 / 141.1
@@ -25,23 +26,13 @@ DB30 = 30.0 * GAMMA
 
 class TestPhysConsts:
     def test_defaults(self):
-        c = PhysConsts()
-        assert c.gamma == pytest.approx(1.0 / 141.1)
-        assert abs(c.clebsch_a - math.sqrt(2.0 / 3.0)) < 1e-12
+        assert DEFAULT_GAMMA == pytest.approx(1.0 / 141.1)
+        assert abs(CLEBSCH_A - math.sqrt(2.0 / 3.0)) < 1e-12
 
     def test_wave_number(self):
-        c = PhysConsts()
         # 2*pi*14.413/12.39842, i.e. a 0.8602 angstrom wavelength
-        assert c.wave_number_k == pytest.approx(7.30412, abs=1e-4)
-        assert 2.0 * math.pi / c.wave_number_k == pytest.approx(0.86022, abs=1e-4)
-
-    def test_bad_clebsch_rejected(self):
-        with pytest.raises(ScenarioError, match="clebsch"):
-            replace(PhysConsts(), clebsch_a=0.8).validate()
-
-    def test_bad_gamma_rejected(self):
-        with pytest.raises(ScenarioError, match="gamma"):
-            replace(PhysConsts(), gamma=0.0).validate()
+        assert WAVE_NUMBER_K == pytest.approx(7.30412, abs=1e-4)
+        assert 2.0 * math.pi / WAVE_NUMBER_K == pytest.approx(0.86022, abs=1e-4)
 
 
 class TestDerivedTimings:
@@ -189,6 +180,16 @@ class TestValidateScenario:
             PulseSpec(mode="gaussian").validate()
 
 
+@pytest.mark.parametrize("field, value", [("n_depth", np.int64(51)), ("xi", np.float32(0.5))])
+def test_numpy_scalar_rejected_with_field_name(field, value):
+    # both passed validation and then raised a TypeError from the JSON scenario hash
+    cfg = preset_scenario("single_pass")
+    with pytest.raises(ScenarioError, match=f"sample.{field} must be"):
+        validate_scenario(replace(cfg, sample=replace(cfg.sample, **{field: value})))
+    # a numpy float64 is a Python float, and hashes like one
+    plain = validate_scenario(replace(cfg, sample=replace(cfg.sample, xi=0.5)))
+    assert validate_scenario(replace(cfg, sample=replace(cfg.sample, xi=np.float64(0.5)))).config_hash == plain.config_hash
+
+
 def test_delta_b_helper():
     assert delta_b_from_gamma(30.0) == pytest.approx(DB30)
-    assert delta_b_from_gamma(1.0, gamma=2.0) == 2.0

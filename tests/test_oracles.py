@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nfscatter import OracleCurve, envelope_attenuation, first_order_amplitude, relative_l2, run_scenario
-from nfscatter.model import HyperfineSchedule
+from nfscatter.model import DEFAULT_GAMMA, HyperfineSchedule
 from nfscatter.oracles import single_line_forward
 from nfscatter.presets import single_pass_scenario
 
@@ -39,7 +39,7 @@ def field_off_error(xi, n_depth):
     cfg = single_pass_scenario()
     cfg = replace(cfg, sample=replace(cfg.sample, xi=xi, n_depth=n_depth), schedule=HyperfineSchedule.constant(0.0))
     traces, _ = run_scenario(cfg)
-    ref = single_line_forward(traces.t_grid, xi, cfg.pulse.area, cfg.consts.gamma)
+    ref = single_line_forward(traces.t_grid, xi, cfg.pulse.area, DEFAULT_GAMMA)
     return float(np.linalg.norm(traces.fwd_amp - ref) / np.linalg.norm(ref))
 
 

@@ -42,7 +42,7 @@ def small_scenario(**kwargs):
 def replace_snapshot(sc, times):
     cfg = ScenarioConfig(
         sample=sc.sample, pulse=sc.pulse, mirror=sc.mirror, schedule=sc.schedule,
-        t_end=sc.t_end, dt=sc.dt, consts=sc.consts, record_snapshots_at=tuple(times),
+        t_end=sc.t_end, dt=sc.dt, record_snapshots_at=tuple(times),
     )
     return validate_scenario(cfg)
 
