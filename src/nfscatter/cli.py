@@ -106,20 +106,7 @@ def cmd_run(args) -> int:
     out = _out_dir(args.out)
     traces, snapshots = run_scenario(scenario)
 
-    if args.format == "csv":
-        write_traces_csv(out / "traces.csv", traces)
-    else:
-        write_json(out / "traces.json", {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": scenario.config_hash,
-            "t_ns": [float(t) for t in traces.t_grid],
-            "re_fwd": traces.fwd_amp.real.tolist(),
-            "im_fwd": traces.fwd_amp.imag.tolist(),
-            "re_bwd": traces.bwd_amp.real.tolist(),
-            "im_bwd": traces.bwd_amp.imag.tolist(),
-            "mirror_in_beam": traces.mirror_in_beam.astype(int).tolist(),
-        })
-
+    write_traces_csv(out / "traces.csv", traces)
     write_json(out / "report.json", build_report(scenario, traces))
 
     if snapshots:
@@ -141,7 +128,7 @@ def cmd_run(args) -> int:
         },
         "nudges": [list(n) for n in scenario.nudges],
     })
-    names = [f"traces.{args.format}", "report.json", "meta.json"]
+    names = ["traces.csv", "report.json", "meta.json"]
     if snapshots:
         names.insert(2, "pattern.csv")
     print(f"wrote {out}/{{{','.join(names)}}}")
@@ -164,7 +151,7 @@ def cmd_sweep(args) -> int:
             report = build_report(scenario, traces)
             base_level = scenario.schedule.first_nonzero_level()
             predicted = None
-            if base_level and scenario.mirror.present:
+            if base_level:
                 predicted = scenario.mirror.reflectivity / envelope_attenuation(
                     scenario.sample.xi, DEFAULT_GAMMA, abs(base_level))
             row.update(
@@ -241,7 +228,6 @@ def _parser() -> argparse.ArgumentParser:
                      help="override a config entry, dotted keys (repeatable)")
     run.add_argument("--dt", type=float, help="time step override, ns")
     run.add_argument("--out", default="nfscatter_run", help="output directory")
-    run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="run a one-axis parameter sweep")

@@ -22,6 +22,7 @@ from .model import (
     ScenarioError,
     ScheduleEvent,
     Segment,
+    _require_finite,
     build_schedule,
 )
 
@@ -39,11 +40,9 @@ def _pick(d: dict, allowed: set[str], where: str) -> None:
 
 
 def _float(value: Any, where: str) -> float:
-    """``float(value)``, or a ConfigError naming the field; finiteness is checked at validation."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number (got {value!r})") from None
+    """A finite JSON number as a float (so 1 and 1.0 hash alike); anything else is rejected, naming the field."""
+    _require_finite(where, value)
+    return float(value)
 
 
 def _list(value: Any, where: str) -> list:
@@ -66,7 +65,9 @@ def _section(data: dict, key: str, cls):
     """Section ``key`` of ``data`` as a ``cls``, whose field names are the allowed keys."""
     d = data.get(key, {})
     _pick(d, {f.name for f in fields(cls)}, key)
-    return cls(**d)
+    floats = {f.name for f in fields(cls) if f.type.startswith("float")}  # None stays None where allowed
+    return cls(**{name: _float(value, f"{key}.{name}") if name in floats and value is not None else value
+                  for name, value in d.items()})
 
 
 def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
@@ -101,8 +102,11 @@ def _schedule_from_dict(sd: dict) -> HyperfineSchedule:
         return HyperfineSchedule(tuple(segments))
     initial = _level(sd, "initial_level", "schedule") or 0.0
     events = []
-    for i, ed in enumerate(sd.get("events", ())):
+    for i, ed in enumerate(_list(sd.get("events", []), "schedule.events")):
         _pick(ed, {"t", "action", "level", "level_in_gamma"}, f"schedule.events[{i}]")
+        for key in ("t", "action"):
+            if key not in ed:
+                raise ConfigError(f"schedule.events[{i}].{key} is required")
         events.append(ScheduleEvent(
             t=_float(ed["t"], f"schedule.events[{i}].t"),
             action=str(ed["action"]),

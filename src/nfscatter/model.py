@@ -49,12 +49,6 @@ def _require_finite(name: str, value, optional: bool = False) -> None:
         raise ScenarioError(f"{name} must be a finite int or float (got {value!r})")
 
 
-def _require_bool(name: str, value) -> None:
-    """Reject a flag that is not a boolean (a string such as "no" is truthy)."""
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{name} must be true or false (got {value!r})")
-
-
 def delta_b_from_gamma(multiple: float) -> float:
     """Hyperfine splitting given as a multiple of the decay rate, in rad/ns."""
     return multiple * DEFAULT_GAMMA
@@ -84,51 +78,52 @@ class PulseSpec:
     ``impulsive`` mode deposits the whole pulse area as an instantaneous
     coherence kick (the pulse bandwidth is far broader than the nuclear
     line).  ``gaussian`` mode resolves the envelope on the time grid and is
-    used to validate the impulsive limit.
+    used to validate the impulsive limit; it must start at least two widths
+    after t = 0, or the envelope's head is cut off and its area lost.  The
+    solver is linear, so the area only scales every output; it is capped at
+    1e-3 to stay in the linear regime.
     """
 
     mode: str = "impulsive"      # "impulsive" | "gaussian"
     area: float = 1e-3           # dimensionless pulse area, << 1 in the linear regime
     fwhm: float | None = None    # ns, gaussian mode only
     t0: float = 0.0              # arrival time at the front face, ns
-    linear_regime: bool = True
 
     def validate(self) -> None:
         if self.mode not in ("impulsive", "gaussian"):
             raise ScenarioError(f"pulse.mode must be 'impulsive' or 'gaussian' (got {self.mode!r})")
-        _require_bool("pulse.linear_regime", self.linear_regime)
         _require_finite("pulse.area", self.area)
         _require_finite("pulse.fwhm", self.fwhm, optional=True)
         _require_finite("pulse.t0", self.t0)
         if not self.area > 0.0:
             raise ScenarioError(f"pulse.area must be > 0 (got {self.area})")
-        if self.linear_regime and self.area > 1e-3:
-            raise ScenarioError(
-                f"pulse.area must be <= 1e-3 in the linear regime (got {self.area})"
-            )
+        if self.area > 1e-3:
+            raise ScenarioError(f"pulse.area must be <= 1e-3 in the linear regime (got {self.area})")
         if self.mode == "gaussian":
             if self.fwhm is None or not self.fwhm > 0.0:
                 raise ScenarioError(f"pulse.fwhm must be > 0 in gaussian mode (got {self.fwhm})")
+            if self.t0 < 2.0 * self.fwhm:
+                raise ScenarioError(
+                    f"pulse.t0 must be >= 2 * pulse.fwhm in gaussian mode (got {self.t0}, fwhm {self.fwhm})")
 
 
 @dataclass(frozen=True)
 class MirrorSpec:
     """Normal-incidence mirror behind the slab.
 
-    ``delay_tau`` is the full round trip 2d/c between the back face and the
-    mirror; ``disable_time`` is the instant, on the mirror-plane clock, at
-    which the reflection is switched off.  ``None`` for ``delay_tau`` means
-    "derive pi/delta_b from the schedule at validation"; ``disable_time``
-    ``None`` means the mirror is never disabled.
+    ``reflectivity`` 0 means no mirror.  ``delay_tau`` is the full round
+    trip 2d/c between the back face and the mirror, at least one time step
+    for a reflecting mirror; ``disable_time`` is the instant, on the
+    mirror-plane clock, at which the reflection is switched off.  ``None``
+    for ``delay_tau`` means "derive pi/delta_b from the schedule at
+    validation"; ``disable_time`` ``None`` means the mirror is never disabled.
     """
 
-    present: bool = True
     reflectivity: float = 0.99
     delay_tau: float | None = None
     disable_time: float | None = None
 
     def validate(self) -> None:
-        _require_bool("mirror.present", self.present)
         _require_finite("mirror.reflectivity", self.reflectivity)
         _require_finite("mirror.delay_tau", self.delay_tau, optional=True)
         _require_finite("mirror.disable_time", self.disable_time, optional=True)
@@ -424,15 +419,18 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
     if not 0.0 <= pulse.t0 < t_end:
         raise ScenarioError(f"pulse.t0 must lie in [0, t_end) (got {pulse.t0})")
 
+    # a derived tau = pi/|delta_b| is at least 20*pi*dt by the beat rule above
     mirror = config.mirror
-    if mirror.present and mirror.delay_tau is None:
+    if mirror.reflectivity > 0.0 and mirror.delay_tau is None:
         base = schedule.first_nonzero_level()
         if base is None:
             raise ScenarioError(
                 "mirror.delay_tau is unset and the schedule has no nonzero level to derive it from"
             )
         mirror = replace(mirror, delay_tau=derived_timings(abs(base)).tau)
-    tau = mirror.delay_tau if (mirror.present and mirror.delay_tau is not None) else 0.0
+    tau = 0.0 if mirror.delay_tau is None else mirror.delay_tau
+    if mirror.reflectivity > 0.0 and tau < dt:
+        raise ScenarioError(f"mirror.delay_tau must be >= dt for a reflecting mirror (got {tau}, dt={dt})")
 
     # each snapshot stores four n_depth rows
     if len(config.record_snapshots_at) * config.sample.n_depth > MAX_GRID_POINTS:

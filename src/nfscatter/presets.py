@@ -62,7 +62,7 @@ def single_pass_scenario() -> ScenarioConfig:
     return ScenarioConfig(
         sample=SampleSpec(xi=0.01),
         pulse=PulseSpec(),
-        mirror=MirrorSpec(present=False, reflectivity=0.0, delay_tau=0.0),
+        mirror=MirrorSpec(reflectivity=0.0, delay_tau=0.0),
         schedule=HyperfineSchedule.constant(delta_b_from_gamma(30.0)),
         t_end=160.0,
     )

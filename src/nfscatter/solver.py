@@ -208,17 +208,16 @@ def _fill_tables(mp: _NodeMap, m: np.ndarray, out: np.ndarray) -> None:
 
 
 def _march(segments, w: complex, n_u: int, boundary, kicks: dict, snap_steps: list, dt: float,
-           work: np.ndarray, trace: np.ndarray, trace_half: np.ndarray | None = None):
+           work: np.ndarray, trace: np.ndarray):
     """March one branch in depth, node by node, over time blocks of each schedule segment.
 
     ``segments`` holds (e_half, e_full, p_half, p_full, first step, stop step).
     ``boundary(b0, b1, a, a_h)`` writes the branch input Omega(0) at the
     full steps and the midpoints of steps b0..b1-1; ``kicks`` maps a step to
     the coherence it adds to both families at every node.  The back-face
-    field goes to ``trace`` (midpoints to ``trace_half``).  ``work`` is
-    complex scratch of 10 rows and at least one block: five rows of block
-    arrays, then the tables of node 0's map and, from node 1 on, of the
-    interior map.  Returns the coherences at ``snap_steps`` as (snapshot,
+    field goes to ``trace``.  ``work`` is complex scratch of 10 rows and at
+    least one block: five rows of block arrays, then the tables of node 0's
+    map and, from node 1 on, of the interior map.  Returns the coherences at ``snap_steps`` as (snapshot,
     family, depth) and the peak |Omega| the slab adds to its input.
     """
     state = np.zeros((n_u, 2), dtype=complex)  # (f31, f42) of every node at the next block's first step
@@ -256,8 +255,6 @@ def _march(segments, w: complex, n_u: int, boundary, kicks: dict, snap_steps: li
                 if j == n_u - 1:
                     # the back-face field is the mean of the last node's input and output
                     trace[b0:b1] = a
-                    if trace_half is not None:
-                        trace_half[b0:b1] = ah
                 f, g = state[j].tolist()
                 np.multiply(a, mp.wq, out=tmp)
                 if j:
@@ -293,11 +290,9 @@ def _march(segments, w: complex, n_u: int, boundary, kicks: dict, snap_steps: li
             # imaginary and every field input is real, so f42 = -conj(f31) and
             # Omega = kappa * int (f31 + f42) is real; the Schur basis mixes the
             # families, so its imaginary part here is rounding only
-            for out, row in ((trace, a), (trace_half, ah)):
-                if out is not None:
-                    np.add(out[b0:b1], row, out=out[b0:b1])
-                    np.multiply(out[b0:b1], 0.5, out=out[b0:b1])
-                    out[b0:b1].imag = 0.0
+            np.add(trace[b0:b1], a, out=trace[b0:b1])
+            np.multiply(trace[b0:b1], 0.5, out=trace[b0:b1])
+            trace[b0:b1].imag = 0.0
             boundary(b0, b1, z1, z2)  # the input again, for the field the slab adds to it
             np.subtract(trace[b0:b1], z1, out=z1)
             peak = max(peak, float(np.abs(z1).max()))
@@ -309,8 +304,6 @@ def gaussian_input(t, pulse: PulseSpec):
     sigma = pulse.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     norm = pulse.area / (sigma * math.sqrt(2.0 * math.pi))
     return norm * np.exp(-0.5 * ((np.asarray(t, dtype=float) - pulse.t0) / sigma) ** 2)
-
-
 
 
 def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
@@ -336,7 +329,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     mirror = sc.mirror
     tau = sc.tau
     disable_time = mirror.disable_time
-    refl_amp = math.sqrt(mirror.reflectivity) if mirror.present else 0.0
+    refl_amp = math.sqrt(mirror.reflectivity)
     pulse = sc.pulse
 
     segments = []
@@ -347,7 +340,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
 
     # impulsive-mode kicks per branch, {step: coherence added}: the prompt at t0
     # and, when the gate admits it, the mirror-reflected prompt arriving one
-    # round trip later (on the prompt's own step when tau = 0)
+    # round trip later
     kicks_f: dict[int, complex] = {}
     kicks_b: dict[int, complex] = {}
     if pulse.mode == "impulsive":
@@ -373,28 +366,21 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     snap_steps = sorted(snap_at)
     fwd = np.zeros(n_t, dtype=complex)
     bwd = np.zeros(n_t, dtype=complex)
-    # at tau = 0 (or a tau below the resolution of t) the mirror couples the
-    # backward branch to the forward field of the same instant, midpoints included
-    t_last = (n_t - 1) * dt + 0.5 * dt
-    fwd_half = np.zeros(n_t, dtype=complex) if refl_amp > 0.0 and t_last - tau >= t_last else None
     work = np.empty((10, min(_BLOCK, n_t)), dtype=complex)  # shared by both branches
-    fs, peak_field = _march(segments, w, n_u, drive, kicks_f, snap_steps, dt, work, fwd, fwd_half)
+    fs, peak_field = _march(segments, w, n_u, drive, kicks_f, snap_steps, dt, work, fwd)
 
     bs = None
     if refl_amp > 0.0:
         def feedback(b0, b1, out, out_half):
             """-sqrt(R) * Omega_F(t - tau, L) while the gate is open, else 0.
 
-            The delayed field interpolates the forward trace linearly and is
-            clamped to the newest sample recorded before the step: step i - 1
-            for full steps, step i for midpoints.
+            The delayed field interpolates the forward trace linearly; as
+            tau >= dt, it reads only samples recorded before the step.
             """
             t = t_grid[b0:b1]
-            for dest, t_at, newest, same in ((out, t, t - dt, fwd), (out_half, t + 0.5 * dt, t, fwd_half)):
+            for dest, t_at in ((out, t), (out_half, t + 0.5 * dt)):
                 t_exit = t_at - tau
-                np.copyto(dest, np.interp(np.minimum(t_exit, newest), t_grid, fwd))
-                if same is not None:
-                    np.copyto(dest, same[b0:b1], where=t_exit >= t_at)
+                np.copyto(dest, np.interp(t_exit, t_grid, fwd))
                 np.multiply(dest, -refl_amp, out=dest)
                 dest[~_reflects(t_exit, tau, disable_time)] = 0.0
 
@@ -422,14 +408,11 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
             b31, b42 = bs[s, 0, ::-1].copy(), bs[s, 1, ::-1].copy()
         snapshots.append(CoherenceSnapshot(snap_at[step], fs[s, 0].copy(), fs[s, 1].copy(), b31, b42))
 
-    if mirror.present and disable_time is not None:
-        in_beam = t_grid < disable_time
-    elif mirror.present:
-        in_beam = np.ones(n_t, dtype=bool)
-    else:
-        in_beam = np.zeros(n_t, dtype=bool)
-    trans = math.sqrt(1.0 - mirror.reflectivity) if mirror.present else 1.0
-    detected = np.where(in_beam, trans * fwd, fwd)
+    # a reflecting mirror stands in the forward detector's beam until it is disabled
+    in_beam = np.full(n_t, refl_amp > 0.0)
+    if disable_time is not None:
+        in_beam &= t_grid < disable_time
+    detected = np.where(in_beam, math.sqrt(1.0 - mirror.reflectivity) * fwd, fwd)
 
     traces = TraceSet(
         t_grid=t_grid,
@@ -439,10 +422,8 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
         mirror_in_beam=in_beam,
         metadata={
             "config_hash": sc.config_hash,
-            "dt": dt,
-            "reflectivity": mirror.reflectivity if mirror.present else 0.0,
+            "reflectivity": mirror.reflectivity,
             "tau": tau,
-            "nudges": list(sc.nudges),
             "schedule": [[s.t_start, s.delta_b] for s in sc.schedule.segments],
         },
     )

@@ -84,7 +84,7 @@ def test_A4_storage_is_phase_selective(fig2a_run, gated_run_factory):
     control = validate_scenario(ScenarioConfig(
         sample=SampleSpec(xi=1.0, n_depth=201),
         pulse=PulseSpec(mode="impulsive", area=1e-3),
-        mirror=MirrorSpec(present=True, reflectivity=0.99, delay_tau=TAU, disable_time=7.39),
+        mirror=MirrorSpec(reflectivity=0.99, delay_tau=TAU, disable_time=7.39),
         schedule=build_schedule(
             [ScheduleEvent(t_anti, "off"), ScheduleEvent(100.0, "on")], initial_level=DB30),
         t_end=110.0,
@@ -218,7 +218,7 @@ def test_A9_property_suite(fig2a_run):
     # R = 0 silences the backward channel exactly
     quiet = validate_scenario(replace(
         preset_scenario("fig2a"), t_end=40.0,
-        mirror=MirrorSpec(present=True, reflectivity=0.0, delay_tau=TAU, disable_time=7.39)))
+        mirror=MirrorSpec(reflectivity=0.0, delay_tau=TAU, disable_time=7.39)))
     tr_q, _ = run_scenario(quiet)
     ok_r0 = bool(np.all(tr_q.bwd_amp == 0.0))
 

@@ -11,7 +11,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,8 +75,9 @@ FLOAT_FIELDS = [
     ("schedule.segments", "[[0.0, {}]]"), ("schedule.segments", "[[{}, 0.2]]"),
     ("record_snapshots_at", "[{}]"),
 ]
-# JSON NaN and +-Infinity parse to floats; inf and the quoted text stay strings
-BAD_VALUES = ["NaN", "Infinity", "-Infinity", "inf", "-inf", '"abc"', "abc"]
+# JSON NaN and +-Infinity parse to floats; inf and the quoted text stay strings;
+# booleans and numeric text are not numbers either
+BAD_VALUES = ["NaN", "Infinity", "-Infinity", "inf", "-inf", '"abc"', "abc", "true", "false", '"1.5"']
 
 
 @settings(max_examples=150, deadline=None)
@@ -90,25 +90,6 @@ def test_non_finite_float_field_is_input_error(field, bad):
         rc = run_cli(["run", "--preset", "fig2b", "--set", f"{key}={value}", "--out", out])
     assert rc == 1, (key, value)
     assert key in err.getvalue(), (key, value, err.getvalue())
-
-
-@pytest.mark.parametrize("key", ["mirror.present", "pulse.linear_regime"])
-@pytest.mark.parametrize("value", ["no", "abc", "0", '"true"', "null"])
-def test_boolean_field_must_be_boolean(tmp_path, capsys, key, value):
-    # "no" reached the solver as a truthy string and ran with the mirror
-    out = str(tmp_path / "x")
-    assert run_cli(["run", "--preset", "fig2b", "--set", f"{key}={value}", "--out", out]) == 1
-    assert f"{key} must be true or false" in capsys.readouterr().err
-
-
-def test_boolean_field_takes_json_booleans(tmp_path):
-    args = ["run", "--preset", "fig2a", *QUICK, "--set", "pulse.linear_regime=false"]
-    assert run_cli([*args, "--set", "mirror.present=true", "--out", str(tmp_path / "on")]) == 0
-    assert run_cli([*args, "--set", "mirror.present=false", "--out", str(tmp_path / "off")]) == 0
-    on = read_traces_csv(tmp_path / "on" / "traces.csv")
-    off = read_traces_csv(tmp_path / "off" / "traces.csv")
-    assert on.mirror_in_beam.any() and not off.mirror_in_beam.any()
-    assert np.any(on.re_bwd != 0.0) and np.all(off.re_bwd == 0.0)
 
 
 @pytest.mark.parametrize("sets, field", [
@@ -138,6 +119,12 @@ def test_oversized_grid_rejected_before_allocation(tmp_path, capsys, sets, field
     (["--set", "consts.gamma=0.01"], "config: consts"),
     (["--set", "sample.thickness_um=5"], "sample: thickness_um"),
     (["--set", 'schedule={"delta_b_in_gamma": 30}'], "schedule: delta_b_in_gamma"),
+    # R = 0 means no mirror, and the area cap holds for every pulse
+    (["--set", "mirror.present=false"], "mirror: present"),
+    (["--set", "pulse.linear_regime=false"], "pulse: linear_regime"),
+    # a reflecting mirror's round trip is at least one step (single_pass has dt 0.005)
+    (["--set", "mirror.reflectivity=0.5", "--set", "mirror.delay_tau=0"], "mirror.delay_tau"),
+    (["--set", "mirror.reflectivity=0.5", "--set", "mirror.delay_tau=0.0025"], "mirror.delay_tau"),
 ])
 def test_rejected_input_names_field(tmp_path, capsys, args, field):
     assert run_cli(["run", "--preset", "single_pass", *args, "--out", str(tmp_path / "x")]) == 1
@@ -152,6 +139,8 @@ def test_rejected_input_names_field(tmp_path, capsys, args, field):
     (["sweep", "--axis", "xi", "--values", "abc"], 1, "--values"),
     (["--help"], 0, ""),
     (["--version"], 0, ""),
+    # traces.csv is the one trace format
+    (["run", "--preset", "fig2a", "--format", "json"], 1, "--format"),
 ])
 def test_malformed_argument_is_input_error(tmp_path, capsys, argv, code, text):
     # argparse exits 2 on its own, which here would read as a numerical failure
@@ -175,8 +164,8 @@ def _setting_keys(section: dict, prefix: str = ""):
 
 # a short fig2b run; its snapshot at 60 ns lies beyond t_end, so it moves to 30 ns, still in the storage window
 GUARD_BASE = ["sample.n_depth=11", "dt=0.05", "t_end=40", "record_snapshots_at=[30.0]"]
-# pulse.fwhm is read only in gaussian mode, so it is exercised there
-GAUSSIAN = ["pulse.mode=gaussian", "pulse.fwhm=1.0"]
+# pulse.fwhm is read only in gaussian mode, so it is exercised there; a gaussian starts two widths after 0
+GAUSSIAN = ["pulse.mode=gaussian", "pulse.fwhm=1.0", "pulse.t0=5.0"]
 # setting -> (extra base overrides, overrides that must change a result on top of them)
 SETTING_EFFECTS = {
     "sample.xi": ([], ["sample.xi=2.0"]),
@@ -185,7 +174,6 @@ SETTING_EFFECTS = {
     "pulse.area": ([], ["pulse.area=5e-4"]),
     "pulse.fwhm": (GAUSSIAN, ["pulse.fwhm=2.0"]),
     "pulse.t0": ([], ["pulse.t0=1.0"]),
-    "mirror.present": ([], ["mirror.present=false"]),
     "mirror.reflectivity": ([], ["mirror.reflectivity=0.5"]),
     "mirror.delay_tau": ([], ["mirror.delay_tau=10.0"]),
     "mirror.disable_time": ([], ["mirror.disable_time=null"]),
@@ -213,11 +201,6 @@ def _guard_run(out: Path, sets: list[str]):
 @pytest.mark.parametrize("key", sorted(_setting_keys(preset_scenario("fig2b").as_dict())))
 def test_every_setting_changes_a_result(tmp_path, key):
     # a setting that changes no number (as sample.thickness_um did) only moves the config_hash
-    if key == "pulse.linear_regime":
-        # exempt: it only relaxes the pulse.area bound, so its effect is which runs are allowed
-        assert _guard_run(tmp_path / "a", ["pulse.area=2e-3"])[0] == 1
-        assert _guard_run(tmp_path / "b", ["pulse.area=2e-3", "pulse.linear_regime=false"])[0] == 0
-        return
     assert key in SETTING_EFFECTS, f"{key} has no SETTING_EFFECTS entry showing what it changes"
     base, change = SETTING_EFFECTS[key]
     rc_base, before = _guard_run(tmp_path / "base", base)
@@ -265,14 +248,6 @@ def test_benchmark_hooks_exist_in_cli(monkeypatch):
     spec.loader.exec_module(spans)
     for attr in [*spans.HOOKS, "_parser", "_load_scenario", "SweepSpec"]:
         assert hasattr(cli, attr), attr
-
-
-def test_run_json_format(tmp_path):
-    out = tmp_path / "j"
-    assert run_cli(["run", "--preset", "fig2a", *QUICK, "--format", "json",
-                    "--out", str(out)]) == 0
-    data = json.loads((out / "traces.json").read_text())
-    assert len(data["t_ns"]) == 2001
 
 
 def test_env_var_out_root(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -91,3 +92,24 @@ def test_overrides():
 def test_override_requires_equals():
     with pytest.raises(ConfigError, match="key=value"):
         apply_overrides({}, ["xi:0.5"])
+
+
+def test_int_and_float_spellings_hash_alike():
+    data = fig2a_dict()
+    hashes = set()
+    for xi in (1, 1.0):
+        data["sample"]["xi"] = xi
+        hashes.add(validate_scenario(scenario_from_dict(data)).config_hash)
+    assert len(hashes) == 1
+
+
+@pytest.mark.parametrize("events, field", [
+    ([{"action": "off"}], "schedule.events[0].t"),
+    ([{"t": 5.0, "action": "off"}, {"t": 6.0}], "schedule.events[1].action"),
+    (5, "schedule.events"),
+])
+def test_malformed_event_names_field(events, field):
+    data = fig2a_dict()
+    data["schedule"] = {"initial_level": 0.2, "events": events}
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        scenario_from_dict(data)

@@ -28,7 +28,7 @@ def reference_run(sc):
     """(fwd, bwd, {step: state}) with state (branch, family, depth), both branches in physical depth."""
     a, dt, n_t, n_u = CLEBSCH_A, sc.dt, sc.n_steps + 1, sc.sample.n_depth
     kappa, du, tau, t_off, pulse = 1j * sc.eta_l * a, 1.0 / (n_u - 1), sc.tau, sc.mirror.disable_time, sc.pulse
-    r = math.sqrt(sc.mirror.reflectivity) if sc.mirror.present else 0.0
+    r = math.sqrt(sc.mirror.reflectivity)
     fwd, bwd = np.zeros(n_t, dtype=complex), np.zeros(n_t, dtype=complex)
 
     def gated(t_exit):
@@ -42,12 +42,9 @@ def reference_run(sc):
         om_f = drive + kappa * integral(x[0].sum(0))
         t_exit, feed = t - tau, 0.0
         if r > 0.0 and gated(t_exit):
-            if t_exit >= t:
-                feed = om_f[-1]
-            else:
-                xs = t_exit / dt
-                j = int(xs)
-                feed = fwd[n_rec - 1] if j >= n_rec - 1 else fwd[j] + (fwd[j + 1] - fwd[j]) * (xs - j)
+            xs = t_exit / dt
+            j = int(xs)
+            feed = fwd[n_rec - 1] if j >= n_rec - 1 else fwd[j] + (fwd[j + 1] - fwd[j]) * (xs - j)
         return np.array([om_f, -r * feed + kappa * integral(x[1].sum(0)[::-1])[::-1]])
 
     def advance(x, om, h, level):
@@ -103,7 +100,7 @@ def coalescing_level(sc):
 BASE = ScenarioConfig(
     sample=SampleSpec(xi=1.0, n_depth=21),
     pulse=PulseSpec(area=1e-3, t0=0.5),
-    mirror=MirrorSpec(present=True, reflectivity=0.81, delay_tau=TAU, disable_time=8.0),
+    mirror=MirrorSpec(reflectivity=0.81, delay_tau=TAU, disable_time=8.0),
     schedule=HyperfineSchedule.constant(DB30),
     t_end=30.0,
     dt=0.01,
@@ -127,14 +124,15 @@ def coalescing():
 
 CASES = {
     "gaussian": lambda: replace(BASE, pulse=PulseSpec(mode="gaussian", area=1e-3, fwhm=0.3, t0=2.0)),
-    "tau_zero": lambda: with_mirror(delay_tau=0.0),
-    "tau_zero_gaussian": lambda: replace(with_mirror(delay_tau=0.0, disable_time=None),
-                                         pulse=PulseSpec(mode="gaussian", area=1e-3, fwhm=0.3, t0=2.0)),
-    "tau_below_half_step": lambda: with_mirror(delay_tau=0.004),
+    # the shortest round trip a reflecting mirror may have is one step
+    "tau_one_step": lambda: with_mirror(delay_tau=0.01),
+    "tau_one_step_gaussian": lambda: replace(with_mirror(delay_tau=0.01, disable_time=None),
+                                             pulse=PulseSpec(mode="gaussian", area=1e-3, fwhm=0.3, t0=2.0)),
     "tau_off_grid": lambda: with_mirror(delay_tau=2.3456),
     "ungated": lambda: with_mirror(disable_time=None),
     "reflectivity_zero": lambda: with_mirror(reflectivity=0.0),
-    "mirror_absent": lambda: with_mirror(present=False),
+    # R = 0 is no mirror, which runs with any round trip
+    "mirror_absent": lambda: with_mirror(reflectivity=0.0, delay_tau=0.0),
     "late_pulse": lambda: replace(with_mirror(disable_time=None), pulse=PulseSpec(area=1e-3, t0=12.0)),
     "pulse_after_gate": lambda: replace(BASE, pulse=PulseSpec(area=1e-3, t0=10.0)),
     "fig2c_segments": fig2c_short,
@@ -192,9 +190,9 @@ def test_cases_reach_their_regimes():
 @pytest.mark.parametrize("present", [False, True])
 def test_first_non_finite_time_matches_reference(present):
     # a representable step map whose state overflows a few steps after the prompt
-    sc = validate_scenario(replace(BASE, sample=SampleSpec(xi=1e60, n_depth=41),
-                                   pulse=PulseSpec(area=1e-3, t0=5.0, linear_regime=False),
-                                   mirror=replace(BASE.mirror, present=present), t_end=8.0, record_snapshots_at=()))
+    mirror = BASE.mirror if present else replace(BASE.mirror, reflectivity=0.0)
+    sc = validate_scenario(replace(BASE, sample=SampleSpec(xi=1e60, n_depth=41), pulse=PulseSpec(area=1e-3, t0=5.0),
+                                   mirror=mirror, t_end=8.0, record_snapshots_at=()))
     with np.errstate(over="ignore", invalid="ignore"):
         fwd, bwd, _ = reference_run(sc)
         bad = np.flatnonzero(~(np.isfinite(fwd) & np.isfinite(bwd)))[0]

@@ -150,7 +150,7 @@ class TestValidateScenario:
         cfg = ScenarioConfig(
             sample=SampleSpec(xi=0.1),
             pulse=PulseSpec(),
-            mirror=MirrorSpec(present=False, reflectivity=0.0, delay_tau=0.0),
+            mirror=MirrorSpec(reflectivity=0.0, delay_tau=0.0),
             schedule=build_schedule([ScheduleEvent(1.2341, "off")], initial_level=DB30),
             t_end=10.0,
             dt=0.01,
@@ -163,7 +163,7 @@ class TestValidateScenario:
         cfg = ScenarioConfig(
             sample=SampleSpec(xi=0.1),
             pulse=PulseSpec(),
-            mirror=MirrorSpec(present=True, reflectivity=0.5, delay_tau=None),
+            mirror=MirrorSpec(reflectivity=0.5, delay_tau=None),
             schedule=HyperfineSchedule.constant(0.0),
             t_end=10.0,
         )
@@ -173,11 +173,17 @@ class TestValidateScenario:
     def test_linear_regime_area_cap(self):
         with pytest.raises(ScenarioError, match="area"):
             PulseSpec(area=0.01).validate()
-        PulseSpec(area=0.01, linear_regime=False).validate()
 
     def test_gaussian_needs_fwhm(self):
         with pytest.raises(ScenarioError, match="fwhm"):
             PulseSpec(mode="gaussian").validate()
+
+    def test_gaussian_must_start_two_widths_after_zero(self):
+        # centred at t = 0 the envelope loses its head and 43 % of the response
+        PulseSpec(mode="gaussian", fwhm=1.0, t0=2.0).validate()
+        for t0 in (0.0, 1.99):
+            with pytest.raises(ScenarioError, match="pulse.t0"):
+                PulseSpec(mode="gaussian", fwhm=1.0, t0=t0).validate()
 
 
 @pytest.mark.parametrize("field, value", [("n_depth", np.int64(51)), ("xi", np.float32(0.5))])

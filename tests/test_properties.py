@@ -78,7 +78,7 @@ def mini_scenario(events, reflectivity=0.8, area=1e-3, t_end=16.0):
     return validate_scenario(ScenarioConfig(
         sample=SampleSpec(xi=0.3, n_depth=31),
         pulse=PulseSpec(mode="impulsive", area=area),
-        mirror=MirrorSpec(present=True, reflectivity=reflectivity,
+        mirror=MirrorSpec(reflectivity=reflectivity,
                           delay_tau=tau, disable_time=2.0),
         schedule=build_schedule(events, initial_level=DB30),
         t_end=t_end,
@@ -125,7 +125,7 @@ def test_causality_and_zero_reflectivity():
     silent = validate_scenario(ScenarioConfig(
         sample=SampleSpec(xi=0.3, n_depth=31),
         pulse=PulseSpec(mode="impulsive", area=1e-3),
-        mirror=MirrorSpec(present=True, reflectivity=0.0, delay_tau=3.0, disable_time=2.0),
+        mirror=MirrorSpec(reflectivity=0.0, delay_tau=3.0, disable_time=2.0),
         schedule=HyperfineSchedule.constant(DB30),
         t_end=16.0,
         dt=0.02,
@@ -141,7 +141,7 @@ def test_storage_freeze_decay_thin_sample():
     sc = validate_scenario(ScenarioConfig(
         sample=SampleSpec(xi=0.01, n_depth=41),
         pulse=PulseSpec(mode="impulsive", area=1e-3),
-        mirror=MirrorSpec(present=False, reflectivity=0.0, delay_tau=0.0),
+        mirror=MirrorSpec(reflectivity=0.0, delay_tau=0.0),
         schedule=build_schedule([ScheduleEvent(t_off, "off")], initial_level=DB30),
         t_end=90.0,
         dt=0.005,
