@@ -107,9 +107,11 @@ def _schedule_from_dict(sd: dict) -> HyperfineSchedule:
         for key in ("t", "action"):
             if key not in ed:
                 raise ConfigError(f"schedule.events[{i}].{key} is required")
+        if not isinstance(ed["action"], str):
+            raise ConfigError(f"schedule.events[{i}].action must be a string (got {ed['action']!r})")
         events.append(ScheduleEvent(
             t=_float(ed["t"], f"schedule.events[{i}].t"),
-            action=str(ed["action"]),
+            action=ed["action"],
             level=_level(ed, "level", f"schedule.events[{i}]"),
         ))
     return build_schedule(events, initial_level=initial)

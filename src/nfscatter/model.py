@@ -86,7 +86,7 @@ class PulseSpec:
 
     mode: str = "impulsive"      # "impulsive" | "gaussian"
     area: float = 1e-3           # dimensionless pulse area, << 1 in the linear regime
-    fwhm: float | None = None    # ns, gaussian mode only
+    fwhm: float | None = None    # ns, gaussian mode only (null in impulsive mode)
     t0: float = 0.0              # arrival time at the front face, ns
 
     def validate(self) -> None:
@@ -105,6 +105,8 @@ class PulseSpec:
             if self.t0 < 2.0 * self.fwhm:
                 raise ScenarioError(
                     f"pulse.t0 must be >= 2 * pulse.fwhm in gaussian mode (got {self.t0}, fwhm {self.fwhm})")
+        elif self.fwhm is not None:
+            raise ScenarioError(f"pulse.fwhm must be null in impulsive mode, which has no envelope (got {self.fwhm})")
 
 
 @dataclass(frozen=True)

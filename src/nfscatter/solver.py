@@ -26,15 +26,18 @@ the cumulative trapezoid rule.
 
 The scheme is causal along depth: node j sees only nodes <= j, and the
 forward branch never sees the backward one.  So the solver marches in depth
-instead of time.  At node j the trapezoid brings in the field sequences
-a = Omega_{j-1} + w*s_{j-1} (full steps) and a_h (midpoints), w = kappa*du/2,
-s = f31 + f42; eliminating the half step leaves, per node, the 2x2 linear
-recurrence x_{n+1} = M x_n + p_full*u_n over the whole time history.  M
-takes two values per schedule segment (node 0 has no self term).  In the
-unitary Schur basis of M each mode is one prefix sum of input*mu^-m times
-mu^m, so a time block of up to _BLOCK steps costs a fixed number of array
-passes per node.  The forward branch is marched over the whole run first;
-the backward branch then has a known mirror input built from its trace.
+instead of time.  Every field input is real, kicks are imaginary and delta_b
+is real, so f42 = -conj(f31): the fields stay real and only f31 is marched.
+At node j the trapezoid brings in the real field sequences a = Omega_{j-1} +
+w*s_{j-1} (full steps) and a_h (midpoints), w = kappa*du/2, s = f31 + f42;
+eliminating the half step leaves, per node, a real 2x2 recurrence on
+(Re f31, Im f31) over the whole time history, with two maps per schedule
+segment (node 0 has no self term).  Where its eigenvalues are a complex pair
+one complex mode carries it, else two coordinates of its Schur basis; each
+is one prefix sum of input*mu^-m times mu^m, so a time block of up to _BLOCK
+steps costs a fixed number of array passes per node.  The forward branch is
+marched over the whole run first; the backward branch then has a known
+mirror input built from its trace.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +60,13 @@ _BLOCK = 8192
 #: largest |mu|^(+-m) a block may span, which keeps the scan's tables and
 #: partial sums far from overflow and underflow on strongly damped maps
 _SCAN_RANGE = 1e8
+
+#: largest |t12|/|mu1 - mu2|, about the condition number of its eigenbasis, at
+#: which a complex eigenpair is marched as one complex mode.  Rebuilding f31 and
+#: the fields from the mode magnifies the unit roundoff 1.1e-16 by at most that:
+#: 1e-12 here, two orders inside the 1e-10 the march keeps against the per-step
+#: loop.  A pair closer to the exceptional point takes the Schur path.
+_MODE_SKEW = 1e4
 
 
 class NumericalError(RuntimeError):
@@ -96,16 +105,15 @@ class TraceSet:
 
 
 def _propagators(delta_b: float, h: float):
-    """Exact one-substep coefficients ((e31, e42), (p31, p42)).
+    """Exact one-substep coefficients (e, p) of the 31 line.
 
     f' = e*f + p*Omega solves df/dt = lam*f + i*(a/4)*Omega with Omega
-    constant over the substep, lam = -(gamma/2 +- i*delta_b) for the 31 and
-    42 families.
+    constant over the substep, lam = -(gamma/2 + i*delta_b).  The 42 line
+    has conj(e) and -conj(p).
     """
-    drive = 0.25j * CLEBSCH_A
-    lams = (-(0.5 * DEFAULT_GAMMA + 1j * delta_b), -(0.5 * DEFAULT_GAMMA - 1j * delta_b))
-    e = tuple(cmath.exp(lam * h) for lam in lams)
-    return e, tuple(drive * (ek - 1.0) / lam for ek, lam in zip(e, lams))
+    lam = -(0.5 * DEFAULT_GAMMA + 1j * delta_b)
+    e = cmath.exp(lam * h)
+    return e, 0.25j * CLEBSCH_A * (e - 1.0) / lam
 
 
 def _reflects(t_exit, tau: float, disable_time: float | None):
@@ -132,63 +140,73 @@ def _segment_steps(sc: ValidatedScenario, n_t: int):
     return [(segs[k].delta_b, starts[k], starts[k + 1]) for k in range(len(segs)) if starts[k] < starts[k + 1]]
 
 
-def _schur(m00: complex, m01: complex, m10: complex, m11: complex):
-    """Unitary Schur form of the 2x2 matrix [[m00, m01], [m10, m11]], in closed form.
+def _schur(m00: float, m01: float, m10: float, m11: float):
+    """Schur form of the real 2x2 matrix [[m00, m01], [m10, m11]], in closed form.
 
     Returns (mu1, mu2, t12, q0, q1) with M = Q [[mu1, t12], [0, mu2]] Q^H and
-    Q = [[q0, -q1*], [q1, q0*]].  The eigenvector (rho + d, m10) of mu1
-    takes the sign of rho that avoids cancellation, so Q stays accurate as
-    the eigenvalues coalesce, where an eigenbasis would become singular.
+    Q = [[q0, -q1*], [q1, q0*]], real for real eigenvalues (else Im mu1 > 0).
+    The eigenvector (rho + d, m10) of mu1 takes the sign of rho that avoids
+    cancellation, so Q stays accurate as the eigenvalues coalesce, where an
+    eigenbasis would become singular.
     """
     d = 0.5 * (m00 - m11)
-    rho = cmath.sqrt(d * d + m01 * m10)
-    if (d.conjugate() * rho).real < 0.0:
+    disc = d * d + m01 * m10
+    rho = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
+    if d * rho.real < 0.0:
         rho = -rho
     v0, v1 = rho + d, m10
     norm = math.hypot(abs(v0), abs(v1))
-    q0, q1 = (v0 / norm, v1 / norm) if norm > 0.0 else (1.0 + 0j, 0j)
+    q0, q1 = (v0 / norm, v1 / norm) if norm > 0.0 else (1.0, 0.0)
     qc0, qc1 = q0.conjugate(), q1.conjugate()
     t12 = qc0 * (m01 * qc0 - m00 * qc1) + qc1 * (m11 * qc0 - m10 * qc1)
     mean = 0.5 * (m00 + m11)
     return mean + rho, mean - rho, t12, q0, q1
 
 
-class _NodeMap(NamedTuple):
-    """One time step of one depth node in the Schur coordinates zeta = Q^H (f31, f42).
+def _node_map(e_h: complex, e_f: complex, p_h: complex, p_f: complex, w_self: float, w: float):
+    """The realified step map of a node whose own coherence enters its field with weight 1j*``w_self``.
 
-    With u = a_h + w_self*q*a the step is zeta2' = mu2*zeta2 + beta2*u and
-    zeta1' = mu1*zeta1 + t12*zeta2 + beta1*u.  The node hands on
-    a += g0 . zeta and a_h += g1 . zeta + wq*a, wq = w*q, where q is the
-    sum of the half-step drive coefficients.
+    Returns (modes, t12, wq2), or None if the map is not finite.  A mode
+    (mu, beta, p, v, ga, gh) is a coordinate z = p . y of the node's state
+    y = (Re f31, Im f31) = Re(sum of v*z) with z' = mu*z + beta*u, u = a_h +
+    w_self*q*a the step input; it adds Re(ga*z) to the next node's a (ga is
+    1 or 0) and Re(gh*z) to its u, which also takes wq2*a.  There is one
+    complex mode, or two Schur coordinates, the second also taking t12 times
+    the first.  With f42 = -conj(f31) the node's coherence sum is s =
+    2i*Im(f31) and the midpoint one s_half = 2i*Im(c*f31) + q*a, q = 2i*Im(p_h).
     """
-
-    mu1: complex
-    mu2: complex
-    t12: complex
-    q0: complex
-    q1: complex
-    beta1: complex
-    beta2: complex
-    g00: complex
-    g01: complex
-    g10: complex
-    g11: complex
-    wq: complex
-
-
-def _node_map(e_h, e_f, p_h, p_f, w_self: complex, w: complex) -> _NodeMap:
-    """The step map of a node whose own coherence enters its field with weight ``w_self``."""
-    q = p_h[0] + p_h[1]
-    c = (e_h[0] + q * w_self, e_h[1] + q * w_self)  # midpoint s_half = c . x + q*a
-    mu1, mu2, t12, q0, q1 = _schur(e_f[0] + w_self * p_f[0] * c[0], w_self * p_f[0] * c[1],
-                                   w_self * p_f[1] * c[0], e_f[1] + w_self * p_f[1] * c[1])
+    c = e_h - 2.0 * w_self * p_h.imag
+    cv = (c.imag, c.real)  # Im(c*f31) = cv . y
+    b = (p_f.real, p_f.imag)  # f31 takes p_f*Omega_half
+    r00, r01 = e_f.real - 2.0 * w_self * b[0] * cv[0], -e_f.imag - 2.0 * w_self * b[0] * cv[1]
+    r10, r11 = e_f.imag - 2.0 * w_self * b[1] * cv[0], e_f.real - 2.0 * w_self * b[1] * cv[1]
+    g = -2.0 * (w_self + w)  # the weight of Im f31 in the next node's a, and of Im(c*f31) in its a_h
+    wq = -2.0 * w * p_h.imag  # the weight of a in a_h beyond the modes
+    if not all(math.isfinite(x) for x in (r00, r01, r10, r11, g * cv[0], g * cv[1], wq)):
+        return None
+    mu1, mu2, t12, q0, q1 = _schur(r00, r01, r10, r11)
     qc0, qc1 = q0.conjugate(), q1.conjugate()
-    g = w_self + w  # weight of this node's s and s_half in the next node's a and a_h
-    return _NodeMap(mu1, mu2, t12, q0, q1,
-                    qc0 * p_f[0] + qc1 * p_f[1], q0 * p_f[1] - q1 * p_f[0],
-                    g * (q0 + q1), g * (qc0 - qc1),
-                    g * (c[0] * q0 + c[1] * q1), g * (c[1] * qc0 - c[0] * qc1),
-                    w * q)
+    den = q0 * qc1 - q1 * qc0
+    if mu1.imag != 0.0 and den != 0.0 and abs(t12) <= _MODE_SKEW * abs(mu1 - mu2):
+        # y = 2 Re(v z) with v = (q0, q1), the eigenvector of mu1: z = l . y with
+        # l . v = 1 and l . conj(v) = 0
+        bases = [(mu1, (qc1 / den, -qc0 / den), (2.0 * q0, 2.0 * q1))]
+    else:
+        # the Schur coordinates Q^H y, in the order that leaves the first free of the second
+        bases = [(mu2, (-q1, q0), (-qc1, qc0)), (mu1, (qc0, qc1), (q0, q1))]
+    modes, scales = [], []
+    for mu, p, v in bases:
+        ga = g * v[1]  # the mode's weight in a; a mode that reaches a is scaled to weight 1
+        s, ga = (ga, 1.0) if ga != 0.0 else (1.0, 0.0)
+        p, v = (p[0] * s, p[1] * s), (v[0] / s, v[1] / s)
+        # u = a_h + wq*a takes wq times the mode's share of a as well
+        gh = g * (cv[0] * v[0] + cv[1] * v[1]) + wq * ga
+        modes.append((mu, p[0] * b[0] + p[1] * b[1], p, v, ga, gh))
+        scales.append(s)
+    if len(modes) == 2:
+        t12 *= scales[1] / scales[0]
+    values = [t12] + [x for mu, beta, p, v, _, gh in modes for x in (mu, beta, *p, *v, gh)]
+    return (modes, t12, 2.0 * wq) if all(cmath.isfinite(x) for x in values) else None
 
 
 def _span(mu: complex) -> int:
@@ -197,105 +215,105 @@ def _span(mu: complex) -> int:
     return _BLOCK if rate == 0.0 else min(_BLOCK, 1 + int(math.log(_SCAN_RANGE) / rate))
 
 
-def _fill_tables(mp: _NodeMap, m: np.ndarray, out: np.ndarray) -> None:
-    """Rows mu1^m, mu2^m, beta1*mu1^-m, beta2*mu2^-m and t12*mu1^-m of ``out``."""
-    # mu = 0 limits the block to one step, where only m = 0 is read
-    l1, l2 = (cmath.log(mu) if mu != 0 else 0j for mu in (mp.mu1, mp.mu2))
-    for row, log, scale in zip(out, (l1, l2, -l1, -l2, -l1), (1.0, 1.0, mp.beta1, mp.beta2, mp.t12)):
-        np.multiply(m, log, out=row)
-        np.exp(row, out=row)
-        np.multiply(row, scale, out=row)
+def _fill_tables(modes, t12, m: np.ndarray, out: np.ndarray) -> None:
+    """Rows mu^m and beta*mu^-m of each mode, then t12*mu2^-m for two modes, of ``out``."""
+    specs = [(mu, sign, scale) for mu, beta, *_ in modes for sign, scale in ((1.0, 1.0), (-1.0, beta))]
+    specs += [(modes[1][0], -1.0, t12)] if len(modes) == 2 else []
+    for row, (mu, sign, scale) in zip(out, specs):
+        # mu = 0 limits the block to one step, where only m = 0 is read
+        powers = np.exp(m * (sign * cmath.log(mu) if mu != 0 else 0j)) * scale
+        row[:] = powers if row.dtype == complex else powers.real
 
 
-def _march(segments, w: complex, n_u: int, boundary, kicks: dict, snap_steps: list, dt: float,
-           work: np.ndarray, trace: np.ndarray):
+def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list, dt: float, trace: np.ndarray):
     """March one branch in depth, node by node, over time blocks of each schedule segment.
 
-    ``segments`` holds (e_half, e_full, p_half, p_full, first step, stop step).
+    ``segments`` holds (e_half, p_half, e_full, p_full, first step, stop
+    step) of the 31 line, and 1j*``w`` is the trapezoid weight kappa*du/2.
+    A node's state is y = (Re f31, Im f31) under a real 2x2 step map.  Where
+    its eigenvalues are a complex pair, one complex prefix sum of (real
+    input) x (complex table) gives its mode z, and it hands on a += Re z and
+    a_h += Re(g1*z).  Where they are real (or a pair closer to the
+    exceptional point than _MODE_SKEW), it takes two scans in the map's
+    Schur basis, float64 for real eigenvalues.
+
     ``boundary(b0, b1, a, a_h)`` writes the branch input Omega(0) at the
-    full steps and the midpoints of steps b0..b1-1; ``kicks`` maps a step to
-    the coherence it adds to both families at every node.  The back-face
-    field goes to ``trace``.  ``work`` is complex scratch of 10 rows and at
-    least one block: five rows of block arrays, then the tables of node 0's
-    map and, from node 1 on, of the interior map.  Returns the coherences at ``snap_steps`` as (snapshot,
-    family, depth) and the peak |Omega| the slab adds to its input.
+    full steps and the midpoints of steps b0..b1-1; ``kicks`` maps a step
+    to the Im f31 it adds at every node.  The back-face field goes to the
+    float64 ``trace``.  Returns f31 at ``snap_steps`` as (snapshot, depth)
+    and the peak |Omega| the slab adds to its input.
     """
-    state = np.zeros((n_u, 2), dtype=complex)  # (f31, f42) of every node at the next block's first step
-    snaps = np.zeros((len(snap_steps), 2, n_u), dtype=complex)
+    state = [(0.0, 0.0)] * n_u  # y of every node at the next block's first step
+    snaps = np.zeros((len(snap_steps), n_u), dtype=complex)
     peak = 0.0
-    for e_h, e_f, p_h, p_f, first, stop in segments:
+    fields = np.empty((3, min(_BLOCK, len(trace))))
+    # per map dtype (float64 for real eigenvalues): z1, z2, a temporary and the five table rows
+    scratch = {dtype: np.empty((8, fields.shape[1]), dtype=dtype) for dtype in (float, complex)}
+    for e_h, p_h, e_f, p_f, first, stop in segments:
         maps = (_node_map(e_h, e_f, p_h, p_f, 0.0, w), _node_map(e_h, e_f, p_h, p_f, w, w))
-        finite = all(cmath.isfinite(v) for mp in maps for v in mp)
-        spans = [_span(mu) for mp in maps for mu in (mp.mu1, mp.mu2)] if finite else []
+        finite = None not in maps
+        spans = [_span(md[0]) for mp in maps for md in mp[0]] if finite else []
         k_max = min(stop - first, _BLOCK, *spans)
         m = np.arange(k_max)
         for b0 in range(first, stop, k_max):
             b1 = min(b0 + k_max, stop)
             k = b1 - b0
-            a, ah, tmp, z1, z2 = work[:5, :k]
-            pw1, pw2, dn1, dn2, cpl = tables = work[5:, :k]
-            boundary(b0, b1, a, ah)
+            a, u, tmp = fields[:, :k]
+            boundary(b0, b1, a, u)  # node 0 has no self term, so its step input u is a_h
             if b0 in kicks:
-                state += kicks[b0]
-            inner = [(n - b0, amp) for n, amp in kicks.items() if b0 < n < b1]
+                state = [(y0, y1 + kicks[b0]) for y0, y1 in state]
+            inner = [(n - b0, kick) for n, kick in kicks.items() if b0 < n < b1]
             shots = [(n - b0, s) for s, n in enumerate(snap_steps) if b0 <= n < b1]
             if not finite:
                 # the map overflows: the run turns non-finite at the first step carrying a
                 # value; until then every state and field is exactly zero
-                hot = [i for i, _ in inner] + [int(np.flatnonzero(v)[0]) for v in (a, ah) if v.any()]
-                hot += [0] if state.any() else []
+                hot = [i for i, _ in inner] + [int(np.flatnonzero(v)[0]) for v in (a, u) if v.any()]
+                hot += [0] if any(y1 for _, y1 in state) else []
                 if hot:
                     raise NumericalError(f"non-finite field at t = {(b0 + min(hot)) * dt:.4f} ns")
                 continue
             for j in range(n_u):
                 if j < 2:
-                    mp = maps[j]
-                    _fill_tables(mp, m[:k], tables)
-                    qc0, qc1 = mp.q0.conjugate(), mp.q1.conjugate()
+                    modes, t12, wq2 = maps[j]
+                    z1, z2, zt, pw1, dn1, pw2, dn2, cpl = rows = scratch[type(modes[0][0])][:, :k]
+                    _fill_tables(modes, t12, m[:k], rows[3:])
+                    scans = list(zip((z1, z2), (pw1, pw2), (dn1, dn2), modes))
+                    hand_on = [(row, z, g) for z, _, _, (*_, ga, gh) in scans
+                               for row, g in ((a, ga), (u, gh)) if g != 0.0]
                 if j == n_u - 1:
                     # the back-face field is the mean of the last node's input and output
                     trace[b0:b1] = a
-                f, g = state[j].tolist()
-                np.multiply(a, mp.wq, out=tmp)
-                if j:
-                    np.add(ah, tmp, out=ah)  # ah now holds the step input u
-                np.multiply(ah[:-1], dn2[1:], out=z2[1:])
-                z2[0] = mp.q0 * g - mp.q1 * f
-                for i, amp in inner:
-                    z2[i] += amp * (mp.q0 - mp.q1) / pw2[i]
-                np.cumsum(z2, out=z2)
-                np.multiply(z2, pw2, out=z2)  # zeta2
-                np.multiply(ah[:-1], dn1[1:], out=z1[1:])
-                u_last = ah[-1]
-                np.add(ah, tmp, out=ah)  # u + w*q*a, the part of the next a_h known so far
-                if mp.t12 != 0:
-                    np.multiply(z2[:-1], cpl[1:], out=tmp[1:])
-                    np.add(z1[1:], tmp[1:], out=z1[1:])
-                z1[0] = qc0 * f + qc1 * g
-                for i, amp in inner:
-                    z1[i] += amp * (qc0 + qc1) / pw1[i]
-                np.cumsum(z1, out=z1)
-                np.multiply(z1, pw1, out=z1)  # zeta1
-                for i, s in shots:
-                    snaps[s, :, j] = (mp.q0 * z1[i] - qc1 * z2[i], mp.q1 * z1[i] + qc0 * z2[i])
-                n1 = mp.mu1 * z1[-1] + mp.t12 * z2[-1] + mp.beta1 * u_last
-                n2 = mp.mu2 * z2[-1] + mp.beta2 * u_last
-                state[j] = (mp.q0 * n1 - qc1 * n2, mp.q1 * n1 + qc0 * n2)
-                for row, gz1, gz2 in ((a, mp.g00, mp.g01), (ah, mp.g10, mp.g11)):
-                    np.multiply(z1, gz1, out=tmp)
-                    np.add(row, tmp, out=row)
-                    np.multiply(z2, gz2, out=tmp)
-                    np.add(row, tmp, out=row)
-            # the fields are real: the two lines are a conjugate pair, kicks are
-            # imaginary and every field input is real, so f42 = -conj(f31) and
-            # Omega = kappa * int (f31 + f42) is real; the Schur basis mixes the
-            # families, so its imaginary part here is rounding only
+                y0, y1 = state[j]
+                np.multiply(a, wq2, out=tmp)
+                for z, pw, dn, (_, _, p, _, _, _) in scans:
+                    np.multiply(u[:-1], dn[1:], out=z[1:])
+                    if z is z2 and t12 != 0:
+                        np.multiply(z1[:-1], cpl[1:], out=zt[1:])
+                        np.add(z[1:], zt[1:], out=z[1:])
+                    z[0] = p[0] * y0 + p[1] * y1
+                    for i, kick in inner:
+                        z[i] += p[1] * kick / pw[i]
+                    np.cumsum(z, out=z)
+                    np.multiply(z, pw, out=z)
+                # the state one step past the block, and at the snapshots, from the modes
+                u_last, y0, y1 = u[-1].item(), 0.0, 0.0
+                for z, _, _, (mu, beta, _, v, _, _) in scans:
+                    nxt = mu * z[-1].item() + beta * u_last + (t12 * z1[-1].item() if z is z2 else 0.0)
+                    y0, y1 = y0 + (v[0] * nxt).real, y1 + (v[1] * nxt).real
+                    for i, s in shots:
+                        snaps[s, j] += complex((v[0] * z[i]).real, (v[1] * z[i]).real)
+                state[j] = (y0, y1)
+                np.add(u, tmp, out=u)
+                for row, z, g in hand_on:
+                    if g != 1.0:
+                        np.multiply(z, g, out=zt)
+                        z = zt
+                    np.add(row, z.real, out=row)
             np.add(trace[b0:b1], a, out=trace[b0:b1])
             np.multiply(trace[b0:b1], 0.5, out=trace[b0:b1])
-            trace[b0:b1].imag = 0.0
-            boundary(b0, b1, z1, z2)  # the input again, for the field the slab adds to it
-            np.subtract(trace[b0:b1], z1, out=z1)
-            peak = max(peak, float(np.abs(z1).max()))
+            boundary(b0, b1, tmp, u)  # the input again, for the field the slab adds to it
+            np.subtract(trace[b0:b1], tmp, out=tmp)
+            peak = max(peak, float(np.abs(tmp).max()))
     return snaps, peak
 
 
@@ -325,27 +343,24 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     n_t = sc.n_steps + 1
     t_grid = np.arange(n_t) * dt
     n_u = sc.sample.n_depth
-    w = 1j * sc.eta_l * CLEBSCH_A * (0.5 * (1.0 / (n_u - 1)))  # kappa * du / 2
+    w = sc.eta_l * CLEBSCH_A * (0.5 * (1.0 / (n_u - 1)))  # kappa * du / 2 = 1j * w
     mirror = sc.mirror
     tau = sc.tau
     disable_time = mirror.disable_time
     refl_amp = math.sqrt(mirror.reflectivity)
     pulse = sc.pulse
 
-    segments = []
-    for level, first, stop in _segment_steps(sc, n_t):
-        e_h, p_h = _propagators(level, 0.5 * dt)
-        e_f, p_f = _propagators(level, dt)
-        segments.append((e_h, e_f, p_h, p_f, first, stop))
+    segments = [(*_propagators(level, 0.5 * dt), *_propagators(level, dt), first, stop)
+                for level, first, stop in _segment_steps(sc, n_t)]
 
-    # impulsive-mode kicks per branch, {step: coherence added}: the prompt at t0
+    # impulsive-mode kicks per branch, {step: Im f31 added}: the prompt at t0
     # and, when the gate admits it, the mirror-reflected prompt arriving one
-    # round trip later
-    kicks_f: dict[int, complex] = {}
-    kicks_b: dict[int, complex] = {}
+    # round trip later; a kick adds the same imaginary coherence to both lines
+    kicks_f: dict[int, float] = {}
+    kicks_b: dict[int, float] = {}
     if pulse.mode == "impulsive":
         theta = pulse.area
-        kick_amp = 0.25j * CLEBSCH_A
+        kick_amp = 0.25 * CLEBSCH_A
         kicks_f[round(pulse.t0 / dt)] = kick_amp * theta
         if refl_amp > 0.0 and _reflects(pulse.t0, tau, disable_time):
             ib = math.ceil((pulse.t0 + tau) / dt - 1e-9)  # first grid time >= t0 + tau
@@ -354,22 +369,15 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
 
     def drive(b0, b1, out, out_half):
         """The front-face input of the forward branch: the resolved pulse, or 0 in impulsive mode."""
-        if pulse.mode == "gaussian":
-            t = t_grid[b0:b1]
-            out[:] = gaussian_input(t, pulse)
-            out_half[:] = gaussian_input(t + 0.5 * dt, pulse)
-        else:
-            out.fill(0.0)
-            out_half.fill(0.0)
+        for dest, t in ((out, t_grid[b0:b1]), (out_half, t_grid[b0:b1] + 0.5 * dt)):
+            dest[:] = gaussian_input(t, pulse) if pulse.mode == "gaussian" else 0.0
 
     snap_at = {round(t / dt): t for t in sc.record_snapshots_at}
     snap_steps = sorted(snap_at)
-    fwd = np.zeros(n_t, dtype=complex)
-    bwd = np.zeros(n_t, dtype=complex)
-    work = np.empty((10, min(_BLOCK, n_t)), dtype=complex)  # shared by both branches
-    fs, peak_field = _march(segments, w, n_u, drive, kicks_f, snap_steps, dt, work, fwd)
+    fwd, bwd = np.zeros(n_t), np.zeros(n_t)  # real fields, complex once the march is done
+    fs, peak_field = _march(segments, w, n_u, drive, kicks_f, snap_steps, dt, fwd)
 
-    bs = None
+    bs = np.zeros_like(fs)
     if refl_amp > 0.0:
         def feedback(b0, b1, out, out_half):
             """-sqrt(R) * Omega_F(t - tau, L) while the gate is open, else 0.
@@ -384,7 +392,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
                 np.multiply(dest, -refl_amp, out=dest)
                 dest[~_reflects(t_exit, tau, disable_time)] = 0.0
 
-        bs, peak_b = _march(segments, w, n_u, feedback, kicks_b, snap_steps, dt, work, bwd)
+        bs, peak_b = _march(segments, w, n_u, feedback, kicks_b, snap_steps, dt, bwd)
         peak_field = max(peak_field, peak_b)
 
     bad = ~(np.isfinite(fwd) & np.isfinite(bwd))
@@ -400,31 +408,19 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
             stacklevel=2,
         )
 
+    # the lines are a conjugate pair: f42 = -conj(f31), b42 = -conj(b31)
     snapshots = []
     for s, step in enumerate(snap_steps):
-        if bs is None:
-            b31, b42 = np.zeros(n_u, dtype=complex), np.zeros(n_u, dtype=complex)
-        else:
-            b31, b42 = bs[s, 0, ::-1].copy(), bs[s, 1, ::-1].copy()
-        snapshots.append(CoherenceSnapshot(snap_at[step], fs[s, 0].copy(), fs[s, 1].copy(), b31, b42))
+        f31, b31 = fs[s].copy(), bs[s, ::-1].copy()
+        snapshots.append(CoherenceSnapshot(snap_at[step], f31, -f31.conj(), b31, -b31.conj()))
 
+    fwd, bwd = fwd.astype(complex), bwd.astype(complex)
     # a reflecting mirror stands in the forward detector's beam until it is disabled
     in_beam = np.full(n_t, refl_amp > 0.0)
     if disable_time is not None:
         in_beam &= t_grid < disable_time
     detected = np.where(in_beam, math.sqrt(1.0 - mirror.reflectivity) * fwd, fwd)
 
-    traces = TraceSet(
-        t_grid=t_grid,
-        fwd_amp=fwd,
-        bwd_amp=bwd,
-        fwd_detected=detected,
-        mirror_in_beam=in_beam,
-        metadata={
-            "config_hash": sc.config_hash,
-            "reflectivity": mirror.reflectivity,
-            "tau": tau,
-            "schedule": [[s.t_start, s.delta_b] for s in sc.schedule.segments],
-        },
-    )
-    return traces, snapshots
+    metadata = {"config_hash": sc.config_hash, "reflectivity": mirror.reflectivity, "tau": tau,
+                "schedule": [[s.t_start, s.delta_b] for s in sc.schedule.segments]}
+    return TraceSet(t_grid, fwd, bwd, detected, in_beam, metadata), snapshots

@@ -125,6 +125,8 @@ def test_oversized_grid_rejected_before_allocation(tmp_path, capsys, sets, field
     # a reflecting mirror's round trip is at least one step (single_pass has dt 0.005)
     (["--set", "mirror.reflectivity=0.5", "--set", "mirror.delay_tau=0"], "mirror.delay_tau"),
     (["--set", "mirror.reflectivity=0.5", "--set", "mirror.delay_tau=0.0025"], "mirror.delay_tau"),
+    # only a gaussian pulse has a width
+    (["--set", "pulse.fwhm=2.0"], "pulse.fwhm"),
 ])
 def test_rejected_input_names_field(tmp_path, capsys, args, field):
     assert run_cli(["run", "--preset", "single_pass", *args, "--out", str(tmp_path / "x")]) == 1

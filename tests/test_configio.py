@@ -107,6 +107,8 @@ def test_int_and_float_spellings_hash_alike():
     ([{"action": "off"}], "schedule.events[0].t"),
     ([{"t": 5.0, "action": "off"}, {"t": 6.0}], "schedule.events[1].action"),
     (5, "schedule.events"),
+    ([{"t": 5.0, "action": None}], "schedule.events[0].action"),
+    ([{"t": 5.0, "action": ["off"]}], "schedule.events[0].action"),
 ])
 def test_malformed_event_names_field(events, field):
     data = fig2a_dict()

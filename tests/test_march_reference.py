@@ -8,6 +8,7 @@ same discretisation, so they agree to rounding; the bound is 1e-10 of each
 array's largest magnitude.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -83,17 +84,20 @@ def node_map(sc, level):
     return np.diag(e_f) + w * np.outer(p_f, e_h + w * p_h.sum())
 
 
-def coalescing_level(sc):
-    """delta_b in (0, 2 gamma) where the interior map's eigenvalues coincide (discriminant 0)."""
-    def disc(level):
-        m = node_map(sc, level)
-        return (0.25 * (m[0, 0] - m[1, 1]) ** 2 + m[0, 1] * m[1, 0]).real
+def eigen_gap(sc, level):
+    """|mu1 - mu2| / |mean| of the interior map's eigenvalues, negative where they are a complex pair."""
+    m = node_map(sc, level)
+    disc = (0.25 * (m[0, 0] - m[1, 1]) ** 2 + m[0, 1] * m[1, 0]).real
+    return math.copysign(2.0 * math.sqrt(abs(disc)) / abs(0.5 * (m[0, 0] + m[1, 1])), disc)
 
+
+def coalescing_level(sc, gap=0.0):
+    """delta_b in (0, 2 gamma) where the interior map's eigen_gap is ``gap``; at 0 the eigenvalues coincide."""
     lo, hi = 1e-6 * GAMMA, 2.0 * GAMMA
-    assert disc(lo) > 0.0 > disc(hi)
+    assert eigen_gap(sc, lo) > gap > eigen_gap(sc, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if disc(mid) > 0.0 else (lo, mid)
+        lo, hi = (mid, hi) if eigen_gap(sc, mid) > gap else (lo, mid)
     return lo
 
 
@@ -117,9 +121,16 @@ def fig2c_short():
     return replace(cfg, sample=replace(cfg.sample, n_depth=41), t_end=120.0, dt=0.05)
 
 
-def coalescing():
-    cfg = replace(BASE, sample=SampleSpec(xi=5.0, n_depth=11))
-    return replace(cfg, schedule=HyperfineSchedule.constant(coalescing_level(validate_scenario(cfg))))
+def coalescing(xi=5.0, gap=0.0):
+    cfg = replace(BASE, sample=SampleSpec(xi=xi, n_depth=11))
+    return replace(cfg, schedule=HyperfineSchedule.constant(coalescing_level(validate_scenario(cfg), gap)))
+
+
+# signed eigen_gap of the cases on either side of the exceptional point: real and
+# distinct above 0, a complex pair below; xi = 20 makes the field-off gap large
+# enough (1.4e-4) for the real side to reach 1e-4
+NEAR_COALESCING = {"coalescing_real_1e-4": 1e-4, "coalescing_real_1e-8": 1e-8,
+                   "coalescing_pair_1e-4": -1e-4, "coalescing_pair_1e-8": -1e-8}
 
 
 CASES = {
@@ -143,6 +154,7 @@ CASES = {
                                         schedule=HyperfineSchedule.constant(0.0), t_end=27000.0, dt=3.0,
                                         record_snapshots_at=(12.0, 300.0)),
     "snapshot_on_kick": lambda: replace(BASE, record_snapshots_at=(0.5, math.ceil((0.5 + TAU) / 0.01 - 1e-9) * 0.01)),
+    **{name: (lambda gap=gap: coalescing(20.0, gap)) for name, gap in NEAR_COALESCING.items()},
 }
 
 
@@ -155,13 +167,19 @@ def assert_close(got, ref, name):
         assert err <= 1e-10, f"{name}: relative max error {err:.2e}"
 
 
+@functools.lru_cache(maxsize=None)
+def case_reference(case):
+    """``reference_run`` of one CASES entry, computed once for the tests that read it."""
+    return reference_run(validate_scenario(CASES[case]()))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_march_matches_reference_loop(case):
     sc = validate_scenario(CASES[case]())
     traces, snapshots = run_scenario(sc)
-    fwd, bwd, snaps = reference_run(sc)
+    fwd, bwd, snaps = case_reference(case)
     # the scheme keeps both fields exactly real (conjugate lines, imaginary kicks,
-    # real inputs); the solver drops the rounding its Schur basis leaves in Im
+    # real inputs); the solver marches f31 alone in real coordinates
     assert np.all(fwd.imag == 0.0) and np.all(bwd.imag == 0.0)
     assert np.all(traces.fwd_amp.imag == 0.0) and np.all(traces.bwd_amp.imag == 0.0)
     assert_close(traces.fwd_amp, fwd, "fwd")
@@ -174,6 +192,20 @@ def test_march_matches_reference_loop(case):
             assert_close(got, ref, f"t = {snap.t} {name}")
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reference_keeps_lines_conjugate(case):
+    # the invariant the solver's march rests on, checked on the loop that marches
+    # both lines of both branches independently: f42 = -conj(f31), b42 = -conj(b31)
+    # in every snapshot, and real fields (their sum is the field's source) in the traces
+    fwd, bwd, snaps = case_reference(case)
+    for name, trace in (("fwd", fwd), ("bwd", bwd)):
+        assert np.abs(trace.imag).max() <= 1e-13 * np.abs(trace).max(), name
+    for step, x in snaps.items():
+        for branch, (line31, line42) in zip("fb", x):
+            scale = np.abs(line31).max()
+            assert np.abs(line42 + line31.conj()).max() <= 1e-13 * scale, f"step {step} {branch}42"
+
+
 def test_cases_reach_their_regimes():
     # the coalescing case sits on the exceptional point of the interior map; in
     # the extreme case |mu|^-m overflows within 8192 steps, so the run holds
@@ -181,6 +213,18 @@ def test_cases_reach_their_regimes():
     sc = validate_scenario(CASES["coalescing_eigenvalues"]())
     mu = np.linalg.eigvals(node_map(sc, sc.schedule.segments[0].delta_b))
     assert abs(mu[0] - mu[1]) < 1e-6 * abs(mu[0])
+    # the cases beside it sit on their side of the exceptional point, at their gap:
+    # a complex pair is marched as one complex mode (or, closest to the point, in
+    # its Schur basis), real eigenvalues always in the real Schur basis
+    for name, gap in NEAR_COALESCING.items():
+        sc = validate_scenario(CASES[name]())
+        level = sc.schedule.segments[0].delta_b
+        assert eigen_gap(sc, level) == pytest.approx(gap, rel=1e-3), name
+        mu = np.linalg.eigvals(node_map(sc, level))
+        if gap > 0.0:
+            assert np.all(np.abs(mu.imag) < 1e-3 * np.abs(mu[0] - mu[1])), name
+        else:
+            assert abs(mu[0] - mu[1].conjugate()) < 1e-3 * abs(mu[0] - mu[1]), name
     sc = validate_scenario(CASES["extreme_coupling"]())
     rate = np.abs(np.log(np.abs(np.linalg.eigvals(node_map(sc, 0.0))))).max()
     assert math.log(np.finfo(float).max) / rate < 8192

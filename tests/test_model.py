@@ -178,6 +178,12 @@ class TestValidateScenario:
         with pytest.raises(ScenarioError, match="fwhm"):
             PulseSpec(mode="gaussian").validate()
 
+    def test_impulsive_rejects_fwhm(self):
+        # an impulsive kick has no envelope: a width there would move the hash and no result
+        PulseSpec(fwhm=None).validate()
+        with pytest.raises(ScenarioError, match="pulse.fwhm"):
+            PulseSpec(fwhm=2.0).validate()
+
     def test_gaussian_must_start_two_widths_after_zero(self):
         # centred at t = 0 the envelope loses its head and 43 % of the response
         PulseSpec(mode="gaussian", fwhm=1.0, t0=2.0).validate()
