@@ -243,7 +243,7 @@ def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list
     float64 ``trace``.  Returns f31 at ``snap_steps`` as (snapshot, depth)
     and the peak |Omega| the slab adds to its input.
     """
-    state = [(0.0, 0.0)] * n_u  # y of every node at the next block's first step
+    state = np.zeros((n_u, 2))  # y of every node at the next block's first step
     snaps = np.zeros((len(snap_steps), n_u), dtype=complex)
     peak = 0.0
     fields = np.empty((3, min(_BLOCK, len(trace))))
@@ -261,14 +261,14 @@ def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list
             a, u, tmp = fields[:, :k]
             boundary(b0, b1, a, u)  # node 0 has no self term, so its step input u is a_h
             if b0 in kicks:
-                state = [(y0, y1 + kicks[b0]) for y0, y1 in state]
+                state[:, 1] += kicks[b0]
             inner = [(n - b0, kick) for n, kick in kicks.items() if b0 < n < b1]
             shots = [(n - b0, s) for s, n in enumerate(snap_steps) if b0 <= n < b1]
             if not finite:
                 # the map overflows: the run turns non-finite at the first step carrying a
                 # value; until then every state and field is exactly zero
                 hot = [i for i, _ in inner] + [int(np.flatnonzero(v)[0]) for v in (a, u) if v.any()]
-                hot += [0] if any(y1 for _, y1 in state) else []
+                hot += [0] if state.any() else []
                 if hot:
                     raise NumericalError(f"non-finite field at t = {(b0 + min(hot)) * dt:.4f} ns")
                 continue
@@ -283,7 +283,7 @@ def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list
                 if j == n_u - 1:
                     # the back-face field is the mean of the last node's input and output
                     trace[b0:b1] = a
-                y0, y1 = state[j]
+                y0, y1 = state[j].tolist()
                 np.multiply(a, wq2, out=tmp)
                 for z, pw, dn, (_, _, p, _, _, _) in scans:
                     np.multiply(u[:-1], dn[1:], out=z[1:])

@@ -344,6 +344,42 @@ def test_trace_digest_script_is_stable():
     assert first == second
 
 
+def test_bench_record_script(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    bench_record = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(bench_record)
+
+    def record(sha, seed, wall, traced=False):
+        """A perfbench record as perfbench/run.py writes it, reduced to the keys the script reads."""
+        metrics = {"wall_s": wall, "cpu_s": 0.9 * wall, "setup_s": 0.1, "peak_rss_mb": 40.0, "fail_frac": 0.0}
+        if traced:
+            metrics.update({"solver.run_s": 0.5 * wall, "traceio.write_s": 0.01})
+        machine = {"seed": seed, "git_sha": sha, "python": "3.11.7", "numpy": "2.4.6", "blas": "openblas",
+                   "nproc": 2, "cpu_model": "cpu"}
+        out = tmp_path / f"{sha}-{seed}-{int(traced)}.json"
+        out.write_text(json.dumps({"record": machine, "workload": {"name": "sweep"}, "metrics": metrics,
+                                   "samples": [{"traced": False}] + [{"traced": True}] * traced}))
+        return str(out)
+
+    parent = [record("aaa", s, w) for s, w in zip((1, 2, 3, 4), (1.0, 1.2, 1.1, 1.4))] + [record("aaa", 5, 1.0, True)]
+    change = [record("bbb", s, w) for s, w in zip((1, 2, 3, 4), (0.6, 0.7, 1.3, 0.5))] + [record("bbb", 5, 0.6, True)]
+    monkeypatch.chdir(tmp_path)
+    assert bench_record.main([*parent, "--change", *change, "--pr", "7"]) == 0
+    out = json.loads((tmp_path / "BENCH_7.json").read_text())
+    wall = out["parent"]["workloads"]["sweep"]["wall_s"]
+    assert (wall["median"], wall["q1"], wall["q3"], wall["n"]) == pytest.approx((1.15, 1.075, 1.25, 4))
+    assert wall["iqr"] == pytest.approx(0.175)
+    sweep = out["change"]["workloads"]["sweep"]
+    assert sweep["wall_s"]["median"] == pytest.approx(0.65)
+    assert sweep["seeds"] == [1, 2, 3, 4] and sweep["fail_frac"] == 0.0
+    assert sweep["layers"] == pytest.approx({"solver.run_s": 0.3, "traceio.write_s": 0.01})
+    assert out["change"]["machine"]["git_sha"] == ["bbb"] and out["parent"]["machine"]["nproc"] == ["2"]
+    # traced runs count in no pair; the change's wall_s is lower in three of four
+    assert out["pairs"] == {"sweep": {"pairs": 4, "change_lower_wall_s": 3}}
+
+
 def test_trace_diff_script(tmp_path, monkeypatch, capsys):
     path = Path(__file__).resolve().parent.parent / "scripts" / "trace_diff.py"
     spec = importlib.util.spec_from_file_location("trace_diff", path)
