@@ -374,8 +374,8 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
 
     snap_at = {round(t / dt): t for t in sc.record_snapshots_at}
     snap_steps = sorted(snap_at)
-    fwd, bwd = np.zeros(n_t), np.zeros(n_t)  # real fields, complex once the march is done
-    fs, peak_field = _march(segments, w, n_u, drive, kicks_f, snap_steps, dt, fwd)
+    fwd, bwd = np.zeros(n_t, dtype=complex), np.zeros(n_t, dtype=complex)  # the march writes the real part
+    fs, peak_field = _march(segments, w, n_u, drive, kicks_f, snap_steps, dt, fwd.real)
 
     bs = np.zeros_like(fs)
     if refl_amp > 0.0:
@@ -388,11 +388,11 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
             t = t_grid[b0:b1]
             for dest, t_at in ((out, t), (out_half, t + 0.5 * dt)):
                 t_exit = t_at - tau
-                np.copyto(dest, np.interp(t_exit, t_grid, fwd))
+                np.copyto(dest, np.interp(t_exit, t_grid, fwd.real))
                 np.multiply(dest, -refl_amp, out=dest)
                 dest[~_reflects(t_exit, tau, disable_time)] = 0.0
 
-        bs, peak_b = _march(segments, w, n_u, feedback, kicks_b, snap_steps, dt, bwd)
+        bs, peak_b = _march(segments, w, n_u, feedback, kicks_b, snap_steps, dt, bwd.real)
         peak_field = max(peak_field, peak_b)
 
     bad = ~(np.isfinite(fwd) & np.isfinite(bwd))
@@ -414,7 +414,6 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
         f31, b31 = fs[s].copy(), bs[s, ::-1].copy()
         snapshots.append(CoherenceSnapshot(snap_at[step], f31, -f31.conj(), b31, -b31.conj()))
 
-    fwd, bwd = fwd.astype(complex), bwd.astype(complex)
     # a reflecting mirror stands in the forward detector's beam until it is disabled
     in_beam = np.full(n_t, refl_amp > 0.0)
     if disable_time is not None:
