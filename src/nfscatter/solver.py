@@ -239,8 +239,8 @@ def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list
 
     ``boundary(b0, b1, a, a_h)`` writes the branch input Omega(0) at the
     full steps and the midpoints of steps b0..b1-1; ``kicks`` maps a step
-    to the Im f31 it adds at every node.  The back-face field goes to the
-    float64 ``trace``.  Returns f31 at ``snap_steps`` as (snapshot, depth)
+    to the Im f31 it adds at every node.  The back-face field goes to
+    ``trace``, a float64 view.  Returns f31 at ``snap_steps`` as (snapshot, depth)
     and the peak |Omega| the slab adds to its input.
     """
     state = np.zeros((n_u, 2))  # y of every node at the next block's first step
