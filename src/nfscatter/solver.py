@@ -46,6 +46,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,13 +61,6 @@ _BLOCK = 8192
 #: largest |mu|^(+-m) a block may span, which keeps the scan's tables and
 #: partial sums far from overflow and underflow on strongly damped maps
 _SCAN_RANGE = 1e8
-
-#: largest |t12|/|mu1 - mu2|, about the condition number of its eigenbasis, at
-#: which a complex eigenpair is marched as one complex mode.  Rebuilding f31 and
-#: the fields from the mode magnifies the unit roundoff 1.1e-16 by at most that:
-#: 1e-12 here, two orders inside the 1e-10 the march keeps against the per-step
-#: loop.  A pair closer to the exceptional point takes the Schur path.
-_MODE_SKEW = 1e4
 
 
 class NumericalError(RuntimeError):
@@ -163,16 +157,29 @@ def _schur(m00: float, m01: float, m10: float, m11: float):
     return mean + rho, mean - rho, t12, q0, q1
 
 
+class _Mode(NamedTuple):
+    """One scanned coordinate z = p . y of a node's state y = (Re f31, Im f31).
+
+    With u = a_h + w_self*q*a the step input, z' = mu*z + beta*u, and y is
+    Re(v*z) summed over the node's modes.  The mode adds Re(ga*z) to the
+    next node's a (ga is 1 or 0) and Re(gh*z) to its u.
+    """
+
+    mu: complex
+    beta: complex
+    p: tuple
+    v: tuple
+    ga: float
+    gh: complex
+
+
 def _node_map(e_h: complex, e_f: complex, p_h: complex, p_f: complex, w_self: float, w: float):
     """The realified step map of a node whose own coherence enters its field with weight 1j*``w_self``.
 
-    Returns (modes, t12, wq2), or None if the map is not finite.  A mode
-    (mu, beta, p, v, ga, gh) is a coordinate z = p . y of the node's state
-    y = (Re f31, Im f31) = Re(sum of v*z) with z' = mu*z + beta*u, u = a_h +
-    w_self*q*a the step input; it adds Re(ga*z) to the next node's a (ga is
-    1 or 0) and Re(gh*z) to its u, which also takes wq2*a.  There is one
-    complex mode, or two Schur coordinates, the second also taking t12 times
-    the first.  With f42 = -conj(f31) the node's coherence sum is s =
+    Returns (modes, t12, wq2), or None if the map is not finite: one complex
+    _Mode for a complex eigenpair, else two Schur coordinates, the second
+    also taking t12 times the first; the next node's u takes wq2*a beyond
+    the modes.  With f42 = -conj(f31) the node's coherence sum is s =
     2i*Im(f31) and the midpoint one s_half = 2i*Im(c*f31) + q*a, q = 2i*Im(p_h).
     """
     c = e_h - 2.0 * w_self * p_h.imag
@@ -187,7 +194,7 @@ def _node_map(e_h: complex, e_f: complex, p_h: complex, p_f: complex, w_self: fl
     mu1, mu2, t12, q0, q1 = _schur(r00, r01, r10, r11)
     qc0, qc1 = q0.conjugate(), q1.conjugate()
     den = q0 * qc1 - q1 * qc0
-    if mu1.imag != 0.0 and den != 0.0 and abs(t12) <= _MODE_SKEW * abs(mu1 - mu2):
+    if mu1.imag != 0.0 and den != 0.0:
         # y = 2 Re(v z) with v = (q0, q1), the eigenvector of mu1: z = l . y with
         # l . v = 1 and l . conj(v) = 0
         bases = [(mu1, (qc1 / den, -qc0 / den), (2.0 * q0, 2.0 * q1))]
@@ -201,11 +208,11 @@ def _node_map(e_h: complex, e_f: complex, p_h: complex, p_f: complex, w_self: fl
         p, v = (p[0] * s, p[1] * s), (v[0] / s, v[1] / s)
         # u = a_h + wq*a takes wq times the mode's share of a as well
         gh = g * (cv[0] * v[0] + cv[1] * v[1]) + wq * ga
-        modes.append((mu, p[0] * b[0] + p[1] * b[1], p, v, ga, gh))
+        modes.append(_Mode(mu, p[0] * b[0] + p[1] * b[1], p, v, ga, gh))
         scales.append(s)
     if len(modes) == 2:
         t12 *= scales[1] / scales[0]
-    values = [t12] + [x for mu, beta, p, v, _, gh in modes for x in (mu, beta, *p, *v, gh)]
+    values = [t12] + [x for md in modes for x in (md.mu, md.beta, *md.p, *md.v, md.gh)]
     return (modes, t12, 2.0 * wq) if all(cmath.isfinite(x) for x in values) else None
 
 
@@ -217,8 +224,8 @@ def _span(mu: complex) -> int:
 
 def _fill_tables(modes, t12, m: np.ndarray, out: np.ndarray) -> None:
     """Rows mu^m and beta*mu^-m of each mode, then t12*mu2^-m for two modes, of ``out``."""
-    specs = [(mu, sign, scale) for mu, beta, *_ in modes for sign, scale in ((1.0, 1.0), (-1.0, beta))]
-    specs += [(modes[1][0], -1.0, t12)] if len(modes) == 2 else []
+    specs = [(md.mu, sign, scale) for md in modes for sign, scale in ((1.0, 1.0), (-1.0, md.beta))]
+    specs += [(modes[1].mu, -1.0, t12)] if len(modes) == 2 else []
     for row, (mu, sign, scale) in zip(out, specs):
         # mu = 0 limits the block to one step, where only m = 0 is read
         powers = np.exp(m * (sign * cmath.log(mu) if mu != 0 else 0j)) * scale
@@ -232,10 +239,9 @@ def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list
     step) of the 31 line, and 1j*``w`` is the trapezoid weight kappa*du/2.
     A node's state is y = (Re f31, Im f31) under a real 2x2 step map.  Where
     its eigenvalues are a complex pair, one complex prefix sum of (real
-    input) x (complex table) gives its mode z, and it hands on a += Re z and
-    a_h += Re(g1*z).  Where they are real (or a pair closer to the
-    exceptional point than _MODE_SKEW), it takes two scans in the map's
-    Schur basis, float64 for real eigenvalues.
+    input) x (complex table) gives its _Mode z, and it hands on a += Re z
+    and u += Re(gh*z).  Where they are real, it takes two float64 scans in
+    the map's real Schur basis.
 
     ``boundary(b0, b1, a, a_h)`` writes the branch input Omega(0) at the
     full steps and the midpoints of steps b0..b1-1; ``kicks`` maps a step
@@ -252,7 +258,7 @@ def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list
     for e_h, p_h, e_f, p_f, first, stop in segments:
         maps = (_node_map(e_h, e_f, p_h, p_f, 0.0, w), _node_map(e_h, e_f, p_h, p_f, w, w))
         finite = None not in maps
-        spans = [_span(md[0]) for mp in maps for md in mp[0]] if finite else []
+        spans = [_span(md.mu) for modes, _, _ in maps for md in modes] if finite else []
         k_max = min(stop - first, _BLOCK, *spans)
         m = np.arange(k_max)
         for b0 in range(first, stop, k_max):
@@ -275,33 +281,33 @@ def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list
             for j in range(n_u):
                 if j < 2:
                     modes, t12, wq2 = maps[j]
-                    z1, z2, zt, pw1, dn1, pw2, dn2, cpl = rows = scratch[type(modes[0][0])][:, :k]
+                    z1, z2, zt, pw1, dn1, pw2, dn2, cpl = rows = scratch[type(modes[0].mu)][:, :k]
                     _fill_tables(modes, t12, m[:k], rows[3:])
                     scans = list(zip((z1, z2), (pw1, pw2), (dn1, dn2), modes))
-                    hand_on = [(row, z, g) for z, _, _, (*_, ga, gh) in scans
-                               for row, g in ((a, ga), (u, gh)) if g != 0.0]
+                    hand_on = [(row, z, g) for z, _, _, md in scans
+                               for row, g in ((a, md.ga), (u, md.gh)) if g != 0.0]
                 if j == n_u - 1:
                     # the back-face field is the mean of the last node's input and output
                     trace[b0:b1] = a
                 y0, y1 = state[j].tolist()
                 np.multiply(a, wq2, out=tmp)
-                for z, pw, dn, (_, _, p, _, _, _) in scans:
+                for z, pw, dn, md in scans:
                     np.multiply(u[:-1], dn[1:], out=z[1:])
                     if z is z2 and t12 != 0:
                         np.multiply(z1[:-1], cpl[1:], out=zt[1:])
                         np.add(z[1:], zt[1:], out=z[1:])
-                    z[0] = p[0] * y0 + p[1] * y1
+                    z[0] = md.p[0] * y0 + md.p[1] * y1
                     for i, kick in inner:
-                        z[i] += p[1] * kick / pw[i]
+                        z[i] += md.p[1] * kick / pw[i]
                     np.cumsum(z, out=z)
                     np.multiply(z, pw, out=z)
                 # the state one step past the block, and at the snapshots, from the modes
                 u_last, y0, y1 = u[-1].item(), 0.0, 0.0
-                for z, _, _, (mu, beta, _, v, _, _) in scans:
-                    nxt = mu * z[-1].item() + beta * u_last + (t12 * z1[-1].item() if z is z2 else 0.0)
-                    y0, y1 = y0 + (v[0] * nxt).real, y1 + (v[1] * nxt).real
+                for z, _, _, md in scans:
+                    nxt = md.mu * z[-1].item() + md.beta * u_last + (t12 * z1[-1].item() if z is z2 else 0.0)
+                    y0, y1 = y0 + (md.v[0] * nxt).real, y1 + (md.v[1] * nxt).real
                     for i, s in shots:
-                        snaps[s, j] += complex((v[0] * z[i]).real, (v[1] * z[i]).real)
+                        snaps[s, j] += complex((md.v[0] * z[i]).real, (md.v[1] * z[i]).real)
                 state[j] = (y0, y1)
                 np.add(u, tmp, out=u)
                 for row, z, g in hand_on:
@@ -350,8 +356,11 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     refl_amp = math.sqrt(mirror.reflectivity)
     pulse = sc.pulse
 
-    segments = [(*_propagators(level, 0.5 * dt), *_propagators(level, dt), first, stop)
-                for level, first, stop in _segment_steps(sc, n_t)]
+    segments = []
+    for level, first, stop in _segment_steps(sc, n_t):
+        e_h, p_h = _propagators(level, 0.5 * dt)
+        e_f, p_f = _propagators(level, dt)
+        segments.append((e_h, p_h, e_f, p_f, first, stop))
 
     # impulsive-mode kicks per branch, {step: Im f31 added}: the prompt at t0
     # and, when the gate admits it, the mirror-reflected prompt arriving one
@@ -369,8 +378,13 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
 
     def drive(b0, b1, out, out_half):
         """The front-face input of the forward branch: the resolved pulse, or 0 in impulsive mode."""
-        for dest, t in ((out, t_grid[b0:b1]), (out_half, t_grid[b0:b1] + 0.5 * dt)):
-            dest[:] = gaussian_input(t, pulse) if pulse.mode == "gaussian" else 0.0
+        if pulse.mode == "gaussian":
+            t = t_grid[b0:b1]
+            out[:] = gaussian_input(t, pulse)
+            out_half[:] = gaussian_input(t + 0.5 * dt, pulse)
+        else:
+            out.fill(0.0)
+            out_half.fill(0.0)
 
     snap_at = {round(t / dt): t for t in sc.record_snapshots_at}
     snap_steps = sorted(snap_at)
@@ -420,6 +434,17 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
         in_beam &= t_grid < disable_time
     detected = np.where(in_beam, math.sqrt(1.0 - mirror.reflectivity) * fwd, fwd)
 
-    metadata = {"config_hash": sc.config_hash, "reflectivity": mirror.reflectivity, "tau": tau,
-                "schedule": [[s.t_start, s.delta_b] for s in sc.schedule.segments]}
-    return TraceSet(t_grid, fwd, bwd, detected, in_beam, metadata), snapshots
+    traces = TraceSet(
+        t_grid=t_grid,
+        fwd_amp=fwd,
+        bwd_amp=bwd,
+        fwd_detected=detected,
+        mirror_in_beam=in_beam,
+        metadata={
+            "config_hash": sc.config_hash,
+            "reflectivity": mirror.reflectivity,
+            "tau": tau,
+            "schedule": [[s.t_start, s.delta_b] for s in sc.schedule.segments],
+        },
+    )
+    return traces, snapshots

@@ -214,8 +214,8 @@ def test_cases_reach_their_regimes():
     mu = np.linalg.eigvals(node_map(sc, sc.schedule.segments[0].delta_b))
     assert abs(mu[0] - mu[1]) < 1e-6 * abs(mu[0])
     # the cases beside it sit on their side of the exceptional point, at their gap:
-    # a complex pair is marched as one complex mode (or, closest to the point, in
-    # its Schur basis), real eigenvalues always in the real Schur basis
+    # a complex pair is marched as one complex mode, real eigenvalues in the
+    # real Schur basis
     for name, gap in NEAR_COALESCING.items():
         sc = validate_scenario(CASES[name]())
         level = sc.schedule.segments[0].delta_b
