@@ -126,6 +126,16 @@ def coalescing(xi=5.0, gap=0.0):
     return replace(cfg, schedule=HyperfineSchedule.constant(coalescing_level(validate_scenario(cfg), gap)))
 
 
+def nearest_pair(xi=5.0):
+    """The first float delta_b past the exceptional point at which the eigenvalues are a complex pair."""
+    cfg = replace(BASE, sample=SampleSpec(xi=xi, n_depth=11))
+    sc = validate_scenario(cfg)
+    level = coalescing_level(sc)
+    while eigen_gap(sc, level) >= 0.0:
+        level = math.nextafter(level, math.inf)
+    return replace(cfg, schedule=HyperfineSchedule.constant(level))
+
+
 # signed eigen_gap of the cases on either side of the exceptional point: real and
 # distinct above 0, a complex pair below; xi = 20 makes the field-off gap large
 # enough (1.4e-4) for the real side to reach 1e-4
@@ -150,6 +160,8 @@ CASES = {
     "xi_zero": lambda: replace(BASE, sample=SampleSpec(xi=0.0, n_depth=21)),
     "field_off": lambda: replace(BASE, schedule=HyperfineSchedule.constant(0.0)),
     "coalescing_eigenvalues": coalescing,
+    # the worst-conditioned complex pair a float delta_b reaches, still one complex mode
+    "coalescing_pair_nearest": nearest_pair,
     "extreme_coupling": lambda: replace(BASE, sample=SampleSpec(xi=50.0, n_depth=11), pulse=PulseSpec(area=1e-5, t0=0.0),
                                         schedule=HyperfineSchedule.constant(0.0), t_end=27000.0, dt=3.0,
                                         record_snapshots_at=(12.0, 300.0)),
@@ -225,6 +237,8 @@ def test_cases_reach_their_regimes():
             assert np.all(np.abs(mu.imag) < 1e-3 * np.abs(mu[0] - mu[1])), name
         else:
             assert abs(mu[0] - mu[1].conjugate()) < 1e-3 * abs(mu[0] - mu[1]), name
+    sc = validate_scenario(CASES["coalescing_pair_nearest"]())
+    assert -1e-10 < eigen_gap(sc, sc.schedule.segments[0].delta_b) < 0.0
     sc = validate_scenario(CASES["extreme_coupling"]())
     rate = np.abs(np.log(np.abs(np.linalg.eigvals(node_map(sc, 0.0))))).max()
     assert math.log(np.finfo(float).max) / rate < 8192
