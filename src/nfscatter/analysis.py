@@ -15,6 +15,12 @@ import numpy as np
 
 from .solver import CoherenceSnapshot, TraceSet
 
+#: samples of s over one carrier period in an excitation pattern
+_PATTERN_POINTS = 512
+
+#: beat_period's prominence: the intensity ratio of both neighbouring maxima to a minimum
+_BEAT_PROMINENCE = 10.0
+
 
 @dataclass(frozen=True)
 class IntensitySeries:
@@ -131,7 +137,7 @@ def _wrap(phi: float) -> float:
     return out - math.pi
 
 
-def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float, n_s: int = 512) -> ExcitationPattern:
+def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float) -> ExcitationPattern:
     """Standing-wave excitation density from a stored-excitation snapshot."""
     f31 = complex(np.mean(snapshot.f31))
     f42 = complex(np.mean(snapshot.f42))
@@ -140,7 +146,7 @@ def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float, n_s: i
     if f31 == f42 == b31 == b42 == 0.0:
         raise ValueError("no excitation stored: all depth-averaged coherences vanish")
     period = 2.0 * math.pi / wave_number_k
-    s = np.arange(n_s) * (period / n_s)
+    s = np.arange(_PATTERN_POINTS) * (period / _PATTERN_POINTS)
     fwd = np.exp(1j * wave_number_k * s)
     bwd = np.conj(fwd)
     density = np.abs(f31 * fwd + b31 * bwd) ** 2 + np.abs(f42 * fwd + b42 * bwd) ** 2
@@ -164,12 +170,11 @@ def storage_suppression(traces: TraceSet, t_off: float, t_on: float) -> float:
     return float(np.max(total[stored])) / ref
 
 
-def beat_period(t_grid: np.ndarray, intensity: np.ndarray, window: tuple[float, float],
-                prominence: float = 10.0) -> float:
+def beat_period(t_grid: np.ndarray, intensity: np.ndarray, window: tuple[float, float]) -> float:
     """Mean spacing between successive intensity minima inside the window.
 
-    A local minimum counts only if the intensity rises by at least
-    ``prominence`` towards both neighbouring maxima, which rejects shallow
+    A local minimum counts only if the intensity rises by at least a factor
+    _BEAT_PROMINENCE towards both neighbouring maxima, which rejects shallow
     wiggles on storage plateaus.  Fewer than two surviving minima is an
     error.
     """
@@ -186,7 +191,7 @@ def beat_period(t_grid: np.ndarray, intensity: np.ndarray, window: tuple[float, 
         left = np.max(inten[bounds[j]:idx + 1])
         right = np.max(inten[idx:bounds[j + 2] + 1])
         floor = inten[idx]
-        if floor == 0.0 or min(left, right) >= prominence * floor:
+        if floor == 0.0 or min(left, right) >= _BEAT_PROMINENCE * floor:
             accepted.append(idx)
     if len(accepted) < 2:
         raise ValueError(f"found {len(accepted)} prominent minima in {window}; need at least 2")

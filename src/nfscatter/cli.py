@@ -17,7 +17,7 @@ from .analysis import beat_period, entanglement_report, excitation_pattern, inte
 from .configio import ConfigError, apply_overrides, load_config, scenario_from_dict
 from .model import DEFAULT_GAMMA, WAVE_NUMBER_K, ScenarioError, ValidatedScenario, validate_scenario
 from .oracles import envelope_attenuation
-from .presets import PRESETS, SweepSpec, preset_scenario
+from .presets import PRESETS, SWEEP_AXES, SweepSpec, preset_scenario
 from .solver import NumericalError, run_scenario
 from .traceio import (
     SCHEMA_VERSION,
@@ -231,7 +231,7 @@ def _parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="run a one-axis parameter sweep")
-    sweep.add_argument("--axis", required=True, choices=("xi", "R", "delta_B", "tau"))
+    sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep.add_argument("--values", required=True,
                        help="comma separated values (delta_B in multiples of gamma)")
     sweep.add_argument("--base", default="fig2b", help="base preset")

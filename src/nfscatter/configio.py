@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Any
 
 from .model import (
-    DEFAULT_GAMMA,
     HyperfineSchedule,
     MirrorSpec,
     PulseSpec,
@@ -24,6 +23,7 @@ from .model import (
     Segment,
     _require_finite,
     build_schedule,
+    delta_b_from_gamma,
 )
 
 
@@ -57,7 +57,7 @@ def _level(d: dict, key: str, where: str) -> float | None:
     if raw is not None and in_gamma is not None:
         raise ConfigError(f"{where}: give {key} or {key}_in_gamma, not both")
     if in_gamma is not None:
-        return _float(in_gamma, f"{where}.{key}_in_gamma") * DEFAULT_GAMMA
+        return delta_b_from_gamma(_float(in_gamma, f"{where}.{key}_in_gamma"))
     return None if raw is None else _float(raw, f"{where}.{key}")
 
 

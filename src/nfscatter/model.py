@@ -180,10 +180,6 @@ class HyperfineSchedule:
                 break
         return level
 
-    @property
-    def max_abs_level(self) -> float:
-        return max(abs(s.delta_b) for s in self.segments)
-
     def first_nonzero_level(self) -> float | None:
         for seg in self.segments:
             if seg.delta_b != 0.0:
@@ -332,38 +328,18 @@ def _nudge(t: float, dt: float) -> float:
     return round(t / dt) * dt
 
 
-def _requested(sc: ValidatedScenario) -> ScenarioConfig:
-    """The scenario with every grid-nudged field that still holds its nudged value put back as requested."""
-    asked = {(name, used): requested for name, requested, used in sc.nudges}
-
-    def back(name: str, value: float) -> float:
-        return asked.get((name, value), value)
-
-    return ScenarioConfig(
-        sample=sc.sample,
-        pulse=replace(sc.pulse, t0=back("pulse.t0", sc.pulse.t0)),
-        mirror=sc.mirror,
-        schedule=HyperfineSchedule(tuple(replace(seg, t_start=back(f"schedule[{i}].t_start", seg.t_start))
-                                         for i, seg in enumerate(sc.schedule.segments))),
-        t_end=back("t_end", sc.t_end),
-        dt=sc.dt,
-        record_snapshots_at=tuple(back("record_snapshots_at", t) for t in sc.record_snapshots_at),
-    )
-
-
 def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedScenario:
     """Check every invariant and fill derived quantities.
 
     Idempotent: validating an already validated scenario returns it
-    unchanged, unless a field was replaced since (its config_hash no longer
-    matches), in which case it is validated again from the values first
-    requested, so no time is rounded twice.  Rejections name the offending
-    field.
+    unchanged.  One edited since (its config_hash no longer matches) is
+    rejected, since its times are already on the step grid and would round
+    twice.  Rejections name the offending field.
     """
     if isinstance(config, ValidatedScenario):
-        if config.config_hash == _scenario_hash(config.as_dict()):
-            return config
-        config = _requested(config)
+        if config.config_hash != _scenario_hash(config.as_dict()):
+            raise ScenarioError("a validated scenario was edited: edit and validate its ScenarioConfig instead")
+        return config
 
     config.sample.validate()
     config.pulse.validate()
@@ -379,7 +355,7 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
         raise ScenarioError(f"dt must be > 0 (got {dt})")
     if not config.t_end > dt:
         raise ScenarioError(f"t_end must exceed dt (got t_end={config.t_end}, dt={dt})")
-    max_level = config.schedule.max_abs_level
+    max_level = max(abs(s.delta_b) for s in config.schedule.segments)
     if max_level > 0.0 and dt > 1.0 / (_DT_BEAT_FACTOR * max_level):
         raise ScenarioError(
             f"dt={dt} ns cannot resolve the fastest beat: need dt <= "

@@ -16,11 +16,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OracleCurve:
-    """A sampled reference amplitude with a note on how it was derived."""
+    """A sampled reference amplitude."""
 
     t_grid: np.ndarray
     amplitude: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.t_grid) <= 0.0):

@@ -35,9 +35,11 @@ eliminating the half step leaves, per node, a real 2x2 recurrence on
 segment (node 0 has no self term).  Where its eigenvalues are a complex pair
 one complex mode carries it, else two coordinates of its Schur basis; each
 is one prefix sum of input*mu^-m times mu^m, so a time block of up to _BLOCK
-steps costs a fixed number of array passes per node.  The forward branch is
-marched over the whole run first; the backward branch then has a known
-mirror input built from its trace.
+steps costs a fixed number of array passes per node.  Each branch takes its
+front-face input as one float64 array of full steps and midpoints, and
+writes its back-face field into a float64 trace.  The forward branch is
+marched over the whole run first; the backward branch's mirror input is
+then built from that trace in whole-array passes.
 """
 
 from __future__ import annotations
@@ -83,11 +85,12 @@ class TraceSet:
     """Uniform-time detector records for one run.
 
     ``fwd_amp`` is Omega_F(t, L) at the back face and ``bwd_amp`` is
-    Omega_B(t, 0) at the front face.  ``fwd_detected`` is what the forward
-    detector behind the mirror sees: fwd_amp attenuated by sqrt(1 - R)
-    while the mirror is in the beam (``mirror_in_beam`` flag), otherwise
-    fwd_amp itself.  Prompt input deltas are not part of the traces; only
-    the coherently scattered envelopes are recorded.
+    Omega_B(t, 0) at the front face, both float64, as every field of the
+    scheme is real.  ``fwd_detected`` is what the forward detector behind
+    the mirror sees: fwd_amp attenuated by sqrt(1 - R) while the mirror is
+    in the beam (``mirror_in_beam`` flag), otherwise fwd_amp itself.
+    Prompt input deltas are not part of the traces; only the coherently
+    scattered envelopes are recorded.
     """
 
     t_grid: np.ndarray
@@ -232,7 +235,8 @@ def _fill_tables(modes, t12, m: np.ndarray, out: np.ndarray) -> None:
         row[:] = powers if row.dtype == complex else powers.real
 
 
-def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list, dt: float, trace: np.ndarray):
+def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_steps: list, dt: float,
+           trace: np.ndarray):
     """March one branch in depth, node by node, over time blocks of each schedule segment.
 
     ``segments`` holds (e_half, p_half, e_full, p_full, first step, stop
@@ -243,11 +247,11 @@ def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list
     and u += Re(gh*z).  Where they are real, it takes two float64 scans in
     the map's real Schur basis.
 
-    ``boundary(b0, b1, a, a_h)`` writes the branch input Omega(0) at the
-    full steps and the midpoints of steps b0..b1-1; ``kicks`` maps a step
-    to the Im f31 it adds at every node.  The back-face field goes to
-    ``trace``, a float64 view.  Returns f31 at ``snap_steps`` as (snapshot, depth)
-    and the peak |Omega| the slab adds to its input.
+    ``inputs`` is the branch input Omega(0), a float64 array of shape (2,
+    n_t) holding the full steps and the midpoints; ``kicks`` maps a step to
+    the Im f31 it adds at every node.  The back-face field goes to the
+    float64 array ``trace``.  Returns f31 at ``snap_steps`` as (snapshot,
+    depth) and the peak |Omega| the slab adds to its input.
     """
     state = np.zeros((n_u, 2))  # y of every node at the next block's first step
     snaps = np.zeros((len(snap_steps), n_u), dtype=complex)
@@ -265,7 +269,7 @@ def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list
             b1 = min(b0 + k_max, stop)
             k = b1 - b0
             a, u, tmp = fields[:, :k]
-            boundary(b0, b1, a, u)  # node 0 has no self term, so its step input u is a_h
+            np.copyto(fields[:2, :k], inputs[:, b0:b1])  # node 0 has no self term, so its step input u is a_h
             if b0 in kicks:
                 state[:, 1] += kicks[b0]
             inner = [(n - b0, kick) for n, kick in kicks.items() if b0 < n < b1]
@@ -317,8 +321,7 @@ def _march(segments, w: float, n_u: int, boundary, kicks: dict, snap_steps: list
                     np.add(row, z.real, out=row)
             np.add(trace[b0:b1], a, out=trace[b0:b1])
             np.multiply(trace[b0:b1], 0.5, out=trace[b0:b1])
-            boundary(b0, b1, tmp, u)  # the input again, for the field the slab adds to it
-            np.subtract(trace[b0:b1], tmp, out=tmp)
+            np.subtract(trace[b0:b1], inputs[0, b0:b1], out=tmp)  # the field the slab adds to its input
             peak = max(peak, float(np.abs(tmp).max()))
     return snaps, peak
 
@@ -376,37 +379,28 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
             if ib < n_t:
                 kicks_b[ib] = kick_amp * (-refl_amp * theta)
 
-    def drive(b0, b1, out, out_half):
-        """The front-face input of the forward branch: the resolved pulse, or 0 in impulsive mode."""
-        if pulse.mode == "gaussian":
-            t = t_grid[b0:b1]
-            out[:] = gaussian_input(t, pulse)
-            out_half[:] = gaussian_input(t + 0.5 * dt, pulse)
-        else:
-            out.fill(0.0)
-            out_half.fill(0.0)
-
+    # the forward branch's input at the full steps (row 0) and the midpoints
+    # (row 1): the resolved pulse, or 0 in impulsive mode; the times are
+    # built only where an input depends on them
+    times = None
+    if pulse.mode == "gaussian" or refl_amp > 0.0:
+        times = t_grid + np.array([[0.0], [0.5 * dt]])
+    inputs = gaussian_input(times, pulse) if pulse.mode == "gaussian" else np.zeros((2, n_t))
     snap_at = {round(t / dt): t for t in sc.record_snapshots_at}
     snap_steps = sorted(snap_at)
-    fwd, bwd = np.zeros(n_t, dtype=complex), np.zeros(n_t, dtype=complex)  # the march writes the real part
-    fs, peak_field = _march(segments, w, n_u, drive, kicks_f, snap_steps, dt, fwd.real)
+    fwd, bwd = np.zeros(n_t), np.zeros(n_t)
+    fs, peak_field = _march(segments, w, n_u, inputs, kicks_f, snap_steps, dt, fwd)
 
     bs = np.zeros_like(fs)
     if refl_amp > 0.0:
-        def feedback(b0, b1, out, out_half):
-            """-sqrt(R) * Omega_F(t - tau, L) while the gate is open, else 0.
-
-            The delayed field interpolates the forward trace linearly; as
-            tau >= dt, it reads only samples recorded before the step.
-            """
-            t = t_grid[b0:b1]
-            for dest, t_at in ((out, t), (out_half, t + 0.5 * dt)):
-                t_exit = t_at - tau
-                np.copyto(dest, np.interp(t_exit, t_grid, fwd.real))
-                np.multiply(dest, -refl_amp, out=dest)
-                dest[~_reflects(t_exit, tau, disable_time)] = 0.0
-
-        bs, peak_b = _march(segments, w, n_u, feedback, kicks_b, snap_steps, dt, bwd.real)
+        # the mirror input -sqrt(R) * Omega_F(t - tau, L) while the gate is open, else 0,
+        # built in place; the delayed field interpolates the forward trace linearly and,
+        # as tau >= dt, reads only samples recorded before the step
+        t_exit = np.subtract(times, tau, out=times)
+        inputs = np.interp(t_exit, t_grid, fwd)
+        inputs *= -refl_amp
+        inputs[~_reflects(t_exit, tau, disable_time)] = 0.0
+        bs, peak_b = _march(segments, w, n_u, inputs, kicks_b, snap_steps, dt, bwd)
         peak_field = max(peak_field, peak_b)
 
     bad = ~(np.isfinite(fwd) & np.isfinite(bwd))

@@ -120,20 +120,11 @@ class TestValidateScenario:
         sc = validate_scenario(preset_scenario("fig2a"))
         assert validate_scenario(sc) is sc
 
-    def test_replaced_field_is_revalidated(self):
-        sc = validate_scenario(preset_scenario("fig2a"))
-        again = validate_scenario(replace(sc, t_end=100.0))
-        assert again.n_steps == 20000
-        assert again.config_hash == validate_scenario(replace(preset_scenario("fig2a"), t_end=100.0)).config_hash
-
-    def test_revalidation_rounds_each_time_once(self):
-        # fig2c's inversion at pi/(2 delta_b) = 7.3897 ns sits at 7.39 on the 0.005 grid;
-        # a replaced dt must place it from the requested time (7.38), not from 7.39 (7.40)
-        cfg = preset_scenario("fig2c")
-        twice = validate_scenario(replace(validate_scenario(cfg), dt=0.02))
-        once = validate_scenario(replace(cfg, dt=0.02))
-        assert twice.schedule.segments[1].t_start == pytest.approx(7.38)
-        assert twice.config_hash == once.config_hash
+    def test_edited_validated_scenario_rejected(self):
+        # its times already sit on the step grid, so validating the edit would round them twice
+        sc = validate_scenario(preset_scenario("fig2c"))
+        with pytest.raises(ScenarioError, match="validate its ScenarioConfig"):
+            validate_scenario(replace(sc, dt=0.02))
 
     def test_coarse_dt_rejected(self):
         cfg = replace(preset_scenario("fig2a"), dt=1.0)

@@ -6,6 +6,7 @@ the per-row output byte for byte.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nfscatter import run_scenario, validate_scenario
+from nfscatter.presets import preset_scenario
 from nfscatter.solver import TraceSet
 from nfscatter.svgplot import _poly
 from nfscatter.traceio import TRACES_HEADER, TraceFormatError, read_traces_csv, write_traces_csv
@@ -84,6 +87,24 @@ def test_write_traces_csv_spans_row_blocks(tmp_path):
                       mirror_in_beam=t < 41.0, metadata={"config_hash": "x", "schedule": [[0.0, 0.2]]})
     write_traces_csv(tmp_path / "traces.csv", traces)
     assert (tmp_path / "traces.csv").read_text() == reference_traces_csv(traces)
+
+
+def test_solver_traces_are_real_and_keep_the_csv_schema(tmp_path):
+    # run_scenario returns float64 traces; traces.csv keeps the 8 columns perfbench's
+    # gates read, with the imaginary columns printed as 0
+    cfg = preset_scenario("fig2a")
+    sc = validate_scenario(replace(cfg, t_end=40.0, record_snapshots_at=(), sample=replace(cfg.sample, n_depth=41)))
+    traces, _ = run_scenario(sc)
+    for name in ("fwd_amp", "bwd_amp", "fwd_detected"):
+        assert getattr(traces, name).dtype == np.float64, name
+    assert np.any(traces.bwd_amp != 0.0) and 0 < traces.mirror_in_beam.sum() < len(traces.t_grid)
+    write_traces_csv(tmp_path / "traces.csv", traces)
+    lines = (tmp_path / "traces.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[lines.index(TRACES_HEADER) + 1:]]
+    assert len(rows) == len(traces.t_grid) and {len(r) for r in rows} == {8}
+    assert {r[2] for r in rows} == {r[4] for r in rows} == {"0"}
+    for col, amp in ((1, traces.fwd_amp), (3, traces.bwd_amp)):
+        assert [r[col] for r in rows] == [f"{x:.9g}" for x in amp.tolist()]
 
 
 cells = st.one_of(

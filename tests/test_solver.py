@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -275,6 +276,35 @@ class TestRunScenario:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match=r"t = 5\.0000 ns"):
                 run_scenario(sc)
+
+
+class TestLinearRegimeMonitor:
+    """The RuntimeWarning above LINEAR_FIELD_WARN*gamma counts only the field the slab adds."""
+
+    @staticmethod
+    def fig2b_short(xi, pulse=None):
+        cfg = preset_scenario("fig2b")
+        return validate_scenario(replace(cfg, t_end=40.0, record_snapshots_at=(),
+                                         sample=replace(cfg.sample, xi=xi), pulse=pulse or cfg.pulse))
+
+    def test_large_input_pulse_is_not_counted(self):
+        # the gaussian input peaks at 0.44 gamma, but the slab adds far less
+        sc = self.fig2b_short(1.0, PulseSpec(mode="gaussian", area=1e-3, fwhm=0.3, t0=2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces, _ = run_scenario(sc)
+        assert np.abs(traces.fwd_amp).max() > 0.4 * GAMMA
+
+    def test_thick_slab_warns(self):
+        # impulsive at xi = 100: the scattered peak is 0.2 gamma
+        with pytest.warns(RuntimeWarning, match="linear-regime"):
+            run_scenario(self.fig2b_short(100.0))
+
+    def test_below_threshold_is_quiet(self):
+        # impulsive at xi = 40: the scattered peak is 0.08 gamma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_scenario(self.fig2b_short(40.0))
 
 
 class TestGaussianInput:
