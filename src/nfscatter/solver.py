@@ -380,12 +380,10 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
                 kicks_b[ib] = kick_amp * (-refl_amp * theta)
 
     # the forward branch's input at the full steps (row 0) and the midpoints
-    # (row 1): the resolved pulse, or 0 in impulsive mode; the times are
-    # built only where an input depends on them
-    times = None
-    if pulse.mode == "gaussian" or refl_amp > 0.0:
-        times = t_grid + np.array([[0.0], [0.5 * dt]])
-    inputs = gaussian_input(times, pulse) if pulse.mode == "gaussian" else np.zeros((2, n_t))
+    # (row 1): the resolved pulse, or in impulsive mode a read-only zero view
+    # that holds no memory
+    half = np.array([[0.0], [0.5 * dt]])
+    inputs = gaussian_input(t_grid + half, pulse) if pulse.mode == "gaussian" else np.broadcast_to(0.0, (2, n_t))
     snap_at = {round(t / dt): t for t in sc.record_snapshots_at}
     snap_steps = sorted(snap_at)
     fwd, bwd = np.zeros(n_t), np.zeros(n_t)
@@ -396,7 +394,8 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
         # the mirror input -sqrt(R) * Omega_F(t - tau, L) while the gate is open, else 0,
         # built in place; the delayed field interpolates the forward trace linearly and,
         # as tau >= dt, reads only samples recorded before the step
-        t_exit = np.subtract(times, tau, out=times)
+        t_exit = t_grid + half
+        t_exit -= tau
         inputs = np.interp(t_exit, t_grid, fwd)
         inputs *= -refl_amp
         inputs[~_reflects(t_exit, tau, disable_time)] = 0.0
