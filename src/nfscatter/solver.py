@@ -392,8 +392,9 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     bs = np.zeros_like(fs)
     if refl_amp > 0.0:
         # the mirror input -sqrt(R) * Omega_F(t - tau, L) while the gate is open, else 0,
-        # built in place; the delayed field interpolates the forward trace linearly and,
-        # as tau >= dt, reads only samples recorded before the step
+        # built in place from the exit times, rounded as (t + h) - tau; the delayed field
+        # interpolates the forward trace linearly and, as tau >= dt, reads only samples
+        # recorded before the step
         t_exit = t_grid + half
         t_exit -= tau
         inputs = np.interp(t_exit, t_grid, fwd)
