@@ -18,8 +18,8 @@ from .solver import TraceSet
 SCHEMA_VERSION = "1"
 TRACES_HEADER = "t_ns,re_fwd,im_fwd,re_bwd,im_bwd,i_fwd,i_bwd,mirror_in_beam"
 
-#: rows formatted per block when writing traces.csv: keeps the transient lists
-#: under 1 MB, where whole columns would raise peak memory above the per-row loop's
+#: rows formatted per block when writing traces.csv: keeps the transient block and
+#: its text under 1 MB, where whole columns would raise peak memory above the per-row loop's
 _ROW_BLOCK = 1024
 
 
@@ -32,11 +32,12 @@ def _fmt(x: float) -> str:
 
 
 def write_traces_csv(path: Path, traces: TraceSet) -> None:
-    """Write ``traces.csv``; each block of rows is formatted from whole-column lists."""
+    """Write ``traces.csv`` of real amplitudes; each block of rows is one ``%`` template."""
+    for name in ("fwd_amp", "bwd_amp", "fwd_detected"):
+        if np.iscomplexobj(getattr(traces, name)):
+            raise TypeError(f"TraceSet.{name} must be real, got {getattr(traces, name).dtype}")
     meta = traces.metadata
     sched = ";".join(f"{t:.9g}:{lvl:.9g}" for t, lvl in meta.get("schedule", []))
-    i_fwd = np.abs(traces.fwd_detected) ** 2
-    i_bwd = np.abs(traces.bwd_amp) ** 2
     header = [
         f"# nfscatter traces v{SCHEMA_VERSION}",
         f"# config_hash={meta.get('config_hash', '')}",
@@ -45,15 +46,14 @@ def write_traces_csv(path: Path, traces: TraceSet) -> None:
         f"# schedule={sched}",
         TRACES_HEADER,
     ]
-    columns = (traces.t_grid, traces.fwd_amp.real, traces.fwd_amp.imag,
-               traces.bwd_amp.real, traces.bwd_amp.imag, i_fwd, i_bwd,
-               traces.mirror_in_beam.astype(np.uint8))
-    row = ",".join(["{:.9g}"] * 7 + ["{:d}"]).format
+    row = "%.9g,%.9g,0,%.9g,0,%.9g,%.9g,%d\n"   # im_fwd and im_bwd are always 0
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
         for k in range(0, len(traces.t_grid), _ROW_BLOCK):
-            block = [c[k:k + _ROW_BLOCK].tolist() for c in columns]
-            fh.write("\n".join(map(row, *block)) + "\n")
+            s = slice(k, k + _ROW_BLOCK)
+            block = np.column_stack((traces.t_grid[s], traces.fwd_amp[s], traces.bwd_amp[s],
+                                     traces.fwd_detected[s] ** 2, traces.bwd_amp[s] ** 2, traces.mirror_in_beam[s]))
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass
@@ -75,7 +75,8 @@ def read_traces_csv(path: Path) -> TraceFile:
     """Parse a traces CSV; ``# key=value`` lines may appear anywhere, blank lines are skipped.
 
     ``np.loadtxt`` reads the data lines as ``float()`` does; only if it fails
-    are they rescanned with ``float()``, which names the first bad line.
+    are they rescanned with ``float()``, which names the first bad line.  A
+    non-finite value (``nan``, ``inf``) is rejected, naming its line.
     """
     attrs: dict = {}
     data: list[str] = []
@@ -119,6 +120,9 @@ def read_traces_csv(path: Path) -> TraceFile:
             except ValueError:
                 raise TraceFormatError(f"{path}:{lineno}: non-numeric value") from None
         cols = np.array(rows, dtype=float).T
+    bad_rows = np.flatnonzero(~np.isfinite(cols).all(axis=0))
+    if bad_rows.size:
+        raise TraceFormatError(f"{path}:{linenos[bad_rows[0]]}: non-finite value")
     return TraceFile(
         t=cols[0], re_fwd=cols[1], im_fwd=cols[2], re_bwd=cols[3], im_bwd=cols[4],
         i_fwd=cols[5], i_bwd=cols[6], mirror_in_beam=cols[7] != 0.0, attrs=attrs,

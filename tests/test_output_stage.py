@@ -5,6 +5,10 @@ column-wise implementations in ``traceio`` and ``svgplot`` must reproduce
 the per-row output byte for byte.
 """
 
+import contextlib
+import io
+import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -15,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfscatter import run_scenario, validate_scenario
+from nfscatter.cli import main as cli_main
 from nfscatter.presets import preset_scenario
 from nfscatter.solver import TraceSet
-from nfscatter.svgplot import _poly
+from nfscatter.svgplot import _m4, _poly, _x_map, _y_map
 from nfscatter.traceio import TRACES_HEADER, TraceFormatError, read_traces_csv, write_traces_csv
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072014e-308,
@@ -58,8 +63,8 @@ def reference_traces_csv(traces: TraceSet) -> str:
 def trace_sets(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     col = st.lists(values, min_size=n, max_size=n).map(np.array)
-    fwd = draw(col) + 1j * draw(col)
-    bwd = draw(col) + 1j * draw(col)
+    fwd = draw(col)
+    bwd = draw(col)
     in_beam = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     detected = np.where(in_beam, 0.1 * fwd, fwd)
     return TraceSet(
@@ -82,11 +87,21 @@ def test_write_traces_csv_spans_row_blocks(tmp_path):
     # many formatting blocks and a partial last one, with the gate closing mid-run
     n = 20_011
     t = np.arange(n) * 0.005
-    fwd = np.exp((-0.01 + 0.2j) * t) * 1e-4
+    fwd = np.exp(-0.01 * t) * np.cos(0.2 * t) * 1e-4
     traces = TraceSet(t_grid=t, fwd_amp=fwd, bwd_amp=-0.3 * fwd[::-1], fwd_detected=0.1 * fwd,
                       mirror_in_beam=t < 41.0, metadata={"config_hash": "x", "schedule": [[0.0, 0.2]]})
     write_traces_csv(tmp_path / "traces.csv", traces)
     assert (tmp_path / "traces.csv").read_text() == reference_traces_csv(traces)
+
+
+@pytest.mark.parametrize("name", ["fwd_amp", "bwd_amp", "fwd_detected"])
+def test_write_traces_csv_rejects_complex_amplitude(tmp_path, name):
+    real = np.array([1e-4, -2e-5, 0.0])
+    fields = {"fwd_amp": real, "bwd_amp": real, "fwd_detected": real}
+    traces = TraceSet(t_grid=np.arange(3.0), mirror_in_beam=np.ones(3, dtype=bool), metadata={},
+                      **{**fields, name: real + 1e-6j})
+    with pytest.raises(TypeError, match=f"TraceSet.{name} must be real"):
+        write_traces_csv(tmp_path / "traces.csv", traces)
 
 
 def test_solver_traces_are_real_and_keep_the_csv_schema(tmp_path):
@@ -109,7 +124,7 @@ def test_solver_traces_are_real_and_keep_the_csv_schema(tmp_path):
 
 cells = st.one_of(
     values.map("{:.9g}".format), values.map(repr), st.integers(-10**6, 10**6).map(str),
-    st.sampled_from(["inf", "-inf", "Infinity", "1e5", "-0", "+3.25", " 2.5", "7 "]),
+    st.sampled_from(["1e5", "-0", "+3.25", " 2.5", "7 "]),
 )
 
 
@@ -160,6 +175,20 @@ def test_read_traces_csv_names_path_and_line(tmp_path, lines, lineno, message):
     assert f"{path}:{lineno}: {message}" in str(exc.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity", "1e999"])
+@pytest.mark.parametrize("column", [0, 5, 7])
+@pytest.mark.parametrize("first", [GOOD_ROW, "1_0,1,2,3,4,5,6,1"])  # the second is parsed by float()
+def test_read_traces_csv_rejects_non_finite_cell(tmp_path, cell, column, first):
+    bad = GOOD_ROW.split(",")
+    bad[column] = cell
+    path = tmp_path / "bad.csv"
+    # the comment and blank line shift the bad row to line 5; a later bad row is not the one named
+    path.write_text("\n".join(["# c=1", TRACES_HEADER, first, "", ",".join(bad), "0,nan,2,3,4,5,6,1"]) + "\n")
+    with pytest.raises(TraceFormatError) as exc:
+        read_traces_csv(path)
+    assert f"{path}:5: non-finite value" in str(exc.value)
+
+
 def test_read_traces_csv_without_header_line(tmp_path):
     path = tmp_path / "comments.csv"
     path.write_text("# config_hash=abc\n\n")
@@ -179,3 +208,73 @@ def test_poly_matches_per_point_reference(pair):
     svg = _poly(xs, ys, "#c0392b", dash="6,4")
     assert svg == ('<polyline fill="none" stroke="#c0392b" stroke-width="1.2" stroke-dasharray="6,4" '
                    f'points="{reference_poly_points(xs, ys)}"/>')
+
+
+def m4_runs(xs):
+    """(start, stop) of each maximal run of consecutive points in one pixel column."""
+    runs, start = [], 0
+    for i in range(1, len(xs) + 1):
+        if i == len(xs) or math.floor(xs[i]) != math.floor(xs[start]):
+            runs.append((start, i))
+            start = i
+    return runs
+
+
+def check_m4(xs, ys):
+    kept = _m4(xs, ys).tolist()
+    assert all(a < b for a, b in zip(kept, kept[1:]))
+    expected = []
+    for start, stop in m4_runs(xs.tolist()):
+        run = ys[start:stop].tolist()
+        want = sorted({start, stop - 1, start + run.index(min(run)), start + run.index(max(run))})
+        assert len(want) <= 4
+        expected += want
+    assert kept == expected
+
+
+ties = st.sampled_from([0.0, -0.0, 1.0, -1.0, 250.0])
+small = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=120).flatmap(lambda n: st.tuples(
+    st.lists(st.one_of(ties, small), min_size=n, max_size=n),
+    st.lists(st.one_of(ties, small, values), min_size=n, max_size=n))))
+def test_m4_keeps_first_last_min_max_of_each_pixel_column(pair):
+    # t in any order, with repeats; equal t[0] and t[-1] put every point of that value in one column
+    t, y = (np.array(v) for v in pair)
+    check_m4(_x_map(t, t[0], t[-1]), y)
+
+
+def test_m4_on_fig2b_like_trace():
+    t = np.arange(40_001) * 0.01
+    amp = np.exp(-0.01 * t) * np.cos(0.2 * t) * np.where(t < 41.0, 1.0, 0.3) * 1e-4
+    xs = _x_map(t, t[0], t[-1])
+    for ys in (_y_map(amp, -1.2e-4, 1.2e-4), _y_map(np.log10(np.maximum(amp ** 2, 1e-20)), -20.0, -8.0)):
+        check_m4(xs, ys)
+        assert len(_m4(xs, ys)) <= 4 * 771
+
+
+def test_plot_full_length_trace_is_small_and_deterministic(tmp_path):
+    # a synthetic fig2-length traces.csv written without the solver, then plotted twice
+    t = np.arange(40_001) * 0.01
+    fwd = np.exp(-0.01 * t) * np.cos(0.2 * t) * 1e-4
+    bwd = -0.3 * np.exp(-0.02 * t) * np.sin(0.15 * t) * 1e-4
+    in_beam = t < 41.0
+    write_traces_csv(tmp_path / "traces.csv", TraceSet(
+        t_grid=t, fwd_amp=fwd, bwd_amp=bwd, fwd_detected=np.where(in_beam, 0.1 * fwd, fwd),
+        mirror_in_beam=in_beam,
+        metadata={"config_hash": "h40k", "schedule": [[0.0, 0.2], [41.0, 0.0], [100.0, 0.2]]}))
+    svgs = [tmp_path / "traces_intensity.svg", tmp_path / "traces_amplitude.svg"]
+    first = []
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["plot", str(tmp_path / "traces.csv"), "--out", str(tmp_path)]) == 0
+        first = first or [p.read_bytes() for p in svgs]
+    for path, text in zip(svgs, first):
+        assert path.read_bytes() == text
+        assert len(text) <= 150_000, (path.name, len(text))
+        curves = re.findall(r'<polyline fill="none" stroke="#(?:c0392b|222222)"[^>]* points="([^"]*)"', text.decode())
+        assert len(curves) == 2
+        for points in curves:
+            assert 771 < len(points.split()) <= 4 * 771
