@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON emission and parsing for run outputs.
 
 Every file embeds the config hash so a run -> plot -> re-run chain can be
-checked end to end.  Floats are printed with 9 significant digits; repeated
-runs of the same configuration produce byte-identical files.
+checked end to end.  Floats are printed with 9 significant digits, traces.csv
+by one ``%`` template per block of rows; repeated runs of the same
+configuration produce byte-identical files.  The reader rejects non-finite cells.
 """
 
 from __future__ import annotations
@@ -82,11 +83,11 @@ def read_traces_csv(path: Path) -> TraceFile:
     data: list[str] = []
     linenos: list[int] = []
     saw_header = False
-    try:
-        text = Path(path).read_text()
+    try:  # the whole text is not kept: through loadtxt it would set the output stage's peak memory
+        lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise TraceFormatError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue

@@ -308,6 +308,14 @@ def test_plot_malformed_csv_names_line(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_plot_non_finite_cell_rejected(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text(TRACES_HEADER + "\n0,1,0,2,0,1,4,1\n0.01,1,0,2,0,nan,4,1\n")
+    assert run_cli(["plot", str(bad), "--out", str(tmp_path)]) == 1
+    assert f"{bad}:3: non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "nan_intensity.svg").exists()
+
+
 def test_plot_empty_rows_rejected(tmp_path, capsys):
     bad = tmp_path / "empty.csv"
     bad.write_text(TRACES_HEADER + "\n")
