@@ -2,7 +2,8 @@
 
 Each writer is checked against a per-element reference kept here, so the
 column-wise implementations in ``traceio`` and ``svgplot`` must reproduce
-the per-row output byte for byte.
+the per-row output byte for byte; the M4 decimation is checked against a
+per-run loop.
 """
 
 import contextlib
