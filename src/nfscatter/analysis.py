@@ -34,9 +34,10 @@ class EntanglementReport:
     """Branch balance and relative phase of the two output field modes.
 
     ``balance`` is the backward/forward energy ratio over the window;
-    ``mean_phase`` the energy-weighted circular mean of
-    arg(bwd * conj(fwd_detected)) in (-pi, pi], both envelopes referenced
-    to the sample faces with zero alignment offset.
+    ``mean_phase`` the energy-weighted circular mean of the relative phase
+    of bwd and fwd_detected, both envelopes referenced to the sample faces
+    with zero alignment offset.  The fields are real, so that phase is 0
+    (same sign) or pi (opposite sign), and so is the mean.
     """
 
     window: tuple[float, float]
@@ -110,31 +111,16 @@ def entanglement_report(traces: TraceSet, window: tuple[float, float]) -> Entang
         return EntanglementReport(window, balance, 0.0, math.pi, "indeterminate")
     balance = e_bwd / e_fwd
 
-    cross = bwd * np.conj(fwd)
-    weight = np.abs(cross)
-    resultant = complex(np.sum(cross))
-    total = float(np.sum(weight))
+    cross = bwd * fwd
+    resultant = float(np.sum(cross))
+    total = float(np.sum(np.abs(cross)))
     if total == 0.0:
         return EntanglementReport(window, balance, 0.0, math.pi, "indeterminate")
-    mean_phase = math.atan2(resultant.imag, resultant.real)
+    mean_phase = math.pi if resultant < 0.0 else 0.0
     rbar = min(abs(resultant) / total, 1.0)
     spread = math.sqrt(max(-2.0 * math.log(rbar), 0.0)) if rbar > 0.0 else math.pi
-
-    if abs(mean_phase) < math.pi / 4 and spread < math.pi / 8:
-        cls = "symmetric"
-    elif abs(_wrap(mean_phase - math.pi)) < math.pi / 4 and spread < math.pi / 8:
-        cls = "antisymmetric"
-    else:
-        cls = "indeterminate"
+    cls = ("antisymmetric" if mean_phase else "symmetric") if spread < math.pi / 8 else "indeterminate"
     return EntanglementReport(window, balance, mean_phase, spread, cls)
-
-
-def _wrap(phi: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    out = math.fmod(phi + math.pi, 2.0 * math.pi)
-    if out <= 0.0:
-        out += 2.0 * math.pi
-    return out - math.pi
 
 
 def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float) -> ExcitationPattern:

@@ -1,14 +1,12 @@
 """Command line interface: run, sweep, plot, presets.
 
 Exit codes: 0 ok, 1 input error, 2 numerical failure.  Output files are
-deterministic; the root for relative --out paths can be moved with the
-NFSCATTER_OUT environment variable.
+deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -33,9 +31,6 @@ from .svgplot import render_amplitude_svg, render_intensity_svg
 
 def _out_dir(raw: str) -> Path:
     path = Path(raw)
-    root = os.environ.get("NFSCATTER_OUT")
-    if root and not path.is_absolute():
-        path = Path(root) / path
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -142,6 +137,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--values must be comma separated numbers (got {args.values!r})") from None
     spec = SweepSpec(axis=args.axis, values=values, base=args.base)
     out = _out_dir(args.out)
+    cols = ["axis", "value", "status", "balance", "mean_phase_rad", "classification",
+            "storage_suppression", "beat_period_ns", "predicted_balance", "config_hash"]
     rows = []
     for value in spec.values:
         row = {"axis": spec.axis, "value": value, "status": "ok"}
@@ -150,25 +147,13 @@ def cmd_sweep(args) -> int:
             traces, _ = run_scenario(scenario)
             report = build_report(scenario, traces)
             base_level = scenario.schedule.first_nonzero_level()
-            predicted = None
-            if base_level:
-                predicted = scenario.mirror.reflectivity / envelope_attenuation(
-                    scenario.sample.xi, DEFAULT_GAMMA, abs(base_level))
-            row.update(
-                balance=report["balance"],
-                mean_phase_rad=report["mean_phase_rad"],
-                classification=report["classification"],
-                storage_suppression=report["storage_suppression"],
-                beat_period_ns=report["beat_period_ns"],
-                predicted_balance=predicted,
-                config_hash=report["config_hash"],
-            )
+            report["predicted_balance"] = scenario.mirror.reflectivity / envelope_attenuation(
+                scenario.sample.xi, DEFAULT_GAMMA, abs(base_level)) if base_level else None
+            row.update((c, report[c]) for c in cols[3:])
         except (ScenarioError, ConfigError, NumericalError, ValueError) as exc:
             row["status"] = f"failed: {exc}"
         rows.append(row)
 
-    cols = ["axis", "value", "status", "balance", "mean_phase_rad", "classification",
-            "storage_suppression", "beat_period_ns", "predicted_balance", "config_hash"]
     lines = [",".join(cols)]
     for row in rows:
         cells = []

@@ -18,8 +18,8 @@ K = 2.0 * math.pi * 14.413 / 12.39842
 
 
 def make_traces(t, fwd, bwd, in_beam=None, refl=0.0):
-    fwd = np.asarray(fwd, dtype=complex)
-    bwd = np.asarray(bwd, dtype=complex)
+    fwd = np.asarray(fwd, dtype=float)
+    bwd = np.asarray(bwd, dtype=float)
     if in_beam is None:
         in_beam = np.zeros(len(t), dtype=bool)
     detected = np.where(in_beam, math.sqrt(1.0 - refl) * fwd, fwd)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib.util
 import io
@@ -252,12 +253,6 @@ def test_benchmark_hooks_exist_in_cli(monkeypatch):
         assert hasattr(cli, attr), attr
 
 
-def test_env_var_out_root(tmp_path, monkeypatch):
-    monkeypatch.setenv("NFSCATTER_OUT", str(tmp_path))
-    run_cli(["run", "--preset", "fig2a", *QUICK, "--out", "nested/run"])
-    assert (tmp_path / "nested" / "run" / "traces.csv").exists()
-
-
 def test_sweep_zero_reflectivity_row(tmp_path):
     out = tmp_path / "s"
     args = ["sweep", "--axis", "R", "--values", "0", "--base", "fig2a", "--out", str(out)]
@@ -338,6 +333,23 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "fig2a" in proc.stdout
+
+
+def test_package_imports_stdlib_numpy_and_itself_only():
+    # numpy is the one runtime dependency, and the closed-form oracles stay
+    # independent of the solver they check, so oracles.py imports nothing of the package
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = ["nfscatter" if node.level else node.module.partition(".")[0]]
+            else:
+                continue
+            for root in roots:
+                where = f"{path.name}:{node.lineno} imports {root}"
+                assert root in sys.stdlib_module_names or root in ("numpy", "nfscatter"), where
+                assert not (path.name == "oracles.py" and root == "nfscatter"), where
 
 
 def test_trace_digest_script_is_stable():

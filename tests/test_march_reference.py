@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nfscatter import MirrorSpec, PulseSpec, SampleSpec, ScenarioConfig, gaussian_input, run_scenario, validate_scenario
-from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule
+from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule, Segment
 from nfscatter.presets import preset_scenario
 from nfscatter.solver import NumericalError
 
@@ -116,6 +116,19 @@ def with_mirror(**kwargs):
     return replace(BASE, mirror=replace(BASE.mirror, **kwargs))
 
 
+def kick_on_segment_start():
+    """The reflected prompt lands on the first step of a segment, so of a time block.
+
+    The feedback interpolates the forward trace at t - tau, which already
+    drives the backward branch at the midpoint before that step, so the kick
+    adds to a nonzero state; a snapshot records the kicked step.
+    """
+    ib = math.ceil((0.5 + TAU) / 0.01 - 1e-9)
+    return replace(with_mirror(disable_time=None),
+                   schedule=HyperfineSchedule((Segment(0.0, DB30), Segment(ib * 0.01, -DB30))),
+                   record_snapshots_at=(12.0, ib * 0.01, 29.0))
+
+
 def fig2c_short():
     cfg = preset_scenario("fig2c")
     return replace(cfg, sample=replace(cfg.sample, n_depth=41), t_end=120.0, dt=0.05)
@@ -165,6 +178,7 @@ CASES = {
     "extreme_coupling": lambda: replace(BASE, sample=SampleSpec(xi=50.0, n_depth=11), pulse=PulseSpec(area=1e-5, t0=0.0),
                                         schedule=HyperfineSchedule.constant(0.0), t_end=27000.0, dt=3.0,
                                         record_snapshots_at=(12.0, 300.0)),
+    "kick_on_segment_start": kick_on_segment_start,
     "snapshot_on_kick": lambda: replace(BASE, record_snapshots_at=(0.5, math.ceil((0.5 + TAU) / 0.01 - 1e-9) * 0.01)),
     **{name: (lambda gap=gap: coalescing(20.0, gap)) for name, gap in NEAR_COALESCING.items()},
 }
