@@ -396,6 +396,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
         inputs = np.interp(t_exit, t_grid, fwd)
         inputs *= -refl_amp
         inputs[~_reflects(t_exit, tau, disable_time)] = 0.0
+        del t_exit  # not read by the march, where a run's memory peaks
         bs = _march(segments, w, n_u, inputs, kicks_b, snap_steps, dt, bwd)
         peak_field = max(peak_field, float(np.abs(bwd - inputs[0]).max()))
 
