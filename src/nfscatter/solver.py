@@ -35,11 +35,12 @@ eliminating the half step leaves, per node, a real 2x2 recurrence on
 segment (node 0 has no self term).  Where its eigenvalues are a complex pair
 one complex mode carries it, else two coordinates of its Schur basis; each
 is one prefix sum of input*mu^-m times mu^m, so a time block of up to _BLOCK
-steps costs a fixed number of array passes per node.  Each branch takes its
-front-face input as one float64 array of full steps and midpoints, and
-writes its back-face field into a float64 trace.  The forward branch is
-marched over the whole run first; the backward branch's mirror input is
-then built from that trace in whole-array passes.
+steps costs a fixed number of array passes per node.  A coordinate that is
+undriven and unread (Re f31 with the field off) is carried as z0*mu^m and
+not scanned.  Each branch takes its front-face input as one float64 array of
+full steps and midpoints, and writes its back-face field into a float64
+trace.  The forward branch is marched over the whole run first; the backward
+branch's mirror input is then built from that trace in whole-array passes.
 """
 
 from __future__ import annotations
@@ -161,11 +162,12 @@ def _schur(m00: float, m01: float, m10: float, m11: float):
 
 
 class _Mode(NamedTuple):
-    """One scanned coordinate z = p . y of a node's state y = (Re f31, Im f31).
+    """One coordinate z = p . y of a node's state y = (Re f31, Im f31).
 
     With u = a_h + w_self*q*a the step input, z' = mu*z + beta*u, and y is
     Re(v*z) summed over the node's modes.  The mode adds Re(ga*z) to the
-    next node's a (ga is 1 or 0) and Re(gh*z) to its u.
+    next node's a (ga is 1 or 0) and Re(gh*z) to its u.  It is scanned
+    unless it is undriven and unread, then carried as z0*mu^m.
     """
 
     mu: complex
@@ -245,8 +247,9 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
     A node's state is y = (Re f31, Im f31) under a real 2x2 step map.  Where
     its eigenvalues are a complex pair, one complex prefix sum of (real
     input) x (complex table) gives its _Mode z, and it hands on a += Re z
-    and u += Re(gh*z).  Where they are real, it takes two float64 scans in
-    the map's real Schur basis.
+    and u += Re(gh*z).  Where they are real, it scans in float64 the
+    coordinates of the map's real Schur basis, but carries one that is
+    undriven and unread (no input, kick, hand-on or t12) as z0*mu^m.
 
     ``inputs`` is the branch input Omega(0), a float64 array of shape (2,
     n_t) holding the full steps and the midpoints; ``kicks`` maps a step to
@@ -273,6 +276,7 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
             np.copyto(fields[:2, :k], inputs[:, b0:b1])  # node 0 has no self term, so its step input u is a_h
             inner = [(n - b0, kick) for n, kick in kicks.items() if b0 <= n < b1]
             shots = [(n - b0, s) for s, n in enumerate(snap_steps) if b0 <= n < b1]
+            read = [i for i, _ in shots] + [k - 1]  # the steps of a coordinate that the state and snapshots read
             if not finite:
                 # the map overflows: the run turns non-finite at the first step carrying a
                 # value; until then every state and field is exactly zero
@@ -286,15 +290,20 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
                     modes, t12, wq2 = maps[j]
                     z1, z2, zt, pw1, dn1, pw2, dn2, cpl = rows = scratch[type(modes[0].mu)][:, :k]
                     _fill_tables(modes, t12, m[:k], rows[3:])
-                    scans = list(zip((z1, z2), (pw1, pw2), (dn1, dn2), modes))
-                    hand_on = [(row, z, g) for z, _, _, md in scans
+                    scans = [(z, pw, dn, md, md.beta == 0 and md.p[1] == 0 and md.ga == md.gh == 0 and t12 == 0)
+                             for z, pw, dn, md in zip((z1, z2), (pw1, pw2), (dn1, dn2), modes)]
+                    hand_on = [(row, z, g) for z, _, _, md, _ in scans
                                for row, g in ((a, md.ga), (u, md.gh)) if g != 0.0]
                 if j == n_u - 1:
                     # the back-face field is the mean of the last node's input and output
                     trace[b0:b1] = a
                 y0, y1 = state[j].tolist()
                 np.multiply(a, wq2, out=tmp)
-                for z, pw, dn, md in scans:
+                for z, pw, dn, md, free in scans:
+                    if free:
+                        # the scan of its zero input would give z0*mu^m
+                        z[read] = pw[read] * (md.p[0] * y0 + md.p[1] * y1)
+                        continue
                     np.multiply(u[:-1], dn[1:], out=z[1:])
                     if z is z2 and t12 != 0:
                         np.multiply(z1[:-1], cpl[1:], out=zt[1:])
@@ -306,7 +315,7 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
                     np.multiply(z, pw, out=z)
                 # the state one step past the block, and at the snapshots, from the modes
                 u_last, y0, y1 = u[-1].item(), 0.0, 0.0
-                for z, _, _, md in scans:
+                for z, _, _, md, _ in scans:
                     nxt = md.mu * z[-1].item() + md.beta * u_last + (t12 * z1[-1].item() if z is z2 else 0.0)
                     y0, y1 = y0 + (md.v[0] * nxt).real, y1 + (md.v[1] * nxt).real
                     for i, s in shots:

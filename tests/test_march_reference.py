@@ -149,6 +149,19 @@ def nearest_pair(xi=5.0):
     return replace(cfg, schedule=HyperfineSchedule.constant(level))
 
 
+def free_mode_across_blocks():
+    """The field goes off while Re f31 != 0 and stays off over several time blocks.
+
+    With the field off Re f31 takes no input and no kick and hands nothing
+    on, so the march carries it as z0*mu^m without a scan; xi = 50 cuts the
+    blocks short, as in extreme_coupling.  Snapshots sit on the switch-off
+    step and in later blocks of the field-off segment.
+    """
+    return replace(BASE, sample=SampleSpec(xi=50.0, n_depth=11), pulse=PulseSpec(area=1e-5, t0=0.0),
+                   schedule=HyperfineSchedule((Segment(0.0, 0.0125), Segment(90.0, 0.0))), t_end=1500.0, dt=3.0,
+                   record_snapshots_at=(90.0, 561.0, 1200.0))
+
+
 # signed eigen_gap of the cases on either side of the exceptional point: real and
 # distinct above 0, a complex pair below; xi = 20 makes the field-off gap large
 # enough (1.4e-4) for the real side to reach 1e-4
@@ -179,6 +192,7 @@ CASES = {
                                         schedule=HyperfineSchedule.constant(0.0), t_end=27000.0, dt=3.0,
                                         record_snapshots_at=(12.0, 300.0)),
     "kick_on_segment_start": kick_on_segment_start,
+    "free_mode_across_blocks": free_mode_across_blocks,
     "snapshot_on_kick": lambda: replace(BASE, record_snapshots_at=(0.5, math.ceil((0.5 + TAU) / 0.01 - 1e-9) * 0.01)),
     **{name: (lambda gap=gap: coalescing(20.0, gap)) for name, gap in NEAR_COALESCING.items()},
 }
@@ -257,6 +271,29 @@ def test_cases_reach_their_regimes():
     rate = np.abs(np.log(np.abs(np.linalg.eigvals(node_map(sc, 0.0))))).max()
     assert math.log(np.finfo(float).max) / rate < 8192
     assert 2 * math.log(1e8) / rate < sc.n_steps
+    # the field goes off with Re f31 a large share of the state, for more than two blocks
+    sc = validate_scenario(CASES["free_mode_across_blocks"]())
+    t_off = sc.schedule.segments[1].t_start
+    x = case_reference("free_mode_across_blocks")[2][round(t_off / sc.dt)]
+    assert np.abs(x[:, 0].real).max() > 0.5 * np.abs(x[:, 0]).max()
+    rate = np.abs(np.log(np.abs(np.linalg.eigvals(node_map(sc, 0.0))))).max()
+    assert 2 * math.log(1e8) / rate < (sc.t_end - t_off) / sc.dt
+
+
+def test_march_scans_only_driven_or_read_coordinates(monkeypatch):
+    # one block per run, both branches: with the field off Re f31 takes no input and no
+    # kick and hands nothing on, so each node scans Im f31 alone; a complex pair is one
+    # complex scan, and real eigenvalues with the field on take two float64 scans
+    # (node 0, with no self term, has a complex pair there)
+    scanned = []
+    cumsum = np.cumsum
+    monkeypatch.setattr(np, "cumsum", lambda z, **kw: scanned.append(z.dtype) or cumsum(z, **kw))
+    for case, node0, interior in (("field_off", [float], [float]), ("gaussian", [complex], [complex]),
+                                  ("coalescing_real_1e-4", [complex], [float, float])):
+        sc = validate_scenario(CASES[case]())
+        scanned.clear()
+        run_scenario(sc)
+        assert scanned == 2 * (node0 + interior * (sc.sample.n_depth - 1)), case
 
 
 @pytest.mark.parametrize("present", [False, True])
