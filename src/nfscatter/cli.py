@@ -7,6 +7,7 @@ deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -200,6 +201,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process: each one is cyclic garbage, which raised a long run's resident set
 def _parser() -> argparse.ArgumentParser:
     p = _Parser(prog="nfscatter",
                 description="gated forward/backward resonant scattering simulator")
@@ -238,10 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError, TraceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, ScenarioError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -35,12 +35,12 @@ eliminating the half step leaves, per node, a real 2x2 recurrence on
 segment (node 0 has no self term).  Where its eigenvalues are a complex pair
 one complex mode carries it, else two coordinates of its Schur basis; each
 is one prefix sum of input*mu^-m times mu^m, so a time block of up to _BLOCK
-steps costs a fixed number of array passes per node.  A coordinate that is
-undriven and unread (Re f31 with the field off) is carried as z0*mu^m and
-not scanned.  Each branch takes its front-face input as one float64 array of
-full steps and midpoints, and writes its back-face field into a float64
-trace.  The forward branch is marched over the whole run first; the backward
-branch's mirror input is then built from that trace in whole-array passes.
+steps costs a fixed number of array passes per node; an undriven, unread
+coordinate (Re f31 with the field off) is carried as z0*mu^m, not scanned.
+Each branch takes its front-face input as one float64 array of full steps
+and midpoints, and writes its back-face field into a float64 trace.  The
+forward branch is marched over the whole run first; the backward branch's
+mirror input is then built from that trace in whole-array passes.
 """
 
 from __future__ import annotations
@@ -260,8 +260,8 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
     state = np.zeros((n_u, 2))  # y of every node at the next block's first step
     snaps = np.zeros((len(snap_steps), n_u), dtype=complex)
     fields = np.empty((3, min(_BLOCK, len(trace))))
-    # per map dtype (float64 for real eigenvalues): z1, z2, a temporary and the five table rows
-    scratch = {dtype: np.empty((8, fields.shape[1]), dtype=dtype) for dtype in (float, complex)}
+    # per map dtype (float64 for real eigenvalues), made on first use: z1, z2, a temporary and the five table rows
+    scratch = {}
     for level, first, stop in segments:
         (e_h, p_h), (e_f, p_f) = _propagators(level, 0.5 * dt), _propagators(level, dt)
         maps = (_node_map(e_h, e_f, p_h, p_f, 0.0, w), _node_map(e_h, e_f, p_h, p_f, w, w))
@@ -288,7 +288,10 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
             for j in range(n_u):
                 if j < 2:
                     modes, t12, wq2 = maps[j]
-                    z1, z2, zt, pw1, dn1, pw2, dn2, cpl = rows = scratch[type(modes[0].mu)][:, :k]
+                    dtype = type(modes[0].mu)
+                    if dtype not in scratch:
+                        scratch[dtype] = np.empty((8, fields.shape[1]), dtype=dtype)
+                    z1, z2, zt, pw1, dn1, pw2, dn2, cpl = rows = scratch[dtype][:, :k]
                     _fill_tables(modes, t12, m[:k], rows[3:])
                     scans = [(z, pw, dn, md, md.beta == 0 and md.p[1] == 0 and md.ga == md.gh == 0 and t12 == 0)
                              for z, pw, dn, md in zip((z1, z2), (pw1, pw2), (dn1, dn2), modes)]
@@ -301,8 +304,7 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
                 np.multiply(a, wq2, out=tmp)
                 for z, pw, dn, md, free in scans:
                     if free:
-                        # the scan of its zero input would give z0*mu^m
-                        z[read] = pw[read] * (md.p[0] * y0 + md.p[1] * y1)
+                        z[read] = pw[read] * (md.p[0] * y0 + md.p[1] * y1)  # what the scan of its zero input gives
                         continue
                     np.multiply(u[:-1], dn[1:], out=z[1:])
                     if z is z2 and t12 != 0:
