@@ -18,11 +18,8 @@ from .model import (
     SampleSpec,
     ScenarioConfig,
     ScenarioError,
-    ScheduleEvent,
     Segment,
     ValidatedScenario,
-    build_schedule,
-    delta_b_from_gamma,
     derived_timings,
     validate_scenario,
 )
@@ -51,9 +48,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_GAMMA", "CLEBSCH_A", "WAVE_NUMBER_K",
     "SampleSpec", "PulseSpec", "MirrorSpec",
-    "Segment", "HyperfineSchedule", "ScheduleEvent", "ProtocolTimings",
+    "Segment", "HyperfineSchedule", "ProtocolTimings",
     "ScenarioConfig", "ValidatedScenario", "ScenarioError",
-    "build_schedule", "derived_timings", "validate_scenario", "delta_b_from_gamma",
+    "derived_timings", "validate_scenario",
     "OracleCurve", "first_order_amplitude", "envelope_attenuation", "relative_l2",
     "TraceSet", "CoherenceSnapshot", "NumericalError", "gaussian_input", "run_scenario",
     "IntensitySeries", "EntanglementReport", "ExcitationPattern",

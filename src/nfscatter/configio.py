@@ -1,8 +1,9 @@
 """Structured-text (JSON) scenario configuration.
 
-The file mirrors the ScenarioConfig field names; times are ns.  Hyperfine
-levels may be given directly in rad/ns or as multiples of the decay rate
-through the ``*_in_gamma`` key variants.
+The file mirrors the ScenarioConfig field names; times are ns.  The
+hyperfine schedule is ``{"segments": [[t_start, delta_b], ...]}`` with levels
+in rad/ns, the form ``meta.json`` writes; without a ``schedule`` the field is
+off throughout.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from .model import (
     SampleSpec,
     ScenarioConfig,
     ScenarioError,
-    ScheduleEvent,
     Segment,
     _require_finite,
-    build_schedule,
-    delta_b_from_gamma,
 )
 
 
@@ -49,16 +47,6 @@ def _list(value: Any, where: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list (got {value!r})")
     return value
-
-
-def _level(d: dict, key: str, where: str) -> float | None:
-    raw = d.get(key)
-    in_gamma = d.get(f"{key}_in_gamma")
-    if raw is not None and in_gamma is not None:
-        raise ConfigError(f"{where}: give {key} or {key}_in_gamma, not both")
-    if in_gamma is not None:
-        return delta_b_from_gamma(_float(in_gamma, f"{where}.{key}_in_gamma"))
-    return None if raw is None else _float(raw, f"{where}.{key}")
 
 
 def _section(data: dict, key: str, cls):
@@ -88,33 +76,14 @@ def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
 
 
 def _schedule_from_dict(sd: dict) -> HyperfineSchedule:
-    _pick(sd, {"segments", "events", "initial_level", "initial_level_in_gamma"}, "schedule")
-    if "segments" in sd:
-        others = sorted(set(sd) - {"segments"})
-        if others:
-            raise ConfigError(f"schedule: segments takes no other keys (got {', '.join(others)})")
-        segments = []
-        for i, pair in enumerate(_list(sd["segments"], "schedule.segments")):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f"schedule.segments[{i}] must be a [t_start, delta_b] pair (got {pair!r})")
-            segments.append(Segment(_float(pair[0], f"schedule.segments[{i}].t_start"),
-                                    _float(pair[1], f"schedule.segments[{i}].delta_b")))
-        return HyperfineSchedule(tuple(segments))
-    initial = _level(sd, "initial_level", "schedule") or 0.0
-    events = []
-    for i, ed in enumerate(_list(sd.get("events", []), "schedule.events")):
-        _pick(ed, {"t", "action", "level", "level_in_gamma"}, f"schedule.events[{i}]")
-        for key in ("t", "action"):
-            if key not in ed:
-                raise ConfigError(f"schedule.events[{i}].{key} is required")
-        if not isinstance(ed["action"], str):
-            raise ConfigError(f"schedule.events[{i}].action must be a string (got {ed['action']!r})")
-        events.append(ScheduleEvent(
-            t=_float(ed["t"], f"schedule.events[{i}].t"),
-            action=ed["action"],
-            level=_level(ed, "level", f"schedule.events[{i}]"),
-        ))
-    return build_schedule(events, initial_level=initial)
+    _pick(sd, {"segments"}, "schedule")
+    segments = []
+    for i, pair in enumerate(_list(sd.get("segments", [[0.0, 0.0]]), "schedule.segments")):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"schedule.segments[{i}] must be a [t_start, delta_b] pair (got {pair!r})")
+        segments.append(Segment(_float(pair[0], f"schedule.segments[{i}].t_start"),
+                                _float(pair[1], f"schedule.segments[{i}].delta_b")))
+    return HyperfineSchedule(tuple(segments))
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -1,4 +1,4 @@
-"""Domain model: physical constants, scenario description, control schedules.
+"""Domain model: physical constants, scenario description, hyperfine schedule.
 
 Units throughout: times in ns, rates and Rabi frequencies in 1/ns, wave
 numbers in 1/angstrom.  The hyperfine splitting ``delta_b`` is a signed
@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from typing import Sequence
 
 # the 14.413 keV Moessbauer line of 57Fe, the one transition modelled
 HC_KEV_ANGSTROM = 12.39842
@@ -33,7 +32,7 @@ MAX_GRID_POINTS = 1_000_000
 
 
 class ScenarioError(ValueError):
-    """A scenario, schedule or event list violates a model invariant."""
+    """A scenario or schedule violates a model invariant."""
 
 
 def _require_finite(name: str, value, optional: bool = False) -> None:
@@ -47,11 +46,6 @@ def _require_finite(name: str, value, optional: bool = False) -> None:
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ScenarioError(f"{name} must be a finite int or float (got {value!r})")
-
-
-def delta_b_from_gamma(multiple: float) -> float:
-    """Hyperfine splitting given as a multiple of the decay rate, in rad/ns."""
-    return multiple * DEFAULT_GAMMA
 
 
 @dataclass(frozen=True)
@@ -171,87 +165,11 @@ class HyperfineSchedule:
     def constant(cls, delta_b: float) -> "HyperfineSchedule":
         return cls((Segment(0.0, delta_b),))
 
-    def level_at(self, t: float) -> float:
-        level = self.segments[0].delta_b
-        for seg in self.segments:
-            if seg.t_start <= t:
-                level = seg.delta_b
-            else:
-                break
-        return level
-
     def first_nonzero_level(self) -> float | None:
         for seg in self.segments:
             if seg.delta_b != 0.0:
                 return seg.delta_b
         return None
-
-
-@dataclass(frozen=True)
-class ScheduleEvent:
-    """A control action on the hyperfine field at time t.
-
-    Actions: ``set`` (level := value), ``invert`` (level := -level),
-    ``off`` (level := 0), ``on`` (restore the given level, or the last
-    nonzero level when no value is given).
-    """
-
-    t: float
-    action: str
-    level: float | None = None
-
-
-def build_schedule(
-    events: Sequence[ScheduleEvent],
-    initial_level: float = 0.0,
-) -> HyperfineSchedule:
-    """Fold control events into a piecewise-constant schedule.
-
-    Event times must be non-decreasing; two events at the same time are
-    rejected unless they would produce the same level.  ``invert`` requires
-    the current level to be nonzero.
-    """
-    segments = [Segment(0.0, initial_level)]
-    level = initial_level
-    last_nonzero = initial_level if initial_level != 0.0 else None
-    prev_t = -math.inf
-    for i, ev in enumerate(events):
-        _require_finite(f"schedule.events[{i}].t", ev.t)
-        _require_finite(f"schedule.events[{i}].level", ev.level, optional=True)
-        if ev.t < prev_t:
-            raise ScenarioError(f"schedule event times must be non-decreasing (got {ev.t} after {prev_t})")
-        if ev.action == "set":
-            if ev.level is None:
-                raise ScenarioError(f"schedule 'set' event at t={ev.t} needs a level")
-            new = ev.level
-        elif ev.action == "invert":
-            if level == 0.0:
-                raise ScenarioError(f"cannot invert a zero hyperfine level at t={ev.t}")
-            new = -level
-        elif ev.action == "off":
-            new = 0.0
-        elif ev.action == "on":
-            if ev.level is not None:
-                new = ev.level
-            elif last_nonzero is not None:
-                new = last_nonzero
-            else:
-                raise ScenarioError(f"schedule 'on' event at t={ev.t} has no level to restore")
-        else:
-            raise ScenarioError(f"unknown schedule action {ev.action!r} at t={ev.t}")
-
-        if ev.t == prev_t and new != level:
-            raise ScenarioError(f"conflicting schedule actions at t={ev.t}")
-        if new != level:
-            if ev.t <= 0.0:
-                segments[0] = Segment(0.0, new)
-            else:
-                segments.append(Segment(ev.t, new))
-            level = new
-        if level != 0.0:
-            last_nonzero = level
-        prev_t = ev.t
-    return HyperfineSchedule(tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -385,7 +303,7 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
         segs.append(Segment(t_nudged, seg.delta_b))
     starts = [s.t_start for s in segs]
     if any(b <= a for a, b in zip(starts, starts[1:])):
-        raise ScenarioError(f"schedule events collide after grid alignment: {starts}")
+        raise ScenarioError(f"schedule segments collide after grid alignment: {starts}")
     schedule = HyperfineSchedule(tuple(segs))
 
     pulse = config.pulse

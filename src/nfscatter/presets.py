@@ -6,15 +6,14 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .model import (
+    DEFAULT_GAMMA,
     HyperfineSchedule,
     MirrorSpec,
     PulseSpec,
     SampleSpec,
     ScenarioConfig,
-    ScheduleEvent,
     ScenarioError,
-    build_schedule,
-    delta_b_from_gamma,
+    Segment,
     derived_timings,
 )
 
@@ -23,12 +22,12 @@ SWEEP_AXES = ("xi", "R", "delta_B", "tau")
 
 def gated_mirror_scenario(
     xi: float = 1.0,
-    delta_b_in_gamma: float = 30.0,
+    delta_b_over_gamma: float = 30.0,
     invert: bool = False,
     snapshots: Sequence[float] = (),
     disable_time: float | None = None,
 ) -> ScenarioConfig:
-    """Storage/retrieval protocol scenario built from the splitting.
+    """Storage/retrieval protocol scenario built from the splitting, given in multiples of gamma.
 
     The mirror sits half a beat period away (round trip tau = pi/delta_b),
     its reflection is disabled just after the prompt pulse reaches it, the
@@ -37,21 +36,20 @@ def gated_mirror_scenario(
     inversion at the first beat node, which flips the retrieved relative
     phase from 0 to pi.  Every other field keeps its dataclass default.
     """
-    delta_b = delta_b_from_gamma(delta_b_in_gamma)
+    delta_b = delta_b_over_gamma * DEFAULT_GAMMA
     timings = derived_timings(delta_b)
     if disable_time is None:
         # just after the prompt reflection, before any delayed signal arrives
         disable_time = 0.5 * timings.tau + 0.002
-    events = []
+    stored = -delta_b if invert else delta_b
+    segments = [Segment(0.0, delta_b), Segment(timings.t_off, 0.0), Segment(100.0, stored)]
     if invert:
-        events.append(ScheduleEvent(timings.t_invert, "invert"))
-    events.append(ScheduleEvent(timings.t_off, "off"))
-    events.append(ScheduleEvent(100.0, "on"))
+        segments.insert(1, Segment(timings.t_invert, -delta_b))
     return ScenarioConfig(
         sample=SampleSpec(xi=xi),
         pulse=PulseSpec(),
         mirror=MirrorSpec(delay_tau=timings.tau, disable_time=disable_time),
-        schedule=build_schedule(events, initial_level=delta_b),
+        schedule=HyperfineSchedule(tuple(segments)),
         t_end=200.0,
         record_snapshots_at=tuple(snapshots),
     )
@@ -63,7 +61,7 @@ def single_pass_scenario() -> ScenarioConfig:
         sample=SampleSpec(xi=0.01),
         pulse=PulseSpec(),
         mirror=MirrorSpec(reflectivity=0.0, delay_tau=0.0),
-        schedule=HyperfineSchedule.constant(delta_b_from_gamma(30.0)),
+        schedule=HyperfineSchedule.constant(30.0 * DEFAULT_GAMMA),
         t_end=160.0,
     )
 
@@ -119,7 +117,7 @@ class SweepSpec:
             if self.base not in ("fig2a", "fig2b", "fig2c"):
                 raise ScenarioError("delta_B sweeps rebuild the protocol and need a fig2* base")
             return gated_mirror_scenario(
-                delta_b_in_gamma=value,
+                delta_b_over_gamma=value,
                 invert=(self.base == "fig2c"),
                 snapshots=(60.0,) if self.base in ("fig2b", "fig2c") else (),
             )

@@ -30,7 +30,7 @@ from nfscatter import (
     storage_suppression,
     validate_scenario,
 )
-from nfscatter.model import ScheduleEvent, build_schedule, derived_timings
+from nfscatter.model import HyperfineSchedule, Segment, derived_timings
 from nfscatter.presets import preset_scenario
 
 GAMMA = 1.0 / 141.1
@@ -66,7 +66,7 @@ def test_A3_thin_sample_oracle_equivalence(single_pass_run):
     sc, traces, _ = single_pass_run
     theta = sc.pulse.area
     ref = theta * first_order_amplitude(sc.sample.xi, DEFAULT_GAMMA,
-                                        sc.schedule.level_at(0.0), traces.t_grid)
+                                        sc.schedule.segments[0].delta_b, traces.t_grid)
     err = relative_l2(OracleCurve(traces.t_grid, traces.fwd_amp),
                       OracleCurve(traces.t_grid, ref.astype(complex)),
                       (0.1, 150.0))
@@ -85,8 +85,7 @@ def test_A4_storage_is_phase_selective(fig2a_run, gated_run_factory):
         sample=SampleSpec(xi=1.0, n_depth=201),
         pulse=PulseSpec(mode="impulsive", area=1e-3),
         mirror=MirrorSpec(reflectivity=0.99, delay_tau=TAU, disable_time=7.39),
-        schedule=build_schedule(
-            [ScheduleEvent(t_anti, "off"), ScheduleEvent(100.0, "on")], initial_level=DB30),
+        schedule=HyperfineSchedule((Segment(0.0, DB30), Segment(t_anti, 0.0), Segment(100.0, DB30))),
         t_end=110.0,
         dt=0.005,
     ))

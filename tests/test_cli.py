@@ -135,6 +135,21 @@ def test_rejected_input_names_field(tmp_path, capsys, args, field):
     assert not (tmp_path / "x" / "traces.csv").exists()
 
 
+# the schedule's former event form; segments are its one form now
+@pytest.mark.parametrize("schedule, key", [
+    ({"events": [{"t": 22.163936, "action": "off"}, {"t": 100.0, "action": "on"}]}, "events"),
+    ({"initial_level_in_gamma": 30.0}, "initial_level_in_gamma"),
+])
+def test_event_schedule_config_rejected(tmp_path, capsys, schedule, key):
+    data = validate_scenario(preset_scenario("fig2b")).as_dict()
+    data["schedule"] = schedule
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(data))
+    assert run_cli(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+    assert f"unknown key(s) in schedule: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "traces.csv").exists()
+
+
 @pytest.mark.parametrize("argv, code, text", [
     (["run", "--preset", "fig2a", "--dt", "abc"], 1, "--dt"),
     (["run", "--preset", "fig2a", "--format", "xml"], 1, "--format"),

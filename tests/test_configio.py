@@ -1,13 +1,12 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from nfscatter import validate_scenario
+from nfscatter import Segment, validate_scenario
 from nfscatter.configio import ConfigError, apply_overrides, load_config, scenario_from_dict
 from nfscatter.presets import PRESETS, preset_scenario
-
-GAMMA = 1.0 / 141.1
 
 
 def fig2a_dict():
@@ -27,28 +26,19 @@ def test_round_trip_every_preset(name):
     assert again.config_hash == validate_scenario(sc).config_hash
 
 
-def test_delta_b_in_gamma_key():
+def test_absent_schedule_is_field_off():
     data = fig2a_dict()
-    data["schedule"] = {
-        "initial_level_in_gamma": 30.0,
-        "events": [
-            {"t": 22.165, "action": "off"},
-            {"t": 100.0, "action": "on", "level_in_gamma": 30.0},
-        ],
-    }
+    del data["schedule"]
     sc = validate_scenario(scenario_from_dict(data))
-    assert sc.schedule.level_at(0.0) == pytest.approx(30.0 * GAMMA)
-    assert sc.schedule.level_at(150.0) == pytest.approx(30.0 * GAMMA)
+    assert sc.schedule.segments == (Segment(0.0, 0.0),)
 
 
-def test_level_and_gamma_key_conflict():
-    data = fig2a_dict()
-    data["schedule"] = {
-        "initial_level": 0.2,
-        "events": [{"t": 5.0, "action": "set", "level": 0.1, "level_in_gamma": 10.0}],
-    }
-    with pytest.raises(ConfigError, match="not both"):
-        scenario_from_dict(data)
+def test_readme_example_is_fig2b():
+    # the README's configuration example is fig2b written out, levels in rad/ns
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"## Configuration\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    sc = validate_scenario(scenario_from_dict(json.loads(example)))
+    assert sc.config_hash == validate_scenario(preset_scenario("fig2b")).config_hash
 
 
 def test_unknown_key_rejected():
@@ -103,15 +93,14 @@ def test_int_and_float_spellings_hash_alike():
     assert len(hashes) == 1
 
 
-@pytest.mark.parametrize("events, field", [
-    ([{"action": "off"}], "schedule.events[0].t"),
-    ([{"t": 5.0, "action": "off"}, {"t": 6.0}], "schedule.events[1].action"),
-    (5, "schedule.events"),
-    ([{"t": 5.0, "action": None}], "schedule.events[0].action"),
-    ([{"t": 5.0, "action": ["off"]}], "schedule.events[0].action"),
-])
-def test_malformed_event_names_field(events, field):
+@pytest.mark.parametrize("segments, field", [
+    (5, "schedule.segments"),
+    ([[0.0]], "schedule.segments[0]"),
+    ([[0.0, 0.2], [5.0, 0.1, 1.0]], "schedule.segments[1]"),
+    ([{"t_start": 0.0, "delta_b": 0.2}], "schedule.segments[0]"),
+], ids=["not_a_list", "short_pair", "long_pair", "object"])
+def test_malformed_segments_name_field(segments, field):
     data = fig2a_dict()
-    data["schedule"] = {"initial_level": 0.2, "events": events}
+    data["schedule"] = {"segments": segments}
     with pytest.raises(ConfigError, match=re.escape(field)):
         scenario_from_dict(data)

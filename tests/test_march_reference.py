@@ -35,6 +35,10 @@ def reference_run(sc):
     def gated(t_exit):
         return t_exit >= 0.0 and (t_off is None or t_exit + 0.5 * tau <= t_off)
 
+    def level_at(t):  # the last schedule segment starting at or before t, else the first
+        segs = sc.schedule.segments
+        return ([seg.delta_b for seg in segs if seg.t_start <= t] or [segs[0].delta_b])[-1]
+
     def integral(s):  # cumulative trapezoid of s from u = 0
         return np.concatenate(([0.0], np.cumsum(0.5 * du * (s[1:] + s[:-1]))))
 
@@ -69,7 +73,7 @@ def reference_run(sc):
         if i in snap_steps:
             snaps[i] = x.copy()
         if i < n_t - 1:
-            level = sc.schedule.level_at(t)
+            level = level_at(t)
             x = advance(x, fields(advance(x, om, 0.5 * dt, level), t + 0.5 * dt, i + 1), dt, level)
     return fwd, bwd, snaps
 

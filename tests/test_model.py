@@ -11,9 +11,7 @@ from nfscatter import (
     SampleSpec,
     ScenarioConfig,
     ScenarioError,
-    ScheduleEvent,
-    build_schedule,
-    delta_b_from_gamma,
+    Segment,
     derived_timings,
     validate_scenario,
 )
@@ -60,53 +58,25 @@ class TestDerivedTimings:
             derived_timings(-1.0)
 
 
-class TestBuildSchedule:
-    def test_off_on_schedule(self):
-        sched = build_schedule(
-            [ScheduleEvent(22.16, "off"), ScheduleEvent(100.0, "on")],
-            initial_level=DB30,
-        )
-        levels = [s.delta_b for s in sched.segments]
-        assert levels == [DB30, 0.0, DB30]
-        assert [s.t_start for s in sched.segments] == [0.0, 22.16, 100.0]
+@pytest.mark.parametrize("name, levels", [
+    ("fig2a", [DB30, 0.0, DB30]),
+    # the field comes back on at 100 ns with the inverted level it had before switch-off
+    ("fig2c", [DB30, -DB30, 0.0, -DB30]),
+], ids=["fig2a", "fig2c"])
+def test_protocol_preset_segments(name, levels):
+    t = derived_timings(DB30)
+    starts = [0.0, t.t_off, 100.0] if name == "fig2a" else [0.0, t.t_invert, t.t_off, 100.0]
+    segs = preset_scenario(name).schedule.segments
+    assert [s.delta_b for s in segs] == levels
+    assert [s.t_start for s in segs] == starts
 
-    def test_invert_then_off_then_on(self):
-        sched = build_schedule(
-            [ScheduleEvent(7.39, "invert"), ScheduleEvent(22.16, "off"), ScheduleEvent(100.0, "on")],
-            initial_level=DB30,
-        )
-        assert [s.delta_b for s in sched.segments] == [DB30, -DB30, 0.0, -DB30]
 
-    def test_empty_events_constant(self):
-        sched = build_schedule([], initial_level=DB30)
-        assert sched.segments == (type(sched.segments[0])(0.0, DB30),)
-        assert sched.level_at(-5.0) == DB30
-        assert sched.level_at(500.0) == DB30
-
-    def test_invert_zero_rejected(self):
-        with pytest.raises(ScenarioError, match="invert"):
-            build_schedule([ScheduleEvent(1.0, "invert")], initial_level=0.0)
-
-    def test_conflicting_duplicate_rejected(self):
-        with pytest.raises(ScenarioError, match="conflict"):
-            build_schedule(
-                [ScheduleEvent(5.0, "off"), ScheduleEvent(5.0, "set", 1.0)],
-                initial_level=DB30,
-            )
-
-    def test_decreasing_times_rejected(self):
-        with pytest.raises(ScenarioError):
-            build_schedule(
-                [ScheduleEvent(5.0, "off"), ScheduleEvent(4.0, "on")],
-                initial_level=DB30,
-            )
-
-    def test_explicit_on_level(self):
-        sched = build_schedule(
-            [ScheduleEvent(2.0, "off"), ScheduleEvent(4.0, "on", -DB30)],
-            initial_level=DB30,
-        )
-        assert sched.level_at(5.0) == -DB30
+@pytest.mark.parametrize("starts", [[0.0, 5.0, 4.0], [0.0, 5.0, 5.0], [1.0, 5.0]],
+                         ids=["decreasing", "duplicate", "first_after_zero"])
+def test_segment_start_times_rejected(starts):
+    # start times strictly increase, and the first segment covers t = 0
+    with pytest.raises(ScenarioError, match="schedule segment"):
+        HyperfineSchedule(tuple(Segment(t, DB30) for t in starts))
 
 
 class TestValidateScenario:
@@ -142,7 +112,7 @@ class TestValidateScenario:
             sample=SampleSpec(xi=0.1),
             pulse=PulseSpec(),
             mirror=MirrorSpec(reflectivity=0.0, delay_tau=0.0),
-            schedule=build_schedule([ScheduleEvent(1.2341, "off")], initial_level=DB30),
+            schedule=HyperfineSchedule((Segment(0.0, DB30), Segment(1.2341, 0.0))),
             t_end=10.0,
             dt=0.01,
         )
@@ -193,6 +163,3 @@ def test_numpy_scalar_rejected_with_field_name(field, value):
     plain = validate_scenario(replace(cfg, sample=replace(cfg.sample, xi=0.5)))
     assert validate_scenario(replace(cfg, sample=replace(cfg.sample, xi=np.float64(0.5)))).config_hash == plain.config_hash
 
-
-def test_delta_b_helper():
-    assert delta_b_from_gamma(30.0) == pytest.approx(DB30)

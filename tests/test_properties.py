@@ -10,14 +10,14 @@ from nfscatter import (
     PulseSpec,
     SampleSpec,
     ScenarioConfig,
-    ScheduleEvent,
-    build_schedule,
+    Segment,
     derived_timings,
     envelope_attenuation,
     run_scenario,
     validate_scenario,
 )
 from nfscatter.model import HyperfineSchedule
+from nfscatter.solver import _segment_steps
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA
@@ -30,40 +30,45 @@ def test_timing_ratios_exact(delta_b):
     assert 3.0 * t.tau == pytest.approx(2.0 * t.t_off, rel=1e-12)
 
 
+LEVELS = [DB30, -DB30, 2 * DB30, 0.0]
+
+
 @st.composite
-def event_lists(draw):
+def segment_lists(draw):
+    """Up to four segments after the field's opening DB30, each at its own 0.01 ns tick in [0.5, 18]."""
     n = draw(st.integers(min_value=0, max_value=4))
     ticks = sorted(draw(st.lists(
         st.integers(min_value=50, max_value=1800), min_size=n, max_size=n, unique=True)))
-    times = [tick / 100.0 for tick in ticks]
-    level = DB30
-    events = []
-    for t in times:
-        action = draw(st.sampled_from(["set", "invert", "off", "on"]))
-        if action == "invert" and level == 0.0:
-            action = "set"
-        kwargs = {}
-        if action == "set":
-            kwargs["level"] = draw(st.sampled_from([DB30, -DB30, 2 * DB30, 0.0]))
-        events.append(ScheduleEvent(t, action, kwargs.get("level")))
-        if action == "set":
-            level = events[-1].level
-        elif action == "invert":
-            level = -level
-        elif action == "off":
-            level = 0.0
-        else:
-            level = level if level != 0.0 else DB30
-    return events
+    return [Segment(tick / 100.0, draw(st.sampled_from(LEVELS))) for tick in ticks]
 
 
-@given(event_lists(), st.floats(min_value=0.0, max_value=25.0))
-def test_schedule_total_on_any_time(events, t):
-    sched = build_schedule(events, initial_level=DB30)
-    level = sched.level_at(t)
-    assert isinstance(level, float)
-    matching = [s.delta_b for s in sched.segments if s.t_start <= t]
-    assert level == (matching[-1] if matching else sched.segments[0].delta_b)
+@given(st.lists(st.floats(min_value=-5.0, max_value=25.0), min_size=1, max_size=6,
+                unique_by=lambda t: round(t / 0.02)),
+       st.lists(st.sampled_from(LEVELS), min_size=6, max_size=6))
+def test_segment_steps_give_every_step_one_level(times, levels):
+    # start times that collide on the 0.02 ns grid are excluded; segments may start
+    # before 0 and past t_end = 20 ns
+    times = sorted(times)
+    times[0] = min(times[0], 0.0)
+    sc = validate_scenario(ScenarioConfig(
+        sample=SampleSpec(xi=0.3, n_depth=11),
+        pulse=PulseSpec(),
+        mirror=MirrorSpec(reflectivity=0.0, delay_tau=0.0),
+        schedule=HyperfineSchedule(tuple(Segment(t, lvl) for t, lvl in zip(times, levels))),
+        t_end=20.0,
+        dt=0.02,
+    ))
+    n_t = sc.n_steps + 1
+    got = [None] * n_t
+    for level, first, stop in _segment_steps(sc, n_t):
+        assert first < stop
+        for i in range(first, stop):
+            assert got[i] is None
+            got[i] = level
+    # step i takes the last segment starting at or before i*dt, else the first
+    segs = sc.schedule.segments
+    assert got == [([s.delta_b for s in segs if s.t_start <= i * sc.dt] or [segs[0].delta_b])[-1]
+                   for i in range(n_t)]
 
 
 @given(st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=0.01, max_value=5.0),
@@ -73,14 +78,14 @@ def test_envelope_attenuation_monotone(xi, db_small, db_extra):
     assert envelope_attenuation(xi, GAMMA, db_small + db_extra) >= envelope_attenuation(xi, GAMMA, db_small)
 
 
-def mini_scenario(events, reflectivity=0.8, area=1e-3, t_end=16.0):
+def mini_scenario(segments, reflectivity=0.8, area=1e-3, t_end=16.0):
     tau = 3.0
     return validate_scenario(ScenarioConfig(
         sample=SampleSpec(xi=0.3, n_depth=31),
         pulse=PulseSpec(mode="impulsive", area=area),
         mirror=MirrorSpec(reflectivity=reflectivity,
                           delay_tau=tau, disable_time=2.0),
-        schedule=build_schedule(events, initial_level=DB30),
+        schedule=HyperfineSchedule((Segment(0.0, DB30), *segments)),
         t_end=t_end,
         dt=0.02,
         record_snapshots_at=(7.0, 15.0),
@@ -88,11 +93,11 @@ def mini_scenario(events, reflectivity=0.8, area=1e-3, t_end=16.0):
 
 
 @settings(max_examples=8, deadline=None)
-@given(event_lists())
-def test_realness_under_arbitrary_schedules(events):
+@given(segment_lists())
+def test_realness_under_arbitrary_schedules(segments):
     # real pulse area and the real mirror coefficient keep the fields real
     # and the coherence sums on the imaginary axis (f42 = -conj(f31))
-    traces, snaps = run_scenario(mini_scenario(events))
+    traces, snaps = run_scenario(mini_scenario(segments))
     scale_f = np.max(np.abs(traces.fwd_amp)) or 1.0
     scale_b = np.max(np.abs(traces.bwd_amp)) or 1.0
     assert np.max(np.abs(traces.fwd_amp.imag)) <= 1e-9 * scale_f
@@ -142,7 +147,7 @@ def test_storage_freeze_decay_thin_sample():
         sample=SampleSpec(xi=0.01, n_depth=41),
         pulse=PulseSpec(mode="impulsive", area=1e-3),
         mirror=MirrorSpec(reflectivity=0.0, delay_tau=0.0),
-        schedule=build_schedule([ScheduleEvent(t_off, "off")], initial_level=DB30),
+        schedule=HyperfineSchedule((Segment(0.0, DB30), Segment(t_off, 0.0))),
         t_end=90.0,
         dt=0.005,
         record_snapshots_at=(25.0, 85.0),
