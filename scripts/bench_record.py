@@ -11,8 +11,11 @@ the current directory, holds for each side the git shas, Python, numpy,
 BLAS, nproc and CPU model of its records and, per workload:
 
 - from the untraced runs (``--trace 0``), the median, quartiles and IQR of
-  ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb``, the seeds and the
-  largest failed share of calls in one run;
+  ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb``, the median number
+  of samples a run made (``untraced_samples``: a faster program fits more
+  calls into the fixed ``--seconds``, and its peak resident set can rise
+  with the call count alone), the seeds and the largest failed share of
+  calls in one run;
 - from the traced runs (``--trace 1``), the median of every per-layer
   metric BENCHMARK.json lists.
 
@@ -48,6 +51,7 @@ def side(records: list[dict], per_layer: list[str]) -> dict:
         out: dict = {}
         if plain:
             out.update({m: spread([r["metrics"][m] for r in plain]) for m in END_TO_END})
+            out["untraced_samples"] = statistics.median(len(r["samples"]) for r in plain)
             out["seeds"] = sorted(r["record"]["seed"] for r in plain)
             out["fail_frac"] = max(r["metrics"]["fail_frac"] for r in plain)
         if traced:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -19,6 +20,9 @@ from .model import (
 
 SWEEP_AXES = ("xi", "R", "delta_B", "tau")
 
+#: the protocol switches the field back on (retrieval) at this time, in ns
+_RETRIEVAL_NS = 100.0
+
 
 def gated_mirror_scenario(
     xi: float = 1.0,
@@ -35,14 +39,21 @@ def gated_mirror_scenario(
     the level in force before switch-off.  ``invert`` adds the field
     inversion at the first beat node, which flips the retrieved relative
     phase from 0 to pi.  Every other field keeps its dataclass default.
+    A splitting whose switch-off falls at or after the retrieval raises
+    :class:`ScenarioError`.
     """
     delta_b = delta_b_over_gamma * DEFAULT_GAMMA
     timings = derived_timings(delta_b)
+    if not timings.t_off < _RETRIEVAL_NS:
+        raise ScenarioError(
+            f"splitting {delta_b_over_gamma:g} gamma switches the field off at 1.5*pi/delta_b = "
+            f"{timings.t_off:.6g} ns: after the {_RETRIEVAL_NS:g} ns retrieval (the splitting must exceed "
+            f"1.5*pi/{_RETRIEVAL_NS:g} rad/ns = {1.5 * math.pi / _RETRIEVAL_NS / DEFAULT_GAMMA:.3g} gamma)")
     if disable_time is None:
         # just after the prompt reflection, before any delayed signal arrives
         disable_time = 0.5 * timings.tau + 0.002
     stored = -delta_b if invert else delta_b
-    segments = [Segment(0.0, delta_b), Segment(timings.t_off, 0.0), Segment(100.0, stored)]
+    segments = [Segment(0.0, delta_b), Segment(timings.t_off, 0.0), Segment(_RETRIEVAL_NS, stored)]
     if invert:
         segments.insert(1, Segment(timings.t_invert, -delta_b))
     return ScenarioConfig(

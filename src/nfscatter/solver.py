@@ -35,8 +35,9 @@ eliminating the half step leaves, per node, a real 2x2 recurrence on
 segment (node 0 has no self term).  Where its eigenvalues are a complex pair
 one complex mode carries it, else two coordinates of its Schur basis; each
 is one prefix sum of input*mu^-m times mu^m, so a time block of up to _BLOCK
-steps costs a fixed number of array passes per node; an undriven, unread
-coordinate (Re f31 with the field off) is carried as z0*mu^m, not scanned.
+steps, held in one scratch pool, costs a fixed number of array passes per
+node; an undriven, unread coordinate (Re f31 with the field off) is carried
+as z0*mu^m, not scanned.
 Each branch takes its front-face input as one float64 array of full steps
 and midpoints, and writes its back-face field into a float64 trace.  The
 forward branch is marched over the whole run first; the backward branch's
@@ -45,6 +46,7 @@ mirror input is then built from that trace in whole-array passes.
 
 from __future__ import annotations
 
+import array
 import cmath
 import math
 import warnings
@@ -59,11 +61,14 @@ from .model import CLEBSCH_A, DEFAULT_GAMMA, PulseSpec, ScenarioConfig, Validate
 LINEAR_FIELD_WARN = 0.1
 
 #: longest time block marched as one prefix sum, in steps
-_BLOCK = 8192
+_BLOCK = 16384
 
 #: largest |mu|^(+-m) a block may span, which keeps the scan's tables and
 #: partial sums far from overflow and underflow on strongly damped maps
 _SCAN_RANGE = 1e8
+
+#: a block's prefix sum, called as _scan(z, 0, None, z): the ufunc np.cumsum runs, without its Python wrapper
+_scan = np.add.accumulate
 
 
 class NumericalError(RuntimeError):
@@ -221,20 +226,25 @@ def _node_map(e_h: complex, e_f: complex, p_h: complex, p_f: complex, w_self: fl
     return (modes, t12, 2.0 * wq) if all(cmath.isfinite(x) for x in values) else None
 
 
-def _span(mu: complex) -> int:
-    """Longest block, at most _BLOCK steps, over which |mu|^(+-m) stays within _SCAN_RANGE."""
+def _span(mu: complex) -> float:
+    """Longest block over which |mu|^(+-m) stays within _SCAN_RANGE (unbounded for |mu| = 1)."""
     rate = abs(math.log(abs(mu))) if mu != 0 else math.inf
-    return _BLOCK if rate == 0.0 else min(_BLOCK, 1 + int(math.log(_SCAN_RANGE) / rate))
+    return math.inf if rate == 0.0 else 1 + int(math.log(_SCAN_RANGE) / rate)
 
 
 def _fill_tables(modes, t12, m: np.ndarray, out: np.ndarray) -> None:
-    """Rows mu^m and beta*mu^-m of each mode, then t12*mu2^-m for two modes, of ``out``."""
+    """Rows mu^m and beta*mu^-m of each mode, then t12*mu2^-m for two modes, of ``out``, in place."""
     specs = [(md.mu, sign, scale) for md in modes for sign, scale in ((1.0, 1.0), (-1.0, md.beta))]
     specs += [(modes[1].mu, -1.0, t12)] if len(modes) == 2 else []
+    real = out.dtype != complex
     for row, (mu, sign, scale) in zip(out, specs):
         # mu = 0 limits the block to one step, where only m = 0 is read
-        powers = np.exp(m * (sign * cmath.log(mu) if mu != 0 else 0j)) * scale
-        row[:] = powers if row.dtype == complex else powers.real
+        c = sign * cmath.log(mu) if mu != 0 else 0j
+        np.multiply(m, c.real if real else c, row)
+        np.exp(row, row)
+        if real and c.imag:  # a negative real mu: mu^m alternates in sign
+            np.negative(row[1::2], row[1::2])
+        np.multiply(row, scale, row)
 
 
 def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_steps: list, dt: float,
@@ -249,7 +259,15 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
     input) x (complex table) gives its _Mode z, and it hands on a += Re z
     and u += Re(gh*z).  Where they are real, it scans in float64 the
     coordinates of the map's real Schur basis, but carries one that is
-    undriven and unread (no input, kick, hand-on or t12) as z0*mu^m.
+    undriven and unread (no input, kick, hand-on or t12) as z0*mu^m, read
+    off its table at the steps the state and snapshots need.
+
+    A block is at most _BLOCK steps, the width of the fields a and u and of
+    one scratch pool of 8 float64 rows: a float64 map uses them as z1, z2,
+    a temporary, mu^m and beta*mu^-m of each mode and t12*mu2^-m; a complex
+    map views the same bytes as 4 complex rows, z, a temporary, mu^m and
+    beta*mu^-m.  What every node of a block shares (row views, hand-ons, the
+    table at the read steps) is built once per block and map.
 
     ``inputs`` is the branch input Omega(0), a float64 array of shape (2,
     n_t) holding the full steps and the midpoints; ``kicks`` maps a step to
@@ -257,23 +275,32 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
     other.  The back-face field goes to the float64 array ``trace``.
     Returns f31 at ``snap_steps`` as (snapshot, depth).
     """
-    state = np.zeros((n_u, 2))  # y of every node at the next block's first step
+    # y of every node at the next block's first step, as Re f31 and Im f31
+    s0, s1 = array.array("d", bytes(8 * n_u)), array.array("d", bytes(8 * n_u))
     snaps = np.zeros((len(snap_steps), n_u), dtype=complex)
-    fields = np.empty((3, min(_BLOCK, len(trace))))
-    # per map dtype (float64 for real eigenvalues), made on first use: z1, z2, a temporary and the five table rows
-    scratch = {}
+    width = min(_BLOCK, len(trace))
+    fields = np.empty((2, width))
+    pool = np.empty(8 * width)
+    m = np.arange(width, dtype=float)
+    mul, add, scan = np.multiply, np.add, _scan
     for level, first, stop in segments:
         (e_h, p_h), (e_f, p_f) = _propagators(level, 0.5 * dt), _propagators(level, dt)
         maps = (_node_map(e_h, e_f, p_h, p_f, 0.0, w), _node_map(e_h, e_f, p_h, p_f, w, w))
         finite = None not in maps
-        spans = [_span(md.mu) for modes, _, _ in maps for md in modes] if finite else []
-        k_max = min(stop - first, _BLOCK, *spans)
-        m = np.arange(k_max)
+        layouts, spans = [], []
+        for modes, _, _ in maps if finite else ():
+            # 4 rows per mode of the map's dtype (a complex map with two Schur modes gets half the width)
+            rows = pool.view(type(modes[0].mu))
+            n_rows = 4 * len(modes)
+            layouts.append(rows[:rows.size // n_rows * n_rows].reshape(n_rows, -1))
+            spans += [_span(md.mu) for md in modes]
+        k_max = min(stop - first, width, *spans, *(rows.shape[1] for rows in layouts))
         for b0 in range(first, stop, k_max):
             b1 = min(b0 + k_max, stop)
             k = b1 - b0
-            a, u, tmp = fields[:, :k]
-            np.copyto(fields[:2, :k], inputs[:, b0:b1])  # node 0 has no self term, so its step input u is a_h
+            a, u = fields[:, :k]
+            u_lo = u[:-1]
+            np.copyto(fields[:, :k], inputs[:, b0:b1])  # node 0 has no self term, so its step input u is a_h
             inner = [(n - b0, kick) for n, kick in kicks.items() if b0 <= n < b1]
             shots = [(n - b0, s) for s, n in enumerate(snap_steps) if b0 <= n < b1]
             read = [i for i, _ in shots] + [k - 1]  # the steps of a coordinate that the state and snapshots read
@@ -281,54 +308,67 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
                 # the map overflows: the run turns non-finite at the first step carrying a
                 # value; until then every state and field is exactly zero
                 hot = [i for i, _ in inner] + [int(np.flatnonzero(v)[0]) for v in (a, u) if v.any()]
-                hot += [0] if state.any() else []
+                hot += [0] if any(s0) or any(s1) else []
                 if hot:
                     raise NumericalError(f"non-finite field at t = {(b0 + min(hot)) * dt:.4f} ns")
                 continue
             for j in range(n_u):
                 if j < 2:
                     modes, t12, wq2 = maps[j]
-                    dtype = type(modes[0].mu)
-                    if dtype not in scratch:
-                        scratch[dtype] = np.empty((8, fields.shape[1]), dtype=dtype)
-                    z1, z2, zt, pw1, dn1, pw2, dn2, cpl = rows = scratch[dtype][:, :k]
-                    _fill_tables(modes, t12, m[:k], rows[3:])
-                    scans = [(z, pw, dn, md, md.beta == 0 and md.p[1] == 0 and md.ga == md.gh == 0 and t12 == 0)
-                             for z, pw, dn, md in zip((z1, z2), (pw1, pw2), (dn1, dn2), modes)]
-                    hand_on = [(row, z, g) for z, _, _, md, _ in scans
+                    n = len(modes)
+                    rows = layouts[j][:, :k]
+                    zt = rows[n]
+                    ztr = zt.real
+                    _fill_tables(modes, t12, m[:k], rows[n + 1:])
+                    # per mode: z (None when carried), its shifted views, its table at the read
+                    # steps when carried, and the first mode's part in a second Schur mode
+                    plan = []
+                    for i, md in enumerate(modes):
+                        z, pw, dn = rows[i], rows[n + 1 + 2 * i], rows[n + 2 + 2 * i]
+                        if md.beta == 0 and md.p[1] == 0 and md.ga == md.gh == 0 and t12 == 0:
+                            plan.append((md, None, None, None, None, None, [pw.item(r) for r in read]))
+                            continue
+                        coupled = (rows[0][:-1], rows[-1][1:], zt[1:]) if i == 1 and t12 != 0 else None
+                        plan.append((md, z, z[1:], dn[1:], pw, coupled, None))
+                    hand_on = [(row, z, g, (z if g == 1.0 else zt).real) for md, z, *_ in plan
                                for row, g in ((a, md.ga), (u, md.gh)) if g != 0.0]
                 if j == n_u - 1:
                     # the back-face field is the mean of the last node's input and output
                     trace[b0:b1] = a
-                y0, y1 = state[j].tolist()
-                np.multiply(a, wq2, out=tmp)
-                for z, pw, dn, md, free in scans:
-                    if free:
-                        z[read] = pw[read] * (md.p[0] * y0 + md.p[1] * y1)  # what the scan of its zero input gives
-                        continue
-                    np.multiply(u[:-1], dn[1:], out=z[1:])
-                    if z is z2 and t12 != 0:
-                        np.multiply(z1[:-1], cpl[1:], out=zt[1:])
-                        np.add(z[1:], zt[1:], out=z[1:])
-                    z[0] = md.p[0] * y0 + md.p[1] * y1
-                    for i, kick in inner:
-                        z[i] += md.p[1] * kick / pw[i]
-                    np.cumsum(z, out=z)
-                    np.multiply(z, pw, out=z)
-                # the state one step past the block, and at the snapshots, from the modes
-                u_last, y0, y1 = u[-1].item(), 0.0, 0.0
-                for z, _, _, md, _ in scans:
-                    nxt = md.mu * z[-1].item() + md.beta * u_last + (t12 * z1[-1].item() if z is z2 else 0.0)
-                    y0, y1 = y0 + (md.v[0] * nxt).real, y1 + (md.v[1] * nxt).real
-                    for i, s in shots:
-                        snaps[s, j] += complex((md.v[0] * z[i]).real, (md.v[1] * z[i]).real)
-                state[j] = (y0, y1)
-                np.add(u, tmp, out=u)
-                for row, z, g in hand_on:
+                y0, y1 = s0[j], s1[j]
+                u_last = u.item(-1)
+                # the state one step past the block, and the snapshots, from the modes; the
+                # second Schur coordinate takes t12 times the first
+                ends, ny0, ny1 = [], 0.0, 0.0
+                for md, z, z_hi, dn_hi, pw, coupled, table in plan:
+                    z0 = md.p[0] * y0 + md.p[1] * y1
+                    if z is None:
+                        zs = [x * z0 for x in table]  # what the scan of its zero input gives
+                    else:
+                        mul(u_lo, dn_hi, z_hi)
+                        if coupled:
+                            z1_lo, cpl_hi, zt_hi = coupled
+                            mul(z1_lo, cpl_hi, zt_hi)
+                            add(z_hi, zt_hi, z_hi)
+                        z[0] = z0
+                        for i, kick in inner:
+                            z[i] += md.p[1] * kick / pw[i]
+                        scan(z, 0, None, z)
+                        mul(z, pw, z)
+                        zs = [z.item(i) for i in read]
+                    nxt = md.mu * zs[-1] + md.beta * u_last + (t12 * ends[0] if ends else 0.0)
+                    ends.append(zs[-1])
+                    ny0, ny1 = ny0 + (md.v[0] * nxt).real, ny1 + (md.v[1] * nxt).real
+                    for (_, s), x in zip(shots, zs):
+                        snaps[s, j] += complex((md.v[0] * x).real, (md.v[1] * x).real)
+                s0[j], s1[j] = ny0, ny1
+                # u takes wq2 times this node's input a, before a takes the hand-ons
+                mul(a, wq2, ztr)
+                add(u, ztr, u)
+                for row, z, g, src in hand_on:
                     if g != 1.0:
-                        np.multiply(z, g, out=zt)
-                        z = zt
-                    np.add(row, z.real, out=row)
+                        mul(z, g, zt)
+                    add(row, src, row)
             np.add(trace[b0:b1], a, out=trace[b0:b1])
             np.multiply(trace[b0:b1], 0.5, out=trace[b0:b1])
     return snaps

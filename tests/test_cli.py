@@ -281,6 +281,19 @@ def test_sweep_zero_reflectivity_row(tmp_path):
     assert row["status"] == "ok"
 
 
+def test_sweep_delta_b_switch_off_after_retrieval_fails_its_row(tmp_path):
+    # at 5 gamma the field would go off at 1.5 pi/delta_b = 133 ns, after the retrieval at
+    # 100 ns: that row fails naming the splitting and the bound, and the sweep goes on
+    out = tmp_path / "s"
+    assert run_cli(["sweep", "--axis", "delta_B", "--values", "5,30", "--base", "fig2a", "--out", str(out)]) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [r["status"] for r in rows] == [
+        "failed: splitting 5 gamma switches the field off at 1.5*pi/delta_b = 132.984 ns: after the 100 ns "
+        "retrieval (the splitting must exceed 1.5*pi/100 rad/ns = 6.65 gamma)", "ok"]
+    assert rows[1]["config_hash"] == "e01668644258"  # the 30 gamma protocol, as before the check
+
+
 def test_sweep_single_value_matches_run(tmp_path):
     out_r = tmp_path / "run"
     out_s = tmp_path / "sweep"

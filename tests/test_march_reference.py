@@ -18,6 +18,7 @@ import pytest
 from nfscatter import MirrorSpec, PulseSpec, SampleSpec, ScenarioConfig, gaussian_input, run_scenario, validate_scenario
 from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule, Segment
 from nfscatter.presets import preset_scenario
+from nfscatter import solver
 from nfscatter.solver import NumericalError
 
 GAMMA = 1.0 / 141.1
@@ -217,8 +218,7 @@ def case_reference(case):
     return reference_run(validate_scenario(CASES[case]()))
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_march_matches_reference_loop(case):
+def check_against_reference(case):
     sc = validate_scenario(CASES[case]())
     traces, snapshots = run_scenario(sc)
     fwd, bwd, snaps = case_reference(case)
@@ -237,6 +237,19 @@ def test_march_matches_reference_loop(case):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
+def test_march_matches_reference_loop(case):
+    check_against_reference(case)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_march_matches_reference_loop_in_short_blocks(case, monkeypatch):
+    # 50-step blocks: every case crosses many complex and float64 block boundaries, and
+    # kicks and snapshots at whole or half ns (dt 0.01) land on a block's first step
+    monkeypatch.setattr(solver, "_BLOCK", 50)
+    check_against_reference(case)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_reference_keeps_lines_conjugate(case):
     # the invariant the solver's march rests on, checked on the loop that marches
     # both lines of both branches independently: f42 = -conj(f31), b42 = -conj(b31)
@@ -252,7 +265,7 @@ def test_reference_keeps_lines_conjugate(case):
 
 def test_cases_reach_their_regimes():
     # the coalescing case sits on the exceptional point of the interior map; in
-    # the extreme case |mu|^-m overflows within 8192 steps, so the run holds
+    # the extreme case |mu|^-m overflows within _BLOCK steps, so the run holds
     # several blocks cut short to keep |mu|^(+-m) within [1e-8, 1e8]
     sc = validate_scenario(CASES["coalescing_eigenvalues"]())
     mu = np.linalg.eigvals(node_map(sc, sc.schedule.segments[0].delta_b))
@@ -273,7 +286,7 @@ def test_cases_reach_their_regimes():
     assert -1e-10 < eigen_gap(sc, sc.schedule.segments[0].delta_b) < 0.0
     sc = validate_scenario(CASES["extreme_coupling"]())
     rate = np.abs(np.log(np.abs(np.linalg.eigvals(node_map(sc, 0.0))))).max()
-    assert math.log(np.finfo(float).max) / rate < 8192
+    assert math.log(np.finfo(float).max) / rate < solver._BLOCK
     assert 2 * math.log(1e8) / rate < sc.n_steps
     # the field goes off with Re f31 a large share of the state, for more than two blocks
     sc = validate_scenario(CASES["free_mode_across_blocks"]())
@@ -290,14 +303,26 @@ def test_march_scans_only_driven_or_read_coordinates(monkeypatch):
     # complex scan, and real eigenvalues with the field on take two float64 scans
     # (node 0, with no self term, has a complex pair there)
     scanned = []
-    cumsum = np.cumsum
-    monkeypatch.setattr(np, "cumsum", lambda z, **kw: scanned.append(z.dtype) or cumsum(z, **kw))
+    monkeypatch.setattr(solver, "_scan", lambda z, *args: scanned.append(z.dtype) or np.add.accumulate(z, *args))
     for case, node0, interior in (("field_off", [float], [float]), ("gaussian", [complex], [complex]),
                                   ("coalescing_real_1e-4", [complex], [float, float])):
         sc = validate_scenario(CASES[case]())
         scanned.clear()
         run_scenario(sc)
         assert scanned == 2 * (node0 + interior * (sc.sample.n_depth - 1)), case
+
+
+def test_time_blocks_span_block_steps(monkeypatch):
+    # a 12,001-step field-off run is one block (one float64 scan per node and branch);
+    # a complex segment of _BLOCK + 1 steps is two
+    scanned = []
+    monkeypatch.setattr(solver, "_scan", lambda z, *args: scanned.append(z.dtype) or np.add.accumulate(z, *args))
+    for cfg, dtype, blocks in ((replace(BASE, schedule=HyperfineSchedule.constant(0.0), t_end=120.0), float, 1),
+                               (replace(BASE, t_end=solver._BLOCK * BASE.dt), complex, 2)):
+        sc = validate_scenario(cfg)
+        scanned.clear()
+        run_scenario(sc)
+        assert scanned == [dtype] * (blocks * 2 * sc.sample.n_depth), (sc.n_steps + 1, dtype)
 
 
 @pytest.mark.parametrize("present", [False, True])

@@ -16,7 +16,7 @@ from nfscatter import (
     validate_scenario,
 )
 from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, WAVE_NUMBER_K
-from nfscatter.presets import preset_scenario
+from nfscatter.presets import gated_mirror_scenario, preset_scenario
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA
@@ -69,6 +69,22 @@ def test_protocol_preset_segments(name, levels):
     segs = preset_scenario(name).schedule.segments
     assert [s.delta_b for s in segs] == levels
     assert [s.t_start for s in segs] == starts
+
+
+@pytest.mark.parametrize("name, config_hash", [
+    ("fig2a", "6cd5ecb31fbe"), ("fig2b", "b9be927db276"), ("fig2c", "5babf84c046e"), ("single_pass", "fb148aa4ddcf"),
+])
+def test_preset_config_hash(name, config_hash):
+    # the admissible-splitting check in gated_mirror_scenario moves no valid preset
+    assert validate_scenario(preset_scenario(name)).config_hash == config_hash
+
+
+@pytest.mark.parametrize("over_gamma", [5.0, 1.5 * math.pi / 100.0 / DEFAULT_GAMMA])
+def test_switch_off_after_retrieval_rejected(over_gamma):
+    # the field goes off at 1.5 pi/delta_b, which must come before it goes back on at 100 ns
+    with pytest.raises(ScenarioError, match=r"switches the field off at 1\.5\*pi/delta_b = .* ns: after the "
+                                            r"100 ns retrieval \(the splitting must exceed .* = 6\.65 gamma\)"):
+        gated_mirror_scenario(delta_b_over_gamma=over_gamma)
 
 
 @pytest.mark.parametrize("starts", [[0.0, 5.0, 4.0], [0.0, 5.0, 5.0], [1.0, 5.0]],

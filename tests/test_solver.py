@@ -19,6 +19,7 @@ from nfscatter import (
 )
 from nfscatter.model import HyperfineSchedule
 from nfscatter.presets import preset_scenario
+from nfscatter import solver
 from nfscatter.solver import NumericalError
 
 GAMMA = 1.0 / 141.1
@@ -383,3 +384,15 @@ class TestGaussianInput:
         b_imp = snaps_imp[0].b31
         b_g = snaps_g[0].b31
         assert np.linalg.norm(b_g - b_imp) / np.linalg.norm(b_imp) < 0.01
+
+
+@pytest.mark.parametrize("mu", [0.97, -0.97, 0.9 + 0.3j], ids=["positive", "negative", "complex"])
+def test_scan_tables_are_powers_of_mu(mu):
+    # the tables mu^m and beta*mu^-m, filled in place in a float64 or complex row; a
+    # negative real mu (no validated scenario in the suite reaches one) alternates in sign
+    mode = solver._Mode(mu, 0.5, (1.0, 0.0), (1.0, 0.0), 0.0, 0.0)
+    m = np.arange(40, dtype=float)
+    out = np.empty((2, 40), dtype=type(mu))
+    solver._fill_tables([mode], 0.0, m, out)
+    np.testing.assert_allclose(out[0], mu ** m, rtol=1e-13)
+    np.testing.assert_allclose(out[1], 0.5 * mu ** -m, rtol=1e-13)
