@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from nfscatter import MirrorSpec, PulseSpec, SampleSpec, ScenarioConfig, gaussian_input, run_scenario, validate_scenario
+from nfscatter import solver
 from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule, Segment
 from nfscatter.presets import preset_scenario
-from nfscatter import solver
 from nfscatter.solver import NumericalError
 
 GAMMA = 1.0 / 141.1
@@ -243,8 +243,9 @@ def test_march_matches_reference_loop(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_march_matches_reference_loop_in_short_blocks(case, monkeypatch):
-    # 50-step blocks: every case crosses many complex and float64 block boundaries, and
-    # kicks and snapshots at whole or half ns (dt 0.01) land on a block's first step
+    # 50-step blocks: every case crosses many block boundaries, complex and float64 ones
+    # among them, and kicks and snapshots at whole or half ns (dt 0.01) land on a block's
+    # first step
     monkeypatch.setattr(solver, "_BLOCK", 50)
     check_against_reference(case)
 

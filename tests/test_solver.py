@@ -17,9 +17,9 @@ from nfscatter import (
     run_scenario,
     validate_scenario,
 )
+from nfscatter import solver
 from nfscatter.model import HyperfineSchedule
 from nfscatter.presets import preset_scenario
-from nfscatter import solver
 from nfscatter.solver import NumericalError
 
 GAMMA = 1.0 / 141.1
