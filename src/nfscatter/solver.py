@@ -46,7 +46,6 @@ mirror input is then built from that trace in whole-array passes.
 
 from __future__ import annotations
 
-import array
 import cmath
 import math
 import warnings
@@ -233,9 +232,9 @@ def _span(mu: complex) -> float:
 
 
 def _fill_tables(modes, t12, m: np.ndarray, out: np.ndarray) -> None:
-    """Rows mu^m and beta*mu^-m of each mode, then t12*mu2^-m for two modes, of ``out``, in place."""
+    """Rows mu^m and beta*mu^-m of each mode, then t12*mu2^-m for two coupled modes, of ``out``, in place."""
     specs = [(md.mu, sign, scale) for md in modes for sign, scale in ((1.0, 1.0), (-1.0, md.beta))]
-    specs += [(modes[1].mu, -1.0, t12)] if len(modes) == 2 else []
+    specs += [(modes[1].mu, -1.0, t12)] if len(modes) == 2 and t12 != 0 else []
     real = out.dtype != complex
     for row, (mu, sign, scale) in zip(out, specs):
         # mu = 0 limits the block to one step, where only m = 0 is read
@@ -264,10 +263,12 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
 
     A block is at most _BLOCK steps, the width of the fields a and u and of
     one scratch pool of 8 float64 rows: a float64 map uses them as z1, z2,
-    a temporary, mu^m and beta*mu^-m of each mode and t12*mu2^-m; a complex
-    map views the same bytes as 4 complex rows, z, a temporary, mu^m and
-    beta*mu^-m.  What every node of a block shares (row views, hand-ons, the
-    table at the read steps) is built once per block and map.
+    a temporary, mu^m and beta*mu^-m of each mode and t12*mu2^-m (filled
+    only where t12 != 0); a complex map views the same bytes as 4 complex
+    rows, z, a temporary, mu^m and beta*mu^-m.  The temporary holds the step
+    ramp m while the tables are filled.  What every node of a block shares
+    (row views, hand-ons, the table at the read steps) is built once per
+    block and map.
 
     ``inputs`` is the branch input Omega(0), a float64 array of shape (2,
     n_t) holding the full steps and the midpoints; ``kicks`` maps a step to
@@ -275,14 +276,13 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
     other.  The back-face field goes to the float64 array ``trace``.
     Returns f31 at ``snap_steps`` as (snapshot, depth).
     """
-    # y of every node at the next block's first step, as Re f31 and Im f31
-    s0, s1 = array.array("d", bytes(8 * n_u)), array.array("d", bytes(8 * n_u))
+    # y of every node at the next block's first step, as rows Re f31 and Im f31
+    state = np.zeros((2, n_u))
+    s0, s1 = state
     snaps = np.zeros((len(snap_steps), n_u), dtype=complex)
     width = min(_BLOCK, len(trace))
     fields = np.empty((2, width))
     pool = np.empty(8 * width)
-    m = np.arange(width, dtype=float)
-    mul, add, scan = np.multiply, np.add, _scan
     for level, first, stop in segments:
         (e_h, p_h), (e_f, p_f) = _propagators(level, 0.5 * dt), _propagators(level, dt)
         maps = (_node_map(e_h, e_f, p_h, p_f, 0.0, w), _node_map(e_h, e_f, p_h, p_f, w, w))
@@ -308,7 +308,7 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
                 # the map overflows: the run turns non-finite at the first step carrying a
                 # value; until then every state and field is exactly zero
                 hot = [i for i, _ in inner] + [int(np.flatnonzero(v)[0]) for v in (a, u) if v.any()]
-                hot += [0] if any(s0) or any(s1) else []
+                hot += [0] if state.any() else []
                 if hot:
                     raise NumericalError(f"non-finite field at t = {(b0 + min(hot)) * dt:.4f} ns")
                 continue
@@ -319,43 +319,46 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
                     rows = layouts[j][:, :k]
                     zt = rows[n]
                     ztr = zt.real
-                    _fill_tables(modes, t12, m[:k], rows[n + 1:])
-                    # per mode: z (None when carried), its shifted views, its table at the read
-                    # steps when carried, and the first mode's part in a second Schur mode
-                    plan = []
+                    # the block's steps m = 0, 1, ... in the temporary row, as a running sum of ones (exact)
+                    ztr.fill(1.0)
+                    ztr[0] = 0.0
+                    np.cumsum(ztr, out=ztr)
+                    _fill_tables(modes, t12, ztr, rows[n + 1:])
+                    # a carried coordinate keeps its table at the read steps; a scanned one its
+                    # row z, the shifted views, and, for a second Schur mode, the first mode's part
+                    carried, scans = [], []
                     for i, md in enumerate(modes):
                         z, pw, dn = rows[i], rows[n + 1 + 2 * i], rows[n + 2 + 2 * i]
                         if md.beta == 0 and md.p[1] == 0 and md.ga == md.gh == 0 and t12 == 0:
-                            plan.append((md, None, None, None, None, None, [pw.item(r) for r in read]))
-                            continue
-                        coupled = (rows[0][:-1], rows[-1][1:], zt[1:]) if i == 1 and t12 != 0 else None
-                        plan.append((md, z, z[1:], dn[1:], pw, coupled, None))
-                    hand_on = [(row, z, g, (z if g == 1.0 else zt).real) for md, z, *_ in plan
+                            carried.append((md, [pw.item(r) for r in read]))
+                        else:
+                            coupled = (rows[0][:-1], rows[-1][1:], zt[1:]) if i == 1 and t12 != 0 else None
+                            scans.append((md, z, z[1:], dn[1:], pw, coupled))
+                    hand_on = [(row, z, g, (z if g == 1.0 else zt).real) for md, z, *_ in scans
                                for row, g in ((a, md.ga), (u, md.gh)) if g != 0.0]
                 if j == n_u - 1:
                     # the back-face field is the mean of the last node's input and output
                     trace[b0:b1] = a
-                y0, y1 = s0[j], s1[j]
+                y0, y1 = s0.item(j), s1.item(j)
                 u_last = u.item(-1)
-                # the state one step past the block, and the snapshots, from the modes; the
-                # second Schur coordinate takes t12 times the first
+                # each mode at the read steps: a carried one as what the scan of its zero input gives
+                found = [(md, [x * (md.p[0] * y0 + md.p[1] * y1) for x in table]) for md, table in carried]
+                for md, z, z_hi, dn_hi, pw, coupled in scans:
+                    np.multiply(u_lo, dn_hi, z_hi)
+                    if coupled:
+                        z1_lo, cpl_hi, zt_hi = coupled
+                        np.multiply(z1_lo, cpl_hi, zt_hi)
+                        np.add(z_hi, zt_hi, z_hi)
+                    z[0] = md.p[0] * y0 + md.p[1] * y1
+                    for i, kick in inner:
+                        z[i] += md.p[1] * kick / pw[i]
+                    _scan(z, 0, None, z)
+                    np.multiply(z, pw, z)
+                    found.append((md, [z.item(i) for i in read]))
+                # the state one step past the block, and the snapshots; the second Schur
+                # coordinate takes t12 times the first (t12 is 0 where one is carried)
                 ends, ny0, ny1 = [], 0.0, 0.0
-                for md, z, z_hi, dn_hi, pw, coupled, table in plan:
-                    z0 = md.p[0] * y0 + md.p[1] * y1
-                    if z is None:
-                        zs = [x * z0 for x in table]  # what the scan of its zero input gives
-                    else:
-                        mul(u_lo, dn_hi, z_hi)
-                        if coupled:
-                            z1_lo, cpl_hi, zt_hi = coupled
-                            mul(z1_lo, cpl_hi, zt_hi)
-                            add(z_hi, zt_hi, z_hi)
-                        z[0] = z0
-                        for i, kick in inner:
-                            z[i] += md.p[1] * kick / pw[i]
-                        scan(z, 0, None, z)
-                        mul(z, pw, z)
-                        zs = [z.item(i) for i in read]
+                for md, zs in found:
                     nxt = md.mu * zs[-1] + md.beta * u_last + (t12 * ends[0] if ends else 0.0)
                     ends.append(zs[-1])
                     ny0, ny1 = ny0 + (md.v[0] * nxt).real, ny1 + (md.v[1] * nxt).real
@@ -363,14 +366,14 @@ def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_s
                         snaps[s, j] += complex((md.v[0] * x).real, (md.v[1] * x).real)
                 s0[j], s1[j] = ny0, ny1
                 # u takes wq2 times this node's input a, before a takes the hand-ons
-                mul(a, wq2, ztr)
-                add(u, ztr, u)
+                np.multiply(a, wq2, ztr)
+                np.add(u, ztr, u)
                 for row, z, g, src in hand_on:
                     if g != 1.0:
-                        mul(z, g, zt)
-                    add(row, src, row)
-            np.add(trace[b0:b1], a, out=trace[b0:b1])
-            np.multiply(trace[b0:b1], 0.5, out=trace[b0:b1])
+                        np.multiply(z, g, zt)
+                    np.add(row, src, row)
+            np.add(trace[b0:b1], a, trace[b0:b1])
+            np.multiply(trace[b0:b1], 0.5, trace[b0:b1])
     return snaps
 
 

@@ -298,13 +298,19 @@ def test_cases_reach_their_regimes():
     assert 2 * math.log(1e8) / rate < (sc.t_end - t_off) / sc.dt
 
 
-def test_march_scans_only_driven_or_read_coordinates(monkeypatch):
+@pytest.fixture
+def scanned(monkeypatch):
+    """The dtype of every prefix sum the march makes, in order."""
+    dtypes = []
+    monkeypatch.setattr(solver, "_scan", lambda z, *args: dtypes.append(z.dtype) or np.add.accumulate(z, *args))
+    return dtypes
+
+
+def test_march_scans_only_driven_or_read_coordinates(scanned):
     # one block per run, both branches: with the field off Re f31 takes no input and no
     # kick and hands nothing on, so each node scans Im f31 alone; a complex pair is one
     # complex scan, and real eigenvalues with the field on take two float64 scans
     # (node 0, with no self term, has a complex pair there)
-    scanned = []
-    monkeypatch.setattr(solver, "_scan", lambda z, *args: scanned.append(z.dtype) or np.add.accumulate(z, *args))
     for case, node0, interior in (("field_off", [float], [float]), ("gaussian", [complex], [complex]),
                                   ("coalescing_real_1e-4", [complex], [float, float])):
         sc = validate_scenario(CASES[case]())
@@ -313,11 +319,9 @@ def test_march_scans_only_driven_or_read_coordinates(monkeypatch):
         assert scanned == 2 * (node0 + interior * (sc.sample.n_depth - 1)), case
 
 
-def test_time_blocks_span_block_steps(monkeypatch):
+def test_time_blocks_span_block_steps(scanned):
     # a 12,001-step field-off run is one block (one float64 scan per node and branch);
     # a complex segment of _BLOCK + 1 steps is two
-    scanned = []
-    monkeypatch.setattr(solver, "_scan", lambda z, *args: scanned.append(z.dtype) or np.add.accumulate(z, *args))
     for cfg, dtype, blocks in ((replace(BASE, schedule=HyperfineSchedule.constant(0.0), t_end=120.0), float, 1),
                                (replace(BASE, t_end=solver._BLOCK * BASE.dt), complex, 2)):
         sc = validate_scenario(cfg)
