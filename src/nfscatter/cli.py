@@ -21,7 +21,6 @@ from .solver import NumericalError, run_scenario
 from .traceio import (
     SCHEMA_VERSION,
     TraceFormatError,
-    parse_schedule_attr,
     read_traces_csv,
     write_json,
     write_pattern_csv,
@@ -180,7 +179,7 @@ def cmd_plot(args) -> int:
     (out / f"{stem}_intensity.svg").write_text(
         render_intensity_svg(tf.t, tf.i_fwd, tf.i_bwd, config_hash))
     (out / f"{stem}_amplitude.svg").write_text(
-        render_amplitude_svg(tf.t, tf.re_fwd, tf.re_bwd, parse_schedule_attr(tf.attrs), config_hash))
+        render_amplitude_svg(tf.t, tf.re_fwd, tf.re_bwd, tf.schedule, config_hash))
     print(f"wrote {out}/{stem}_intensity.svg and {out}/{stem}_amplitude.svg")
     return 0
 

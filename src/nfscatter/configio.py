@@ -89,7 +89,7 @@ def _schedule_from_dict(sd: dict) -> HyperfineSchedule:
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
         data = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc

@@ -8,7 +8,9 @@ configuration produce byte-identical files.  The reader rejects non-finite cells
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +61,7 @@ def write_traces_csv(path: Path, traces: TraceSet) -> None:
 
 @dataclass
 class TraceFile:
-    """Parsed traces CSV: column arrays plus the embedded comments."""
+    """Parsed traces CSV: column arrays, the embedded comments and the parsed ``schedule`` comment."""
 
     t: np.ndarray
     re_fwd: np.ndarray
@@ -70,74 +72,76 @@ class TraceFile:
     i_bwd: np.ndarray
     mirror_in_beam: np.ndarray
     attrs: dict
+    schedule: list[tuple[float, float]]
 
 
 def read_traces_csv(path: Path) -> TraceFile:
     """Parse a traces CSV; ``# key=value`` lines may appear anywhere, blank lines are skipped.
 
-    ``np.loadtxt`` reads the data lines as ``float()`` does; only if it fails
-    are they rescanned with ``float()``, which names the first bad line.  A
-    non-finite value (``nan``, ``inf``) is rejected, naming its line.
+    A generator checks each line and hands the data lines to one
+    ``np.loadtxt``, which parses each line as it arrives: a non-numeric cell
+    is on the line handed on last, and no list of lines is kept.  A
+    non-finite value (``nan``, ``inf``) is named by reading the file again
+    up to its row.  A malformed ``# schedule=`` attribute is rejected.
     """
     attrs: dict = {}
-    data: list[str] = []
-    linenos: list[int] = []
-    saw_header = False
-    try:  # the whole text is not kept: through loadtxt it would set the output stage's peak memory
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise TraceFormatError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, sep, value = line[1:].strip().partition("=")
-            if sep:
-                attrs[key.strip()] = value.strip()
-            continue
-        if not saw_header:
-            if line != TRACES_HEADER:
-                raise TraceFormatError(f"{path}:{lineno}: expected header {TRACES_HEADER!r}")
-            saw_header = True
-            continue
-        n_cols = line.count(",") + 1
-        if n_cols != 8:
-            raise TraceFormatError(f"{path}:{lineno}: expected 8 columns, got {n_cols}")
-        data.append(line)
-        linenos.append(lineno)
-    if not saw_header:
-        raise TraceFormatError(f"{path}: missing header line")
-    if not data:
-        raise TraceFormatError(f"{path}: no data rows")
+    lineno = 0
+
+    def data_lines(fh):
+        nonlocal lineno
+        n_rows = -1  # until the header line
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, sep, value = line[1:].strip().partition("=")
+                if sep:
+                    attrs[key.strip()] = value.strip()
+            elif n_rows < 0:
+                if line != TRACES_HEADER:
+                    raise TraceFormatError(f"{path}:{lineno}: expected header {TRACES_HEADER!r}")
+                n_rows = 0
+            elif line.count(",") != 7:
+                raise TraceFormatError(f"{path}:{lineno}: expected 8 columns, got {line.count(',') + 1}")
+            else:
+                n_rows += 1
+                yield line
+        if n_rows <= 0:  # raised here, loadtxt would only warn on no data
+            raise TraceFormatError(f"{path}: {'no data rows' if n_rows == 0 else 'missing header line'}")
+
     try:
-        cols = np.loadtxt(data, delimiter=",", comments=None, ndmin=2).T
+        with open(path) as fh:
+            cols = np.loadtxt(data_lines(fh), delimiter=",", comments=None, ndmin=2).T
+    except TraceFormatError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError:
-        # float() also takes spellings loadtxt rejects, such as "1_0": keep its values
-        rows = []
-        for lineno, line in zip(linenos, data):
-            try:
-                rows.append([float(p) for p in line.split(",")])
-            except ValueError:
-                raise TraceFormatError(f"{path}:{lineno}: non-numeric value") from None
-        cols = np.array(rows, dtype=float).T
+        raise TraceFormatError(f"{path}:{lineno}: non-numeric value") from None
     bad_rows = np.flatnonzero(~np.isfinite(cols).all(axis=0))
     if bad_rows.size:
-        raise TraceFormatError(f"{path}:{linenos[bad_rows[0]]}: non-finite value")
+        with open(path) as fh:
+            next(itertools.islice(data_lines(fh), bad_rows[0], None))
+        raise TraceFormatError(f"{path}:{lineno}: non-finite value")
     return TraceFile(
         t=cols[0], re_fwd=cols[1], im_fwd=cols[2], re_bwd=cols[3], im_bwd=cols[4],
         i_fwd=cols[5], i_bwd=cols[6], mirror_in_beam=cols[7] != 0.0, attrs=attrs,
+        schedule=_schedule(path, attrs.get("schedule", "")),
     )
 
 
-def parse_schedule_attr(attrs: dict) -> list[tuple[float, float]]:
-    raw = attrs.get("schedule", "")
+def _schedule(path: Path, raw: str) -> list[tuple[float, float]]:
+    """``t:level`` pairs of a ``# schedule=`` attribute, ``;``-separated; each value finite."""
     segs = []
-    for chunk in raw.split(";"):
-        if not chunk:
-            continue
-        t, _, lvl = chunk.partition(":")
-        segs.append((float(t), float(lvl)))
+    for chunk in filter(None, raw.split(";")):
+        try:
+            t, lvl = map(float, chunk.split(":"))
+            if not (math.isfinite(t) and math.isfinite(lvl)):
+                raise ValueError
+        except ValueError:
+            raise TraceFormatError(f"{path}: schedule: expected finite t:level pairs, got {chunk!r}") from None
+        segs.append((t, lvl))
     return segs
 
 

@@ -346,6 +346,32 @@ def test_plot_empty_rows_rejected(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schedule", ["abc:1", "1:2:3", "0.5", "nan:0.2", "0:inf"])
+def test_plot_malformed_schedule_rejected(tmp_path, capsys, schedule):
+    bad = tmp_path / "sched.csv"
+    bad.write_text(f"# schedule={schedule}\n{TRACES_HEADER}\n0,1,0,2,0,1,4,1\n")
+    assert run_cli(["plot", str(bad), "--out", str(tmp_path / "p")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad}: schedule" in err
+    assert not list(tmp_path.glob("**/*.svg"))
+
+
+def test_plot_non_utf8_file_rejected(tmp_path, capsys):
+    bad = tmp_path / "binary.csv"
+    bad.write_bytes(TRACES_HEADER.encode() + b"\n0,1,0,2,0,1,4,1\n\xff\xfe\x00\x81\n")
+    assert run_cli(["plot", str(bad), "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}:")
+    assert not list(tmp_path.glob("**/*.svg"))
+
+
+def test_run_non_utf8_config_rejected(tmp_path, capsys):
+    bad = tmp_path / "binary.json"
+    bad.write_bytes(b'{"t_end": \xff\xfe}')
+    assert run_cli(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {bad}:")
+    assert not (tmp_path / "x" / "traces.csv").exists()
+
+
 def test_presets_list(capsys):
     assert run_cli(["presets", "list"]) == 0
     out = capsys.readouterr().out

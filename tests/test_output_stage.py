@@ -11,6 +11,8 @@ import io
 import math
 import re
 import tempfile
+import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -148,7 +150,7 @@ def test_read_traces_csv_late_comments_and_blank_lines(tmp_path):
     path.write_text("\n".join([
         "# config_hash=abc", "", TRACES_HEADER, "0,1,2,3,4,5,6,1", "",
         "# tau=14.7", "   ", "0.5,1e-3,-0,3,4,5,6,0", "# note without a value",
-        "1_0.5,1_2,2,3,4,5,6,0",  # float() accepts digit separators, loadtxt does not
+        "10.5,12,2,3,4,5,6,0",
     ]) + "\n")
     tf = read_traces_csv(path)
     assert tf.attrs == {"config_hash": "abc", "tau": "14.7"}
@@ -167,6 +169,11 @@ GOOD_ROW = "0,1,2,3,4,5,6,1"
     ([TRACES_HEADER, GOOD_ROW, "", "# c=1", "0,1,2,x,4,5,6,1", GOOD_ROW], 5, "non-numeric value"),
     ([TRACES_HEADER, GOOD_ROW, "0,1,2,3,4,5,6,"], 3, "non-numeric value"),
     ([TRACES_HEADER, "0,1,2,3,4,5,6,1#x"], 2, "non-numeric value"),
+    ([TRACES_HEADER, "1_0,1,2,3,4,5,6,1"], 2, "non-numeric value"),  # float() takes it, the reader does not
+    ([TRACES_HEADER, "0,1,2,3,4,5,6"], 2, "expected 8 columns, got 7"),
+    ([TRACES_HEADER, "0,1,2,3,4,5,6,1,8"], 2, "expected 8 columns, got 9"),
+    ([TRACES_HEADER, GOOD_ROW, "", "# c=1", "0,1,2,3,4,5,6"], 5, "expected 8 columns, got 7"),
+    ([TRACES_HEADER, GOOD_ROW, GOOD_ROW, "0,1,2,3,4,5,6,1,8"], 4, "expected 8 columns, got 9"),
 ])
 def test_read_traces_csv_names_path_and_line(tmp_path, lines, lineno, message):
     path = tmp_path / "bad.csv"
@@ -178,7 +185,7 @@ def test_read_traces_csv_names_path_and_line(tmp_path, lines, lineno, message):
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity", "1e999"])
 @pytest.mark.parametrize("column", [0, 5, 7])
-@pytest.mark.parametrize("first", [GOOD_ROW, "1_0,1,2,3,4,5,6,1"])  # the second is parsed by float()
+@pytest.mark.parametrize("first", [GOOD_ROW, "+1e0, 1 ,2,3,4,5,6,1"])  # the second is never written, but parses
 def test_read_traces_csv_rejects_non_finite_cell(tmp_path, cell, column, first):
     bad = GOOD_ROW.split(",")
     bad[column] = cell
@@ -195,6 +202,46 @@ def test_read_traces_csv_without_header_line(tmp_path):
     path.write_text("# config_hash=abc\n\n")
     with pytest.raises(TraceFormatError, match="missing header line"):
         read_traces_csv(path)
+
+
+@pytest.mark.parametrize("comment, schedule", [
+    (["# schedule=0:0.2;22.5:0;1e2:-0.2"], [(0.0, 0.2), (22.5, 0.0), (100.0, -0.2)]),
+    (["# schedule="], []),  # no overlay
+    ([], []),
+])
+def test_read_traces_csv_schedule(tmp_path, comment, schedule):
+    path = tmp_path / "traces.csv"
+    path.write_text("\n".join([*comment, TRACES_HEADER, GOOD_ROW]) + "\n")
+    assert read_traces_csv(path).schedule == schedule
+
+
+def test_read_traces_csv_header_only_has_no_data_rows(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("# config_hash=abc\n" + TRACES_HEADER + "\n\n# tau=1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on empty input: it must not see any
+        with pytest.raises(TraceFormatError, match=f"{re.escape(str(path))}: no data rows"):
+            read_traces_csv(path)
+
+
+def test_read_traces_csv_peak_memory_is_near_the_parsed_array(tmp_path):
+    # the parse holds no list of lines: its peak is the array it returns plus a little
+    n = 40_001
+    rng = np.random.default_rng(5)
+    amp = rng.standard_normal((3, n)) * 1e-3
+    traces = TraceSet(t_grid=np.arange(n) * 0.005, fwd_amp=amp[0], bwd_amp=amp[1], fwd_detected=amp[2],
+                      mirror_in_beam=np.arange(n) % 3 == 0, metadata={})
+    path = tmp_path / "traces.csv"
+    write_traces_csv(path, traces)
+    array_bytes = n * 8 * 8
+    tracemalloc.start()
+    try:
+        tf = read_traces_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tf.t) == n
+    assert peak <= 1.5 * array_bytes, peak / array_bytes
 
 
 def reference_poly_points(xs, ys) -> str:
