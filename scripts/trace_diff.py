@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the numbers in two ``nfscatter run`` output directories.
 
-Usage: python scripts/trace_diff.py DIR_A DIR_B [--rtol 1e-10]
+Usage: python scripts/trace_diff.py DIR_A DIR_B [--rtol 1e-10] [--channels]
 
 Each column of ``traces.csv`` and ``pattern.csv`` is compared relative to
 that column's largest magnitude in either directory; a ``re_*``/``im_*``
@@ -12,6 +12,9 @@ digit is print rounding and counts as 0.  The numeric fields of
 ending in ``_rad``) in radians modulo 2 pi; any other field must be equal.
 One line per file gives the worst difference; the exit code is 1 if one
 exceeds ``--rtol`` or a file exists in one directory only, else 0.
+``--channels`` adds, under each CSV's line, one line per complex channel
+(``fwd``, ``bwd``, ...) with its worst difference relative to DIR_A's peak
+and its relative L2 difference ||b - a|| / ||a||.
 """
 
 import argparse
@@ -54,6 +57,19 @@ def csv_diff(a: tuple[list[str], np.ndarray], b: tuple[list[str], np.ndarray]) -
     return float(np.max(np.where(scale > 0.0, excess / np.where(scale > 0.0, scale, 1.0), 0.0), initial=0.0))
 
 
+def channel_diffs(a: tuple[list[str], np.ndarray], b: tuple[list[str], np.ndarray]):
+    """(channel, worst difference over a's peak, relative L2 difference) of each re_*/im_* pair."""
+    (names, x), (_, y) = a, b
+    for k, name in enumerate(names):
+        if name.startswith("re_") and f"im_{name[3:]}" in names:
+            j = names.index(f"im_{name[3:]}")
+            za, zb = x[:, k] + 1j * x[:, j], y[:, k] + 1j * y[:, j]
+            peak, norm, diff = np.abs(za).max(initial=0.0), np.linalg.norm(za), np.abs(zb - za)
+            if not peak:  # a channel that is zero in a is compared absolutely
+                peak = norm = 1.0
+            yield name[3:], diff.max(initial=0.0) / peak, np.linalg.norm(diff) / norm
+
+
 def report_diff(a, b, key: str = "") -> float:
     """Worst difference between two parsed report.json values."""
     if isinstance(a, dict) and isinstance(b, dict):
@@ -84,6 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("dir_a", type=Path)
     p.add_argument("dir_b", type=Path)
     p.add_argument("--rtol", type=float, default=1e-10, help="largest accepted difference (default 1e-10)")
+    p.add_argument("--channels", action="store_true", help="also print each complex channel's differences")
     args = p.parse_args(argv)
     failed = False
     for name in (*CSV_FILES, "report.json"):
@@ -96,6 +113,9 @@ def main(argv: list[str] | None = None) -> int:
             continue
         worst = file_diff(name, path_a, path_b)
         print(f"{name} {worst:.3g}")
+        if args.channels and name in CSV_FILES and worst != math.inf:
+            for channel, peak_rel, rel_l2 in channel_diffs(read_csv(path_a), read_csv(path_b)):
+                print(f"  {channel} max {peak_rel:.3g} relL2 {rel_l2:.3g}")
         failed = failed or not worst <= args.rtol
     return 1 if failed else 0
 

@@ -3,7 +3,8 @@
 Nothing here imports the solver.  The first Born term integrates the
 coherence equations once with the radiated-field feedback dropped; the
 rough beat-envelope attenuation model sits beside it; the single-line
-response is exact at any thickness with the hyperfine field off.
+response is exact at any thickness with the hyperfine field off, and the
+energy-domain response at any thickness with a constant field.
 """
 
 from __future__ import annotations
@@ -70,6 +71,42 @@ def single_line_forward(t, xi: float, theta: float, gamma: float):
     safe = np.where(t > 0.0, t, 1.0)
     shape = np.where(t > 0.0, np.sqrt(b / safe) * _bessel_j1(2.0 * np.sqrt(b * safe)), b)
     return -theta * np.exp(-0.5 * gamma * t) * shape
+
+
+def constant_field_forward(t, xi: float, theta: float, gamma: float, delta_b: float):
+    """Exact scattered forward amplitude after a kick of area theta, at any thickness, with a constant splitting.
+
+    On the uniform grid ``t`` = 0, dt, 2 dt, ...  In the energy domain the
+    slab's transfer makes the back-face field theta*(exp(-K(s)) - 1), with
+    K = k*(1/(s - lam) + 1/(s - conj(lam))), k = gamma*xi and
+    lam = -(gamma/2 + i*delta_b) (Kagan, Afanas'ev & Kohn, J. Phys. C 12
+    (1979) 615).  K, K^2/2 and a term with the |s|^-3 tail of exp(-K),
+    -(2k/(s + gamma))^3/6, invert in closed form; the remainder falls off as
+    |s|^-4 and is inverted by one inverse FFT along Re s = 0, over a period
+    of at least 64/gamma.  Every inverted term decays at least as
+    t*exp(-gamma*t/2), so what wraps around the period stays near exp(-32)
+    of the signal.  With delta_b = 0 this is ``single_line_forward``.
+    """
+    from numpy import fft  # loaded only here: the CLI never needs it
+
+    t = np.asarray(t, dtype=float)
+    dt = t[1] - t[0] if t.size > 1 else 0.0
+    if not dt > 0.0 or t[0] != 0.0 or np.abs(t - dt * np.arange(t.size)).max() > 1e-9 * t[-1]:
+        raise ValueError("constant_field_forward needs a uniform grid 0, dt, 2 dt, ...")
+    k = gamma * xi
+    n = 1 << math.ceil(math.log2(max(t.size, 64.0 / (gamma * dt))))
+    s = 2j * math.pi * fft.rfftfreq(n, dt)
+    lam = -(0.5 * gamma + 1j * delta_b)
+    big_k = k * (1.0 / (s - lam) + 1.0 / (s - lam.conjugate()))
+    # exp(-K) - 1 without its cancellation at small |K|, then the three inverted terms taken off
+    x, y = -big_k.real, -big_k.imag
+    rest = np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
+    rest += big_k - 0.5 * big_k * big_k + (2.0 * k / (s + gamma)) ** 3 / 6.0
+    decay = np.exp(-0.5 * gamma * t)
+    inv_k = 2.0 * k * decay * np.cos(delta_b * t)
+    inv_k2 = 2.0 * k * k * decay * t * (np.cos(delta_b * t) + np.sinc(delta_b * t / math.pi))
+    inv_cube = (2.0 * k) ** 3 / 12.0 * decay * decay * t * t
+    return theta * (0.5 * inv_k2 - inv_k - inv_cube + fft.irfft(rest, n)[:t.size] / dt)
 
 
 def envelope_attenuation(xi: float, gamma: float, delta_b: float) -> float:

@@ -19,55 +19,59 @@ closes the loop with Omega_B(t, 1) = -sqrt(R) * Omega_F(t - tau, 1), gated at
 the mirror-arrival instant: a field leaving the back face at t_exit is
 reflected only while t_exit + tau/2 <= disable_time.
 
-Time stepping is an exponential midpoint rule: the stiff linear coherence
-part is advanced exactly for a field held constant over the substep, with
-one field sweep per half step to evaluate the midpoint field.  Depth uses
-the cumulative trapezoid rule.
+Every field input is real, kicks are imaginary and delta_b is real, so
+f42 = -conj(f31): the fields stay real and only f31 is solved for.  Depth
+uses Gauss-Legendre collocation: N nodes u_k with weights w_k and the
+cumulative integration matrix S, N even and set by xi alone
+(``model.depth_nodes``).  With y = (Re f31, Im f31) on the nodes,
 
-The scheme is causal along depth: node j sees only nodes <= j, and the
-forward branch never sees the backward one.  So the solver marches in depth
-instead of time.  Every field input is real, kicks are imaginary and delta_b
-is real, so f42 = -conj(f31): the fields stay real and only f31 is marched.
-At node j the trapezoid brings in the real field sequences a = Omega_{j-1} +
-w*s_{j-1} (full steps) and a_h (midpoints), w = kappa*du/2, s = f31 + f42;
-eliminating the half step leaves, per node, a real 2x2 recurrence on
-(Re f31, Im f31) over the whole time history, with two maps per schedule
-segment (node 0 has no self term).  Where its eigenvalues are a complex pair
-one complex mode carries it, else two coordinates of its Schur basis; each
-is one prefix sum of input*mu^-m times mu^m, so a time block of up to _BLOCK
-steps, held in one scratch pool, costs a fixed number of array passes per
-node; an undriven, unread coordinate (Re f31 with the field off) is carried
-as z0*mu^m, not scanned.
-Each branch takes its front-face input as one float64 array of full steps
-and midpoints, and writes its back-face field into a float64 trace.  The
-forward branch is marched over the whole run first; the backward branch's
-mirror input is then built from that trace in whole-array passes.
+    y' = M y + b Omega_F(0),  M = [[-G/2 I, db I], [-db I, -G/2 I - (eta_l a^2/2) S]]
+
+with b = (0, a/4), and the back-face field is Omega_F(0) - 2 eta_l a w.Im f31.
+S is diagonalised once per N (``_basis``, on the Legendre coefficients of
+the node interpolant, where it is tridiagonal); its eigenvalues come in
+conjugate pairs, none real for even N, and each pair's eigenvalue sigma
+gives a 2x2 block of M in closed form, so a schedule segment is a sum of
+2 per pair of exponential modes.  A kick, a segment switch or a snapshot
+is an exact update of the modes at its step.  Between them a branch with
+no input is a closed form in time, evaluated as per-row start factors
+times a table of e^(kappa m dt); where an array input (the gaussian pulse,
+the mirror feedback) is nonzero, the modes take it by the exponential
+midpoint rule, held over each step at its midpoint value, as one prefix
+sum per mode.  n_depth sets only the grid the snapshots are evaluated on.
+No BLAS or LAPACK routine runs here (see ``_basis``).
+
+The forward branch never sees the backward one.  Each branch takes its
+front-face input as one float64 array of full steps and midpoints, and
+writes its back-face field into a float64 trace.  The forward branch is
+solved over the whole run first; the backward branch's mirror input is
+then built from that trace in whole-array passes.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import CLEBSCH_A, DEFAULT_GAMMA, PulseSpec, ScenarioConfig, ValidatedScenario, validate_scenario
+from .model import (CLEBSCH_A, DEFAULT_GAMMA, PulseSpec, ScenarioConfig, ValidatedScenario, depth_nodes,
+                    validate_scenario)
 
 #: warn when |Omega| exceeds this multiple of gamma (linear regime monitor)
 LINEAR_FIELD_WARN = 0.1
 
-#: longest time block marched as one prefix sum, in steps
-_BLOCK = 16384
+#: steps per row of a free stretch's table, and per stretch of a driven scan
+_BLOCK = 256
 
-#: largest |mu|^(+-m) a block may span, which keeps the scan's tables and
-#: partial sums far from overflow and underflow on strongly damped maps
-_SCAN_RANGE = 1e8
+#: Aberth sweeps that find the collocation's eigenvalues: from the starting
+#: circle, 18 nodes reach their rounding floor in 21
+_ROOT_SWEEPS = 30
 
-#: a block's prefix sum, called as _scan(z, 0, None, z): the ufunc np.cumsum runs, without its Python wrapper
-_scan = np.add.accumulate
+#: largest |mu|^-m a driven scan may reach, which keeps its prefix sums far from overflow
+_SCAN_GROWTH = 1e150
 
 
 class NumericalError(RuntimeError):
@@ -106,18 +110,6 @@ class TraceSet:
     metadata: dict = field(default_factory=dict)
 
 
-def _propagators(delta_b: float, h: float):
-    """Exact one-substep coefficients (e, p) of the 31 line.
-
-    f' = e*f + p*Omega solves df/dt = lam*f + i*(a/4)*Omega with Omega
-    constant over the substep, lam = -(gamma/2 + i*delta_b).  The 42 line
-    has conj(e) and -conj(p).
-    """
-    lam = -(0.5 * DEFAULT_GAMMA + 1j * delta_b)
-    e = cmath.exp(lam * h)
-    return e, 0.25j * CLEBSCH_A * (e - 1.0) / lam
-
-
 def _reflects(t_exit, tau: float, disable_time: float | None):
     """The mirror gate: is light leaving the back face at ``t_exit`` reflected?
 
@@ -142,238 +134,189 @@ def _segment_steps(sc: ValidatedScenario, n_t: int):
     return [(segs[k].delta_b, starts[k], starts[k + 1]) for k in range(len(segs)) if starts[k] < starts[k + 1]]
 
 
-def _schur(m00: float, m01: float, m10: float, m11: float):
-    """Schur form of the real 2x2 matrix [[m00, m01], [m10, m11]], in closed form.
+def _legendre_series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_m c[..., m] P_m(x) for Legendre coefficients ``c``, by the polynomials' recurrence."""
+    p0, p1 = np.ones_like(x), x
+    out = c[..., :1] * p0 + c[..., 1:2] * p1
+    for k in range(1, c.shape[-1] - 1):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        out += c[..., k + 1:k + 2] * p1
+    return out
 
-    Returns (mu1, mu2, t12, q0, q1) with M = Q [[mu1, t12], [0, mu2]] Q^H and
-    Q = [[q0, -q1*], [q1, q0*]], real for real eigenvalues (else Im mu1 > 0).
-    The eigenvector (rho + d, m10) of mu1 takes the sign of rho that avoids
-    cancellation, so Q stays accurate as the eigenvalues coalesce, where an
-    eigenbasis would become singular.
+
+@functools.lru_cache(maxsize=None)
+def _basis(n: int):
+    """The eigenbasis of ``n``-node Gauss-Legendre collocation of int_0^u on [0, 1], one of each conjugate pair.
+
+    Returns (sigma, r, coef): a node state (x, y) = (Re f31, Im f31) is
+    2 Re(V (X, Y)) over the eigenvectors V of the integration matrix, with
+    eigenvalues sigma and Legendre coefficients the columns of coef; a
+    uniform Im f31 of 1 is Y = r, and the depth mean of y (the P_0
+    coefficient) is 2 Re(coef[0] . Y).  On the coefficients, with
+    x = 2u - 1, int_-1^x P_m = (P_m+1 - P_m-1)/(2m + 1) and int_-1^x P_0 =
+    P_0 + P_1: the integration is tridiagonal, and P_n, which vanishes at
+    the nodes, drops out.  Its eigenvalues are the roots of its leading-minor
+    recurrence, found together by Aberth's iteration, and the minors give
+    the eigenvectors.  Both run in numpy's extended precision (80-bit on
+    x86-64): the basis is ill-conditioned (cond 4e9 at 18 nodes), and roots
+    found in float64 cost the thickest slabs 50x their accuracy.  No BLAS or
+    LAPACK routine runs: loading one adds its code and buffers, 0.1 to 2 MB
+    each, to the process's resident set.
     """
-    d = 0.5 * (m00 - m11)
-    disc = d * d + m01 * m10
-    rho = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
-    if d * rho.real < 0.0:
-        rho = -rho
-    v0, v1 = rho + d, m10
-    norm = math.hypot(abs(v0), abs(v1))
-    q0, q1 = (v0 / norm, v1 / norm) if norm > 0.0 else (1.0, 0.0)
-    qc0, qc1 = q0.conjugate(), q1.conjugate()
-    t12 = qc0 * (m01 * qc0 - m00 * qc1) + qc1 * (m11 * qc0 - m10 * qc1)
-    mean = 0.5 * (m00 + m11)
-    return mean + rho, mean - rho, t12, q0, q1
+    k = np.arange(n - 1.0)
+    sub, sup = 0.5 / (2.0 * k + 1.0), -0.5 / (2.0 * k + 3.0)  # T[k+1, k] and T[k, k+1]
+    diag = np.zeros(n)
+    diag[0] = 0.5
+
+    def minors(lam):
+        """The leading minors det(T - lam)_j, j = 0 ... n, and the last one's derivative."""
+        f = [np.ones_like(lam), diag[0] - lam]
+        df = [np.zeros_like(lam), -np.ones_like(lam)]
+        for j in range(1, n):
+            f.append((diag[j] - lam) * f[j] - sub[j - 1] * sup[j - 1] * f[j - 1])
+            df.append((diag[j] - lam) * df[j] - f[j] - sub[j - 1] * sup[j - 1] * df[j - 1])
+        return f, df[-1]
+
+    lam = 0.1 * np.exp(2j * math.pi * (np.arange(n) + 0.25) / n).astype(np.clongdouble)
+    for _ in range(_ROOT_SWEEPS):
+        f, df = minors(lam)
+        ratio = f[-1] / df
+        gap = lam[:, None] - lam
+        np.fill_diagonal(gap, np.inf)
+        lam = lam - ratio / (1.0 - ratio * (1.0 / gap).sum(axis=1))
+    sigma = lam[lam.imag > 0.0]
+    # the minors are the eigenvector's coefficients up to the product of the superdiagonal
+    f, _ = minors(sigma)
+    coef = np.array(f[:n]) * np.concatenate(([1.0], np.cumprod(-1.0 / sup)))[:, None]
+    coef /= np.sqrt((np.abs(coef) ** 2).sum(axis=0))
+    sigma, coef = sigma.astype(complex), coef.astype(complex)
+    # r solves 2 Re(coef r) = e_0, the coefficients of a uniform 1, as one real system
+    r = _solve_real(np.hstack((coef.real, -coef.imag)), np.eye(n)[0] * 0.5).reshape(2, -1)
+    return sigma, r[0] + 1j * r[1], coef
 
 
-class _Mode(NamedTuple):
-    """One coordinate z = p . y of a node's state y = (Re f31, Im f31).
+def _solve_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a small real square a, by Gaussian elimination with partial pivoting."""
+    ab = np.column_stack((a, b))
+    n = len(b)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(ab[k:, k])))
+        ab[[k, p]] = ab[[p, k]]
+        ab[k + 1:] -= np.multiply.outer(ab[k + 1:, k] / ab[k, k], ab[k])
+    x = np.zeros(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (ab[k, n] - (ab[k, k + 1:n] * x[k + 1:]).sum()) / ab[k, k]
+    return x
 
-    With u = a_h + w_self*q*a the step input, z' = mu*z + beta*u, and y is
-    Re(v*z) summed over the node's modes.  The mode adds Re(ga*z) to the
-    next node's a (ga is 1 or 0) and Re(gh*z) to its u.  It is scanned
-    unless it is undriven and unread, then carried as z0*mu^m.
+
+def _modes(sigma: np.ndarray, c: float, delta_b: float):
+    """Exponents kappa and right and left eigenvectors u, l of every 2x2 block at splitting ``delta_b``.
+
+    Block k carries (X_k, Y_k) under [[-G/2, db], [-db, -G/2 - c sigma_k]].
+    With h = c sigma/2 and rho^2 = h^2 - db^2, its exponents are
+    -G/2 - h +- rho, rho's sign taken so that |rho + h| >= |rho - h|, which
+    keeps q = rho + h away from 0.  Modes run (+ of every block, - of every
+    block); a mode's coordinate is zeta = l . (X_k, Y_k), and (X_k, Y_k) is
+    the sum of u*zeta over the block's two modes.  rho is 0 only where the
+    block is a multiple of I (c sigma = db = 0), split there along X and Y.
     """
+    h = 0.5 * c * sigma
+    scale = np.maximum(np.abs(h), abs(delta_b))
+    scale[scale == 0.0] = 1.0
+    rho = scale * np.sqrt((h / scale) ** 2 - (delta_b / scale) ** 2 + 0j)
+    rho[(rho * h.conj()).real < 0.0] *= -1.0
+    flat = rho == 0.0
+    q, d = np.where(flat, 2.0, rho + h), np.where(flat, 2.0, 2.0 * rho)
+    mean = -0.5 * DEFAULT_GAMMA - h
+    kappa = np.concatenate((mean + rho, mean - rho))
+    db, one = np.full_like(q, delta_b), np.ones_like(q)
+    return kappa, np.block([[q, -db], [-db, q]]) / np.tile(d, 2), np.block([[one, db / q], [db / q, one]])
 
-    mu: complex
-    beta: complex
-    p: tuple
-    v: tuple
-    ga: float
-    gh: complex
 
+def _free(zeta, kappa, read, dt: float, trace: np.ndarray):
+    """Write the undriven trace Re sum(read*zeta*e^(kappa*m*dt)) into ``trace``; return zeta one step past it.
 
-def _node_map(e_h: complex, e_f: complex, p_h: complex, p_f: complex, w_self: float, w: float):
-    """The realified step map of a node whose own coherence enters its field with weight 1j*``w_self``.
-
-    Returns (modes, t12, wq2), or None if the map is not finite: one complex
-    _Mode for a complex eigenpair, else two Schur coordinates, the second
-    also taking t12 times the first; the next node's u takes wq2*a beyond
-    the modes.  With f42 = -conj(f31) the node's coherence sum is s =
-    2i*Im(f31) and the midpoint one s_half = 2i*Im(c*f31) + q*a, q = 2i*Im(p_h).
+    The steps are rows of _BLOCK: the trace is the real product of each
+    row's start factors read*zeta*e^(kappa*t_row) and one table
+    e^(kappa*m*dt), m < _BLOCK, summed over the modes as outer products.
     """
-    c = e_h - 2.0 * w_self * p_h.imag
-    cv = (c.imag, c.real)  # Im(c*f31) = cv . y
-    b = (p_f.real, p_f.imag)  # f31 takes p_f*Omega_half
-    r00, r01 = e_f.real - 2.0 * w_self * b[0] * cv[0], -e_f.imag - 2.0 * w_self * b[0] * cv[1]
-    r10, r11 = e_f.imag - 2.0 * w_self * b[1] * cv[0], e_f.real - 2.0 * w_self * b[1] * cv[1]
-    g = -2.0 * (w_self + w)  # the weight of Im f31 in the next node's a, and of Im(c*f31) in its a_h
-    wq = -2.0 * w * p_h.imag  # the weight of a in a_h beyond the modes
-    if not all(math.isfinite(x) for x in (r00, r01, r10, r11, g * cv[0], g * cv[1], wq)):
-        return None
-    mu1, mu2, t12, q0, q1 = _schur(r00, r01, r10, r11)
-    qc0, qc1 = q0.conjugate(), q1.conjugate()
-    den = q0 * qc1 - q1 * qc0
-    if mu1.imag != 0.0 and den != 0.0:
-        # y = 2 Re(v z) with v = (q0, q1), the eigenvector of mu1: z = l . y with
-        # l . v = 1 and l . conj(v) = 0
-        bases = [(mu1, (qc1 / den, -qc0 / den), (2.0 * q0, 2.0 * q1))]
-    else:
-        # the Schur coordinates Q^H y, in the order that leaves the first free of the second
-        bases = [(mu2, (-q1, q0), (-qc1, qc0)), (mu1, (qc0, qc1), (q0, q1))]
-    modes, scales = [], []
-    for mu, p, v in bases:
-        ga = g * v[1]  # the mode's weight in a; a mode that reaches a is scaled to weight 1
-        s, ga = (ga, 1.0) if ga != 0.0 else (1.0, 0.0)
-        p, v = (p[0] * s, p[1] * s), (v[0] / s, v[1] / s)
-        # u = a_h + wq*a takes wq times the mode's share of a as well
-        gh = g * (cv[0] * v[0] + cv[1] * v[1]) + wq * ga
-        modes.append(_Mode(mu, p[0] * b[0] + p[1] * b[1], p, v, ga, gh))
-        scales.append(s)
-    if len(modes) == 2:
-        t12 *= scales[1] / scales[0]
-    values = [t12] + [x for md in modes for x in (md.mu, md.beta, *md.p, *md.v, md.gh)]
-    return (modes, t12, 2.0 * wq) if all(cmath.isfinite(x) for x in values) else None
+    n = trace.size
+    coef = read * zeta
+    if coef.any():
+        width = min(_BLOCK, n)
+        table = np.exp(np.outer(kappa, np.arange(width) * dt))
+        start = coef * np.exp(np.outer(np.arange(-(-n // width)) * (width * dt), kappa))
+        acc, part = np.zeros((2, start.shape[0], width))
+        for j in range(kappa.size):
+            acc += np.multiply.outer(start[:, j].real, table[j].real, out=part)
+            acc -= np.multiply.outer(start[:, j].imag, table[j].imag, out=part)
+        trace[:] = acc.ravel()[:n]
+    return zeta * np.exp(kappa * (n * dt))
 
 
-def _span(mu: complex) -> float:
-    """Longest block over which |mu|^(+-m) stays within _SCAN_RANGE (unbounded for |mu| = 1)."""
-    rate = abs(math.log(abs(mu))) if mu != 0 else math.inf
-    return math.inf if rate == 0.0 else 1 + int(math.log(_SCAN_RANGE) / rate)
+def _driven(zeta, kappa, drive, read, inputs: np.ndarray, dt: float, trace: np.ndarray):
+    """Advance the modes over the input ``inputs`` (full steps, midpoints) and write the trace; return zeta past it.
+
+    Exponential midpoint rule: each step adds the midpoint input times
+    drive*(e^(kappa*dt) - 1)/kappa.  The recurrence is a prefix sum of
+    input*mu^-m times mu^m, over stretches of at most _BLOCK steps, cut
+    shorter where |mu|^-m would pass _SCAN_GROWTH.
+    """
+    beta = drive * (np.exp(kappa * dt) - 1.0) / kappa
+    rate = -kappa.real.min() * dt
+    width = max(1, min(_BLOCK, int(math.log(_SCAN_GROWTH) / rate)))
+    for b0 in range(0, trace.size, width):
+        k = min(width, trace.size - b0)
+        pw = np.exp(np.outer(kappa * dt, np.arange(1, k + 1)))
+        z = np.empty((kappa.size, k + 1), dtype=complex)
+        z[:, 0] = 0.0
+        np.divide(np.outer(beta, inputs[1, b0:b0 + k]), pw, out=z[:, 1:])
+        np.cumsum(z, axis=1, out=z)
+        z += zeta[:, None]
+        z[:, 1:] *= pw
+        trace[b0:b0 + k] = inputs[0, b0:b0 + k] + (read[:, None] * z[:, :k]).real.sum(axis=0)
+        zeta = z[:, k].copy()
+    return zeta
 
 
-def _fill_tables(modes, t12, m: np.ndarray, out: np.ndarray) -> None:
-    """Rows mu^m and beta*mu^-m of each mode, then t12*mu2^-m for two coupled modes, of ``out``, in place."""
-    specs = [(md.mu, sign, scale) for md in modes for sign, scale in ((1.0, 1.0), (-1.0, md.beta))]
-    specs += [(modes[1].mu, -1.0, t12)] if len(modes) == 2 and t12 != 0 else []
-    real = out.dtype != complex
-    for row, (mu, sign, scale) in zip(out, specs):
-        # mu = 0 limits the block to one step, where only m = 0 is read
-        c = sign * cmath.log(mu) if mu != 0 else 0j
-        np.multiply(m, c.real if real else c, row)
-        np.exp(row, row)
-        if real and c.imag:  # a negative real mu: mu^m alternates in sign
-            np.negative(row[1::2], row[1::2])
-        np.multiply(row, scale, row)
-
-
-def _march(segments, w: float, n_u: int, inputs: np.ndarray, kicks: dict, snap_steps: list, dt: float,
+def _solve(basis, segments, eta: float, inputs: np.ndarray, kicks: dict, snap_steps: list, dt: float,
            trace: np.ndarray):
-    """March one branch in depth, node by node, over time blocks of each schedule segment.
+    """Integrate one branch over its schedule segments, writing its back-face field into ``trace``.
 
-    ``segments`` holds (delta_b, first step, stop step) of each schedule
-    segment, as _segment_steps gives them, and 1j*``w`` is the trapezoid
-    weight kappa*du/2.
-    A node's state is y = (Re f31, Im f31) under a real 2x2 step map.  Where
-    its eigenvalues are a complex pair, one complex prefix sum of (real
-    input) x (complex table) gives its _Mode z, and it hands on a += Re z
-    and u += Re(gh*z).  Where they are real, it scans in float64 the
-    coordinates of the map's real Schur basis, but carries one that is
-    undriven and unread (no input, kick, hand-on or t12) as z0*mu^m, read
-    off its table at the steps the state and snapshots need.
-
-    A block is at most _BLOCK steps, the width of the fields a and u and of
-    one scratch pool of 8 float64 rows: a float64 map uses them as z1, z2,
-    a temporary, mu^m and beta*mu^-m of each mode and t12*mu2^-m (filled
-    only where t12 != 0); a complex map views the same bytes as 4 complex
-    rows, z, a temporary, mu^m and beta*mu^-m.  The temporary holds the step
-    ramp m while the tables are filled.  What every node of a block shares
-    (row views, hand-ons, the table at the read steps) is built once per
-    block and map.
-
-    ``inputs`` is the branch input Omega(0), a float64 array of shape (2,
-    n_t) holding the full steps and the midpoints; ``kicks`` maps a step to
-    the Im f31 it adds at every node, on the block's first step as on any
-    other.  The back-face field goes to the float64 array ``trace``.
-    Returns f31 at ``snap_steps`` as (snapshot, depth).
+    ``segments`` holds (delta_b, first step, stop step) of each segment, as
+    _segment_steps gives them; ``inputs`` is the front-face input as a
+    float64 array of shape (2, n_t), full steps and midpoints; ``kicks``
+    maps a step to the pulse area it deposits, applied before that step's
+    trace.  A segment runs in the modes of its splitting: between kicks,
+    snapshots and the ends of the steps that carry input, each stretch is
+    either driven (a scan) or free (a closed form).
+    Returns the state (X, Y) at ``snap_steps`` as an array (snapshot, 2, K).
     """
-    # y of every node at the next block's first step, as rows Re f31 and Im f31
-    state = np.zeros((2, n_u))
-    s0, s1 = state
-    snaps = np.zeros((len(snap_steps), n_u), dtype=complex)
-    width = min(_BLOCK, len(trace))
-    fields = np.empty((2, width))
-    pool = np.empty(8 * width)
+    sigma, r, coef = basis
+    n_k = sigma.size
+    xy = np.zeros((2, n_k), dtype=complex)
+    snaps = np.zeros((len(snap_steps), 2, n_k), dtype=complex)
+    active = np.flatnonzero(inputs.any(axis=0))
+    lo, hi = (active[0], active[-1] + 1) if active.size else (0, 0)
+    drive_y = np.tile(0.25 * CLEBSCH_A * r, 2)
+    read_y = np.tile(-4.0 * eta * CLEBSCH_A * coef[0], 2)
     for level, first, stop in segments:
-        (e_h, p_h), (e_f, p_f) = _propagators(level, 0.5 * dt), _propagators(level, dt)
-        maps = (_node_map(e_h, e_f, p_h, p_f, 0.0, w), _node_map(e_h, e_f, p_h, p_f, w, w))
-        finite = None not in maps
-        layouts, spans = [], []
-        for modes, _, _ in maps if finite else ():
-            # 4 rows per mode of the map's dtype (a complex map with two Schur modes gets half the width)
-            rows = pool.view(type(modes[0].mu))
-            n_rows = 4 * len(modes)
-            layouts.append(rows[:rows.size // n_rows * n_rows].reshape(n_rows, -1))
-            spans += [_span(md.mu) for md in modes]
-        k_max = min(stop - first, width, *spans, *(rows.shape[1] for rows in layouts))
-        for b0 in range(first, stop, k_max):
-            b1 = min(b0 + k_max, stop)
-            k = b1 - b0
-            a, u = fields[:, :k]
-            u_lo = u[:-1]
-            np.copyto(fields[:, :k], inputs[:, b0:b1])  # node 0 has no self term, so its step input u is a_h
-            inner = [(n - b0, kick) for n, kick in kicks.items() if b0 <= n < b1]
-            shots = [(n - b0, s) for s, n in enumerate(snap_steps) if b0 <= n < b1]
-            read = [i for i, _ in shots] + [k - 1]  # the steps of a coordinate that the state and snapshots read
-            if not finite:
-                # the map overflows: the run turns non-finite at the first step carrying a
-                # value; until then every state and field is exactly zero
-                hot = [i for i, _ in inner] + [int(np.flatnonzero(v)[0]) for v in (a, u) if v.any()]
-                hot += [0] if state.any() else []
-                if hot:
-                    raise NumericalError(f"non-finite field at t = {(b0 + min(hot)) * dt:.4f} ns")
-                continue
-            for j in range(n_u):
-                if j < 2:
-                    modes, t12, wq2 = maps[j]
-                    n = len(modes)
-                    rows = layouts[j][:, :k]
-                    zt = rows[n]
-                    ztr = zt.real
-                    # the block's steps m = 0, 1, ... in the temporary row, as a running sum of ones (exact)
-                    ztr.fill(1.0)
-                    ztr[0] = 0.0
-                    np.cumsum(ztr, out=ztr)
-                    _fill_tables(modes, t12, ztr, rows[n + 1:])
-                    # a carried coordinate keeps its table at the read steps; a scanned one its
-                    # row z, the shifted views, and, for a second Schur mode, the first mode's part
-                    carried, scans = [], []
-                    for i, md in enumerate(modes):
-                        z, pw, dn = rows[i], rows[n + 1 + 2 * i], rows[n + 2 + 2 * i]
-                        if md.beta == 0 and md.p[1] == 0 and md.ga == md.gh == 0 and t12 == 0:
-                            carried.append((md, [pw.item(r) for r in read]))
-                        else:
-                            coupled = (rows[0][:-1], rows[-1][1:], zt[1:]) if i == 1 and t12 != 0 else None
-                            scans.append((md, z, z[1:], dn[1:], pw, coupled))
-                    hand_on = [(row, z, g, (z if g == 1.0 else zt).real) for md, z, *_ in scans
-                               for row, g in ((a, md.ga), (u, md.gh)) if g != 0.0]
-                if j == n_u - 1:
-                    # the back-face field is the mean of the last node's input and output
-                    trace[b0:b1] = a
-                y0, y1 = s0.item(j), s1.item(j)
-                u_last = u.item(-1)
-                # each mode at the read steps: a carried one as what the scan of its zero input gives
-                found = [(md, [x * (md.p[0] * y0 + md.p[1] * y1) for x in table]) for md, table in carried]
-                for md, z, z_hi, dn_hi, pw, coupled in scans:
-                    np.multiply(u_lo, dn_hi, z_hi)
-                    if coupled:
-                        z1_lo, cpl_hi, zt_hi = coupled
-                        np.multiply(z1_lo, cpl_hi, zt_hi)
-                        np.add(z_hi, zt_hi, z_hi)
-                    z[0] = md.p[0] * y0 + md.p[1] * y1
-                    for i, kick in inner:
-                        z[i] += md.p[1] * kick / pw[i]
-                    _scan(z, 0, None, z)
-                    np.multiply(z, pw, z)
-                    found.append((md, [z.item(i) for i in read]))
-                # the state one step past the block, and the snapshots; the second Schur
-                # coordinate takes t12 times the first (t12 is 0 where one is carried)
-                ends, ny0, ny1 = [], 0.0, 0.0
-                for md, zs in found:
-                    nxt = md.mu * zs[-1] + md.beta * u_last + (t12 * ends[0] if ends else 0.0)
-                    ends.append(zs[-1])
-                    ny0, ny1 = ny0 + (md.v[0] * nxt).real, ny1 + (md.v[1] * nxt).real
-                    for (_, s), x in zip(shots, zs):
-                        snaps[s, j] += complex((md.v[0] * x).real, (md.v[1] * x).real)
-                s0[j], s1[j] = ny0, ny1
-                # u takes wq2 times this node's input a, before a takes the hand-ons
-                np.multiply(a, wq2, ztr)
-                np.add(u, ztr, u)
-                for row, z, g, src in hand_on:
-                    if g != 1.0:
-                        np.multiply(z, g, zt)
-                    np.add(row, src, row)
-            np.add(trace[b0:b1], a, trace[b0:b1])
-            np.multiply(trace[b0:b1], 0.5, trace[b0:b1])
+        kappa, u, l = _modes(sigma, 0.5 * eta * CLEBSCH_A ** 2, level)
+        drive, read = l[1] * drive_y, u[1] * read_y
+        zeta = l[0] * np.tile(xy[0], 2) + l[1] * np.tile(xy[1], 2)
+        cuts = sorted({first, stop, *(n for n in (*kicks, *snap_steps, lo, hi) if first < n < stop)})
+        for s, e in zip(cuts, cuts[1:]):
+            if s in kicks:
+                zeta = zeta + kicks[s] * drive
+            if s in snap_steps:
+                p = u * zeta
+                snaps[snap_steps.index(s)] = p[:, :n_k] + p[:, n_k:]
+            if lo <= s < hi:
+                zeta = _driven(zeta, kappa, drive, read, inputs[:, s:e], dt, trace[s:e])
+            else:
+                zeta = _free(zeta, kappa, read, dt, trace[s:e])
+        p = u * zeta
+        xy = p[:, :n_k] + p[:, n_k:]
     return snaps
 
 
@@ -389,12 +332,11 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
 
     Returns (TraceSet, [CoherenceSnapshot, ...]).  Deterministic for a
     fixed configuration.  Raises :class:`NumericalError` naming the first
-    time at which a field goes non-finite (a step map that overflows counts
-    from the first step that carries a value).
+    time at which a field goes non-finite.
 
-    The forward branch (f31, f42) is marched in depth over the whole run;
-    its back-face trace then gives the backward branch (b31, b42, stored in
-    reversed depth so that it marches the same way) its mirror input.
+    The forward branch (f31, f42) is integrated over the whole run; its
+    back-face trace then gives the backward branch (b31, b42, stored in
+    reversed depth so that it takes the same equations) its mirror input.
     Without a reflecting mirror the backward branch is identically zero and
     is left out.
     """
@@ -402,8 +344,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     dt = sc.dt
     n_t = sc.n_steps + 1
     t_grid = np.arange(n_t) * dt
-    n_u = sc.sample.n_depth
-    w = sc.eta_l * CLEBSCH_A * (0.5 * (1.0 / (n_u - 1)))  # kappa * du / 2 = 1j * w
+    basis = _basis(depth_nodes(sc.sample.xi))
     mirror = sc.mirror
     tau = sc.tau
     disable_time = mirror.disable_time
@@ -412,19 +353,18 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
 
     segments = _segment_steps(sc, n_t)
 
-    # impulsive-mode kicks per branch, {step: Im f31 added}: the prompt at t0
+    # impulsive-mode kicks per branch, {step: pulse area}: the prompt at t0
     # and, when the gate admits it, the mirror-reflected prompt arriving one
-    # round trip later; a kick adds the same imaginary coherence to both lines
+    # round trip later; a kick of area theta adds i*(a/4)*theta to both lines
     kicks_f: dict[int, float] = {}
     kicks_b: dict[int, float] = {}
     if pulse.mode == "impulsive":
         theta = pulse.area
-        kick_amp = 0.25 * CLEBSCH_A
-        kicks_f[round(pulse.t0 / dt)] = kick_amp * theta
+        kicks_f[round(pulse.t0 / dt)] = theta
         if refl_amp > 0.0 and _reflects(pulse.t0, tau, disable_time):
             ib = math.ceil((pulse.t0 + tau) / dt - 1e-9)  # first grid time >= t0 + tau
             if ib < n_t:
-                kicks_b[ib] = kick_amp * (-refl_amp * theta)
+                kicks_b[ib] = -refl_amp * theta
 
     # the forward branch's input at the full steps (row 0) and the midpoints
     # (row 1): the resolved pulse, or in impulsive mode a read-only zero view
@@ -434,7 +374,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     snap_at = {round(t / dt): t for t in sc.record_snapshots_at}
     snap_steps = sorted(snap_at)
     fwd, bwd = np.zeros(n_t), np.zeros(n_t)
-    fs = _march(segments, w, n_u, inputs, kicks_f, snap_steps, dt, fwd)
+    fs = _solve(basis, segments, sc.eta_l, inputs, kicks_f, snap_steps, dt, fwd)
     # the peak counts the medium-generated field only; a resolved input pulse
     # is transiently large by construction without breaking linearity
     peak_field = float(np.abs(fwd - inputs[0]).max())
@@ -450,8 +390,8 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
         inputs = np.interp(t_exit, t_grid, fwd)
         inputs *= -refl_amp
         inputs[~_reflects(t_exit, tau, disable_time)] = 0.0
-        del t_exit  # not read by the march, where a run's memory peaks
-        bs = _march(segments, w, n_u, inputs, kicks_b, snap_steps, dt, bwd)
+        del t_exit
+        bs = _solve(basis, segments, sc.eta_l, inputs, kicks_b, snap_steps, dt, bwd)
         peak_field = max(peak_field, float(np.abs(bwd - inputs[0]).max()))
 
     bad = ~(np.isfinite(fwd) & np.isfinite(bwd))
@@ -465,10 +405,14 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
             stacklevel=2,
         )
 
-    # the lines are a conjugate pair: f42 = -conj(f31), b42 = -conj(b31)
+    # the states as Legendre series, (Re f31, Im f31) = 2 Re(coef (X, Y)), on the uniform
+    # output grid; the lines are a conjugate pair: f42 = -conj(f31), b42 = -conj(b31)
+    grid = np.linspace(-1.0, 1.0, sc.sample.n_depth)
     snapshots = []
     for s, step in enumerate(snap_steps):
-        f31, b31 = fs[s].copy(), bs[s, ::-1].copy()
+        f31, b31 = (_legendre_series(2.0 * (basis[2] * xy[:, None, :]).sum(axis=-1).real, grid)
+                    for xy in (fs[s], bs[s]))
+        f31, b31 = f31[0] + 1j * f31[1], b31[0, ::-1] + 1j * b31[1, ::-1]
         snapshots.append(CoherenceSnapshot(snap_at[step], f31, -f31.conj(), b31, -b31.conj()))
 
     # a reflecting mirror stands in the forward detector's beam until it is disabled

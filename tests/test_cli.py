@@ -3,6 +3,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from nfscatter import cli
 from nfscatter.cli import main
-from nfscatter.model import MAX_GRID_POINTS, validate_scenario
+from nfscatter.model import DEPTH_NODES, MAX_GRID_POINTS, validate_scenario
 from nfscatter.presets import preset_scenario
 from nfscatter.traceio import TRACES_HEADER, read_traces_csv
 
@@ -132,6 +133,18 @@ def test_oversized_grid_rejected_before_allocation(tmp_path, capsys, sets, field
 def test_rejected_input_names_field(tmp_path, capsys, args, field):
     assert run_cli(["run", "--preset", "single_pass", *args, "--out", str(tmp_path / "x")]) == 1
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "x" / "traces.csv").exists()
+
+
+def test_xi_past_the_depth_rule_is_input_error(tmp_path, capsys):
+    # the largest thickness the collocation node rule reaches runs; the next float up exits 1
+    top = DEPTH_NODES[-1][0]
+    base = ["run", "--preset", "single_pass", "--set", "t_end=5", "--set", "dt=0.05"]
+    with pytest.warns(RuntimeWarning, match="linear-regime"):
+        assert run_cli([*base, "--set", f"sample.xi={top!r}", "--out", str(tmp_path / "top")]) == 0
+    capsys.readouterr()
+    assert run_cli([*base, "--set", f"sample.xi={math.nextafter(top, math.inf)!r}", "--out", str(tmp_path / "x")]) == 1
+    assert "sample.xi" in capsys.readouterr().err
     assert not (tmp_path / "x" / "traces.csv").exists()
 
 
@@ -389,6 +402,16 @@ def test_console_entry_point():
     assert "fig2a" in proc.stdout
 
 
+def test_cli_import_leaves_fft_and_polynomial_unloaded():
+    # both cost setup time on every CLI start; the oracle loads numpy.fft only when called
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, nfscatter.cli; print(sorted(m for m in sys.modules if m.startswith(('numpy.fft', 'numpy.polynomial'))))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_package_imports_stdlib_numpy_and_itself_only():
     # numpy is the one runtime dependency, and the closed-form oracles stay
     # independent of the solver they check, so oracles.py imports nothing of the package
@@ -480,3 +503,29 @@ def test_trace_diff_script(tmp_path, monkeypatch, capsys):
     (b / "traces.csv").write_text("".join(lines))
     assert trace_diff.main([str(a), str(b)]) == 1
     assert trace_diff.main([str(a), str(b), "--rtol", "1e-4"]) == 0
+
+
+def test_trace_diff_channels(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "trace_diff.py"
+    spec = importlib.util.spec_from_file_location("trace_diff", path)
+    trace_diff = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(trace_diff)
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["run", "--preset", "single_pass", "--set", "t_end=20", "--out", str(a)]) == 0
+    shutil.copytree(a, b)
+    # every forward amplitude scaled by 1 + 1e-3: both measures read 1e-3; the zero backward channel reads 0
+    lines = (b / "traces.csv").read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line[0].isdigit():
+            cells = line.split(",")
+            cells[1] = repr(float(cells[1]) * (1.0 + 1e-3))
+            lines[i] = ",".join(cells)
+    (b / "traces.csv").write_text("".join(lines))
+    capsys.readouterr()
+    assert trace_diff.main([str(a), str(b), "--channels", "--rtol", "1e-2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    fwd = next(line.split() for line in out if line.strip().startswith("fwd"))
+    assert float(fwd[2]) == pytest.approx(1e-3, rel=1e-3) and float(fwd[4]) == pytest.approx(1e-3, rel=1e-3)
+    assert "  bwd max 0 relL2 0" in out

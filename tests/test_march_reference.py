@@ -1,11 +1,13 @@
-"""The depth-marching solver against an independent per-step reference loop.
+"""The modal solver against an independent per-step reference loop.
 
-``reference_run`` steps the same discrete scheme the plain way: every time
-step sweeps both fields across the slab with a cumulative trapezoid, takes
-an exponential-midpoint half step, sweeps again and takes the full step.
-It shares no code with the solver beyond ``gaussian_input``.  Both are the
-same discretisation, so they agree to rounding; the bound is 1e-10 of each
-array's largest magnitude.
+``reference_run`` steps a different discretisation the plain way: every
+time step sweeps both fields across the slab with a cumulative trapezoid
+on the n_depth grid, takes an exponential-midpoint half step with the whole
+field held, sweeps again and takes the full step.  It shares no code with
+the solver beyond ``gaussian_input``.  The solver is spectral in depth and
+exact in time between inputs, so the two differ by the loop's truncation
+error: the tests fit its order in n_depth and in dt, on cases with schedule
+switching, the mirror and a resolved pulse.
 """
 
 import functools
@@ -16,10 +18,8 @@ import numpy as np
 import pytest
 
 from nfscatter import MirrorSpec, PulseSpec, SampleSpec, ScenarioConfig, gaussian_input, run_scenario, validate_scenario
-from nfscatter import solver
-from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule, Segment
+from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule, ScenarioError, Segment
 from nfscatter.presets import preset_scenario
-from nfscatter.solver import NumericalError
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA
@@ -79,33 +79,6 @@ def reference_run(sc):
     return fwd, bwd, snaps
 
 
-def node_map(sc, level):
-    """The 2x2 one-step map of an interior depth node, from the reference's own coefficients."""
-    a, dt, gamma = CLEBSCH_A, sc.dt, DEFAULT_GAMMA
-    w = 1j * sc.eta_l * a * 0.5 / (sc.sample.n_depth - 1)
-    lam = np.array([-(0.5 * gamma + 1j * level), -(0.5 * gamma - 1j * level)])
-    e_h, e_f = np.exp(0.5 * dt * lam), np.exp(dt * lam)
-    p_h, p_f = 0.25j * a * (e_h - 1.0) / lam, 0.25j * a * (e_f - 1.0) / lam
-    return np.diag(e_f) + w * np.outer(p_f, e_h + w * p_h.sum())
-
-
-def eigen_gap(sc, level):
-    """|mu1 - mu2| / |mean| of the interior map's eigenvalues, negative where they are a complex pair."""
-    m = node_map(sc, level)
-    disc = (0.25 * (m[0, 0] - m[1, 1]) ** 2 + m[0, 1] * m[1, 0]).real
-    return math.copysign(2.0 * math.sqrt(abs(disc)) / abs(0.5 * (m[0, 0] + m[1, 1])), disc)
-
-
-def coalescing_level(sc, gap=0.0):
-    """delta_b in (0, 2 gamma) where the interior map's eigen_gap is ``gap``; at 0 the eigenvalues coincide."""
-    lo, hi = 1e-6 * GAMMA, 2.0 * GAMMA
-    assert eigen_gap(sc, lo) > gap > eigen_gap(sc, hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if eigen_gap(sc, mid) > gap else (lo, mid)
-    return lo
-
-
 BASE = ScenarioConfig(
     sample=SampleSpec(xi=1.0, n_depth=21),
     pulse=PulseSpec(area=1e-3, t0=0.5),
@@ -122,7 +95,7 @@ def with_mirror(**kwargs):
 
 
 def kick_on_segment_start():
-    """The reflected prompt lands on the first step of a segment, so of a time block.
+    """The reflected prompt lands on the first step of a schedule segment.
 
     The feedback interpolates the forward trace at t - tau, which already
     drives the backward branch at the midpoint before that step, so the kick
@@ -139,39 +112,17 @@ def fig2c_short():
     return replace(cfg, sample=replace(cfg.sample, n_depth=41), t_end=120.0, dt=0.05)
 
 
-def coalescing(xi=5.0, gap=0.0):
-    cfg = replace(BASE, sample=SampleSpec(xi=xi, n_depth=11))
-    return replace(cfg, schedule=HyperfineSchedule.constant(coalescing_level(validate_scenario(cfg), gap)))
-
-
-def nearest_pair(xi=5.0):
-    """The first float delta_b past the exceptional point at which the eigenvalues are a complex pair."""
-    cfg = replace(BASE, sample=SampleSpec(xi=xi, n_depth=11))
-    sc = validate_scenario(cfg)
-    level = coalescing_level(sc)
-    while eigen_gap(sc, level) >= 0.0:
-        level = math.nextafter(level, math.inf)
-    return replace(cfg, schedule=HyperfineSchedule.constant(level))
-
-
 def free_mode_across_blocks():
-    """The field goes off while Re f31 != 0 and stays off over several time blocks.
+    """The field goes off while Re f31 != 0 and stays off for many damping times.
 
-    With the field off Re f31 takes no input and no kick and hands nothing
-    on, so the march carries it as z0*mu^m without a scan; xi = 50 cuts the
-    blocks short, as in extreme_coupling.  Snapshots sit on the switch-off
-    step and in later blocks of the field-off segment.
+    With the field off Re f31 takes no input and feeds no field, so the
+    state passes from the modes of one splitting to those of the other with
+    a large share that no input reaches.  Snapshots sit on the switch-off
+    step and later in the field-off segment.
     """
     return replace(BASE, sample=SampleSpec(xi=50.0, n_depth=11), pulse=PulseSpec(area=1e-5, t0=0.0),
                    schedule=HyperfineSchedule((Segment(0.0, 0.0125), Segment(90.0, 0.0))), t_end=1500.0, dt=3.0,
                    record_snapshots_at=(90.0, 561.0, 1200.0))
-
-
-# signed eigen_gap of the cases on either side of the exceptional point: real and
-# distinct above 0, a complex pair below; xi = 20 makes the field-off gap large
-# enough (1.4e-4) for the real side to reach 1e-4
-NEAR_COALESCING = {"coalescing_real_1e-4": 1e-4, "coalescing_real_1e-8": 1e-8,
-                   "coalescing_pair_1e-4": -1e-4, "coalescing_pair_1e-8": -1e-8}
 
 
 CASES = {
@@ -190,26 +141,13 @@ CASES = {
     "fig2c_segments": fig2c_short,
     "xi_zero": lambda: replace(BASE, sample=SampleSpec(xi=0.0, n_depth=21)),
     "field_off": lambda: replace(BASE, schedule=HyperfineSchedule.constant(0.0)),
-    "coalescing_eigenvalues": coalescing,
-    # the worst-conditioned complex pair a float delta_b reaches, still one complex mode
-    "coalescing_pair_nearest": nearest_pair,
     "extreme_coupling": lambda: replace(BASE, sample=SampleSpec(xi=50.0, n_depth=11), pulse=PulseSpec(area=1e-5, t0=0.0),
                                         schedule=HyperfineSchedule.constant(0.0), t_end=27000.0, dt=3.0,
                                         record_snapshots_at=(12.0, 300.0)),
     "kick_on_segment_start": kick_on_segment_start,
     "free_mode_across_blocks": free_mode_across_blocks,
     "snapshot_on_kick": lambda: replace(BASE, record_snapshots_at=(0.5, math.ceil((0.5 + TAU) / 0.01 - 1e-9) * 0.01)),
-    **{name: (lambda gap=gap: coalescing(20.0, gap)) for name, gap in NEAR_COALESCING.items()},
 }
-
-
-def assert_close(got, ref, name):
-    scale = np.abs(ref).max()
-    if scale == 0.0:
-        assert np.all(got == 0.0), name
-    else:
-        err = np.abs(got - ref).max() / scale
-        assert err <= 1e-10, f"{name}: relative max error {err:.2e}"
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,41 +156,72 @@ def case_reference(case):
     return reference_run(validate_scenario(CASES[case]()))
 
 
-def check_against_reference(case):
-    sc = validate_scenario(CASES[case]())
+# case: (n_depth grid at the case's dt, dt grid at n_depth 401); each grid is coarse
+# enough that the loop's error in the other variable stays well below that of the traces
+CONVERGENCE = {
+    "fig2c_segments": ((6, 11, 21), (0.2, 0.1, 0.05)),
+    "gaussian": ((11, 21, 41), (0.04, 0.02, 0.01)),
+    "tau_off_grid": ((11, 21, 41), (0.16, 0.08, 0.04)),
+    "ungated": ((11, 21, 41), (0.16, 0.08, 0.04)),
+}
+
+
+def loop_errors(cfg):
+    """Largest difference of the loop from the solver per channel, relative to the channel's peak.
+
+    The channels are both traces and the snapshots (f31 and b31 at every
+    snapshot time, on the n_depth grid the loop steps); a channel whose peak
+    is below 1e-9 of the forward trace's (gaussian's backward channel, as
+    the gate closes before the pulse arrives) is left out.
+    """
+    sc = validate_scenario(cfg)
     traces, snapshots = run_scenario(sc)
-    fwd, bwd, snaps = case_reference(case)
-    # the scheme keeps both fields exactly real (conjugate lines, imaginary kicks,
-    # real inputs); the solver marches f31 alone in real coordinates
-    assert np.all(fwd.imag == 0.0) and np.all(bwd.imag == 0.0)
-    assert np.all(traces.fwd_amp.imag == 0.0) and np.all(traces.bwd_amp.imag == 0.0)
-    assert_close(traces.fwd_amp, fwd, "fwd")
-    assert_close(traces.bwd_amp, bwd, "bwd")
+    fwd, bwd, snaps = reference_run(sc)
     assert len(snapshots) == len(snaps)
-    for snap, step in zip(snapshots, sorted(snaps)):
-        assert snap.t == pytest.approx(step * sc.dt)
-        for name, got, ref in (("f31", snap.f31, snaps[step][0, 0]), ("f42", snap.f42, snaps[step][0, 1]),
-                               ("b31", snap.b31, snaps[step][1, 0]), ("b42", snap.b42, snaps[step][1, 1])):
-            assert_close(got, ref, f"t = {snap.t} {name}")
+    got = {"fwd": traces.fwd_amp, "bwd": traces.bwd_amp,
+           "snap": np.concatenate([np.concatenate((s.f31, s.b31)) for s in snapshots])}
+    ref = {"fwd": fwd, "bwd": bwd, "snap": np.concatenate([np.concatenate(snaps[k][:, 0]) for k in sorted(snaps)])}
+    peak = np.abs(fwd).max()
+    return {name: np.abs(got[name] - ref[name]).max() / np.abs(ref[name]).max()
+            for name in got if np.abs(ref[name]).max() > 1e-9 * peak}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_march_matches_reference_loop(case):
-    check_against_reference(case)
+def fitted_orders(cases, grid):
+    """Per channel, the slope of log error against log grid step."""
+    errors = [loop_errors(cfg) for cfg in cases]
+    return {name: np.polyfit(np.log(grid), np.log([e[name] for e in errors]), 1)[0] for name in errors[0]}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_march_matches_reference_loop_in_short_blocks(case, monkeypatch):
-    # 50-step blocks: every case crosses many block boundaries, complex and float64 ones
-    # among them, and kicks and snapshots at whole or half ns (dt 0.01) land on a block's
-    # first step
-    monkeypatch.setattr(solver, "_BLOCK", 50)
-    check_against_reference(case)
+@pytest.mark.parametrize("case", sorted(CONVERGENCE))
+def test_reference_loop_converges_in_depth(case):
+    # the loop's trapezoid error falls as du^2 toward the solver, which has no depth truncation;
+    # the snapshots' larger time error already dominates theirs at these grids, so they are
+    # checked in dt only
+    base = CASES[case]()
+    grid = CONVERGENCE[case][0]
+    orders = fitted_orders([replace(base, sample=replace(base.sample, n_depth=n)) for n in grid],
+                           1.0 / (np.array(grid) - 1.0))
+    assert set(orders) >= {"fwd", "snap"}
+    for name in ("fwd", "bwd"):
+        if name in orders:
+            assert 1.8 <= orders[name] <= 2.2, f"{name}: depth order {orders[name]:.3f}"
+
+
+@pytest.mark.parametrize("case", sorted(CONVERGENCE))
+def test_reference_loop_converges_in_dt(case):
+    # the loop holds the whole field over a half step, the solver only the array inputs:
+    # both are second order in dt, so their difference is too
+    base = CASES[case]()
+    grid = CONVERGENCE[case][1]
+    orders = fitted_orders([replace(base, sample=replace(base.sample, n_depth=401), dt=dt) for dt in grid], grid)
+    assert set(orders) >= {"fwd", "snap"}
+    for name, order in orders.items():
+        assert 1.8 <= order <= 2.2, f"{name}: dt order {order:.3f}"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_reference_keeps_lines_conjugate(case):
-    # the invariant the solver's march rests on, checked on the loop that marches
+    # the invariant the solver's real coordinates rest on, checked on the loop that marches
     # both lines of both branches independently: f42 = -conj(f31), b42 = -conj(b31)
     # in every snapshot, and real fields (their sum is the field's source) in the traces
     fwd, bwd, snaps = case_reference(case)
@@ -265,79 +234,19 @@ def test_reference_keeps_lines_conjugate(case):
 
 
 def test_cases_reach_their_regimes():
-    # the coalescing case sits on the exceptional point of the interior map; in
-    # the extreme case |mu|^-m overflows within _BLOCK steps, so the run holds
-    # several blocks cut short to keep |mu|^(+-m) within [1e-8, 1e8]
-    sc = validate_scenario(CASES["coalescing_eigenvalues"]())
-    mu = np.linalg.eigvals(node_map(sc, sc.schedule.segments[0].delta_b))
-    assert abs(mu[0] - mu[1]) < 1e-6 * abs(mu[0])
-    # the cases beside it sit on their side of the exceptional point, at their gap:
-    # a complex pair is marched as one complex mode, real eigenvalues in the
-    # real Schur basis
-    for name, gap in NEAR_COALESCING.items():
-        sc = validate_scenario(CASES[name]())
-        level = sc.schedule.segments[0].delta_b
-        assert eigen_gap(sc, level) == pytest.approx(gap, rel=1e-3), name
-        mu = np.linalg.eigvals(node_map(sc, level))
-        if gap > 0.0:
-            assert np.all(np.abs(mu.imag) < 1e-3 * np.abs(mu[0] - mu[1])), name
-        else:
-            assert abs(mu[0] - mu[1].conjugate()) < 1e-3 * abs(mu[0] - mu[1]), name
-    sc = validate_scenario(CASES["coalescing_pair_nearest"]())
-    assert -1e-10 < eigen_gap(sc, sc.schedule.segments[0].delta_b) < 0.0
-    sc = validate_scenario(CASES["extreme_coupling"]())
-    rate = np.abs(np.log(np.abs(np.linalg.eigvals(node_map(sc, 0.0))))).max()
-    assert math.log(np.finfo(float).max) / rate < solver._BLOCK
-    assert 2 * math.log(1e8) / rate < sc.n_steps
-    # the field goes off with Re f31 a large share of the state, for more than two blocks
+    # the field goes off with Re f31 a large share of the state
     sc = validate_scenario(CASES["free_mode_across_blocks"]())
     t_off = sc.schedule.segments[1].t_start
     x = case_reference("free_mode_across_blocks")[2][round(t_off / sc.dt)]
     assert np.abs(x[:, 0].real).max() > 0.5 * np.abs(x[:, 0]).max()
-    rate = np.abs(np.log(np.abs(np.linalg.eigvals(node_map(sc, 0.0))))).max()
-    assert 2 * math.log(1e8) / rate < (sc.t_end - t_off) / sc.dt
-
-
-@pytest.fixture
-def scanned(monkeypatch):
-    """The dtype of every prefix sum the march makes, in order."""
-    dtypes = []
-    monkeypatch.setattr(solver, "_scan", lambda z, *args: dtypes.append(z.dtype) or np.add.accumulate(z, *args))
-    return dtypes
-
-
-def test_march_scans_only_driven_or_read_coordinates(scanned):
-    # one block per run, both branches: with the field off Re f31 takes no input and no
-    # kick and hands nothing on, so each node scans Im f31 alone; a complex pair is one
-    # complex scan, and real eigenvalues with the field on take two float64 scans
-    # (node 0, with no self term, has a complex pair there)
-    for case, node0, interior in (("field_off", [float], [float]), ("gaussian", [complex], [complex]),
-                                  ("coalescing_real_1e-4", [complex], [float, float])):
-        sc = validate_scenario(CASES[case]())
-        scanned.clear()
-        run_scenario(sc)
-        assert scanned == 2 * (node0 + interior * (sc.sample.n_depth - 1)), case
-
-
-def test_time_blocks_span_block_steps(scanned):
-    # a 12,001-step field-off run is one block (one float64 scan per node and branch);
-    # a complex segment of _BLOCK + 1 steps is two
-    for cfg, dtype, blocks in ((replace(BASE, schedule=HyperfineSchedule.constant(0.0), t_end=120.0), float, 1),
-                               (replace(BASE, t_end=solver._BLOCK * BASE.dt), complex, 2)):
-        sc = validate_scenario(cfg)
-        scanned.clear()
-        run_scenario(sc)
-        assert scanned == [dtype] * (blocks * 2 * sc.sample.n_depth), (sc.n_steps + 1, dtype)
 
 
 @pytest.mark.parametrize("present", [False, True])
 def test_first_non_finite_time_matches_reference(present):
-    # a representable step map whose state overflows a few steps after the prompt
+    # a thickness far past the collocation's reach, which once overflowed a few steps
+    # after the prompt, is now rejected by validation, naming the field
     mirror = BASE.mirror if present else replace(BASE.mirror, reflectivity=0.0)
-    sc = validate_scenario(replace(BASE, sample=SampleSpec(xi=1e60, n_depth=41), pulse=PulseSpec(area=1e-3, t0=5.0),
-                                   mirror=mirror, t_end=8.0, record_snapshots_at=()))
-    with np.errstate(over="ignore", invalid="ignore"):
-        fwd, bwd, _ = reference_run(sc)
-        bad = np.flatnonzero(~(np.isfinite(fwd) & np.isfinite(bwd)))[0]
-        with pytest.raises(NumericalError, match=f"t = {bad * sc.dt:.4f} ns"):
-            run_scenario(sc)
+    cfg = replace(BASE, sample=SampleSpec(xi=1e60, n_depth=41), pulse=PulseSpec(area=1e-3, t0=5.0),
+                  mirror=mirror, t_end=8.0, record_snapshots_at=())
+    with pytest.raises(ScenarioError, match="sample.xi"):
+        run_scenario(cfg)

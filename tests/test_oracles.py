@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from nfscatter import OracleCurve, envelope_attenuation, first_order_amplitude, relative_l2, run_scenario
-from nfscatter.model import DEFAULT_GAMMA, HyperfineSchedule
-from nfscatter.oracles import single_line_forward
+from nfscatter.model import DEFAULT_GAMMA, DEPTH_NODES, HyperfineSchedule, ScenarioError, depth_nodes
+from nfscatter.oracles import constant_field_forward, single_line_forward
 from nfscatter.presets import single_pass_scenario
 
 GAMMA = 1.0 / 141.1
@@ -34,13 +35,22 @@ class TestFirstOrderAmplitude:
             assert math.copysign(1.0, val) == (-1.0 if n % 2 == 0 else 1.0)
 
 
-def field_off_error(xi, n_depth):
-    """relL2 of the field-off single_pass forward trace against the exact single-line response."""
+def field_off_run(xi, n_depth, **kwargs):
     cfg = single_pass_scenario()
-    cfg = replace(cfg, sample=replace(cfg.sample, xi=xi, n_depth=n_depth), schedule=HyperfineSchedule.constant(0.0))
-    traces, _ = run_scenario(cfg)
-    ref = single_line_forward(traces.t_grid, xi, cfg.pulse.area, DEFAULT_GAMMA)
-    return float(np.linalg.norm(traces.fwd_amp - ref) / np.linalg.norm(ref))
+    cfg = replace(cfg, sample=replace(cfg.sample, xi=xi, n_depth=n_depth), schedule=HyperfineSchedule.constant(0.0),
+                  **kwargs)
+    return run_scenario(cfg)[0]
+
+
+def rel_l2(got, ref):
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+@functools.lru_cache(maxsize=None)
+def field_off_error(xi, n_depth, **kwargs):
+    """relL2 of the field-off single_pass forward trace against the exact single-line response."""
+    traces = field_off_run(xi, n_depth, **kwargs)
+    return rel_l2(traces.fwd_amp, single_line_forward(traces.t_grid, xi, 1e-3, DEFAULT_GAMMA))
 
 
 class TestSingleLineForward:
@@ -59,11 +69,61 @@ class TestSingleLineForward:
     def test_solver_matches_at_default_depth(self, xi):
         assert field_off_error(xi, 201) <= 1e-4
 
-    def test_depth_convergence_is_second_order(self):
-        n_depth = [51, 101, 201]
-        errors = [field_off_error(1.0, n) for n in n_depth]
-        slope = np.polyfit(np.log(np.array(n_depth) - 1.0), np.log(errors), 1)[0]
-        assert 1.8 <= -slope <= 2.2
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0, 5.0])
+    def test_solver_is_exact_to_rounding(self, xi):
+        # spectral in depth and exact in time after a kick
+        assert field_off_error(xi, 201) <= 1e-12
+
+    def test_trace_does_not_depend_on_n_depth(self):
+        # the collocation nodes follow xi alone: n_depth sets only the snapshot grid, so
+        # the trace has no depth truncation left to converge
+        traces = [field_off_run(1.0, n, t_end=40.0) for n in (51, 101, 201)]
+        assert all(np.array_equal(tr.fwd_amp, traces[0].fwd_amp) for tr in traces[1:])
+
+    @pytest.mark.filterwarnings("ignore:peak scattered")  # xi >= 80 passes the linear-regime monitor's 0.1 gamma
+    @pytest.mark.parametrize("top, nodes", DEPTH_NODES)
+    def test_depth_nodes_reach_their_bounds(self, top, nodes):
+        # each row of the node rule at its largest xi, field off over 200 ns: within 1e-7 of
+        # the exact response, and within 1e-12 up to xi = 10; the last row, the largest
+        # thickness validation admits, stays within 1e-6
+        assert depth_nodes(top) == nodes and nodes % 2 == 0
+        err = field_off_error(top, 11, t_end=200.0, dt=0.02)
+        assert err <= (1e-12 if top <= 10.0 else 1e-7), err
+        if top == DEPTH_NODES[-1][0]:
+            assert err <= 1e-6
+            with pytest.raises(ScenarioError, match="sample.xi"):
+                field_off_run(math.nextafter(top, math.inf), 11)
+
+
+class TestConstantFieldForward:
+    T = np.arange(8001) * 0.02  # 160 ns
+
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0, 5.0])
+    def test_field_off_is_single_line(self, xi):
+        got = constant_field_forward(self.T, xi, 1e-3, GAMMA, 0.0)
+        assert rel_l2(got, single_line_forward(self.T, xi, 1e-3, GAMMA)) <= 1e-11
+
+    def test_thin_limit_is_first_order(self):
+        # with the field on, the residual from the first scattering order is the second, ~ xi^2
+        xis = np.array([1e-3, 2e-3, 4e-3])
+        first = [first_order_amplitude(xi, GAMMA, DB30, self.T) for xi in xis]
+        res = [np.linalg.norm(constant_field_forward(self.T, xi, 1e-3, GAMMA, DB30) / 1e-3 - f)
+               for xi, f in zip(xis, first)]
+        assert 1.95 <= np.polyfit(np.log(xis), np.log(res), 1)[0] <= 2.05
+        assert res[0] <= 1e-3 * np.linalg.norm(first[0])
+
+    @pytest.mark.parametrize("t", [np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 3.0]), np.array([0.0])])
+    def test_needs_uniform_grid_from_zero(self, t):
+        with pytest.raises(ValueError, match="uniform grid"):
+            constant_field_forward(t, 1.0, 1e-3, GAMMA, DB30)
+
+    @pytest.mark.parametrize("xi", [0.01, 1.0, 5.0])
+    def test_solver_matches_with_field_on(self, xi):
+        # the single_pass preset (xi = 0.01) and thick slabs, constant field at 30 gamma
+        cfg = single_pass_scenario()
+        traces, _ = run_scenario(replace(cfg, sample=replace(cfg.sample, xi=xi), dt=0.02))
+        ref = constant_field_forward(traces.t_grid, xi, cfg.pulse.area, DEFAULT_GAMMA, DB30)
+        assert rel_l2(traces.fwd_amp, ref) <= 1e-10
 
 
 class TestEnvelopeAttenuation:

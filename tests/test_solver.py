@@ -12,15 +12,14 @@ from nfscatter import (
     PulseSpec,
     SampleSpec,
     ScenarioConfig,
+    ScenarioError,
     gaussian_input,
     relative_l2,
     run_scenario,
     validate_scenario,
 )
-from nfscatter import solver
 from nfscatter.model import HyperfineSchedule
 from nfscatter.presets import preset_scenario
-from nfscatter.solver import NumericalError
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA
@@ -262,21 +261,15 @@ class TestRunScenario:
         assert traces.metadata["config_hash"] == sc.config_hash
 
     def test_numerical_guard_reports_time(self):
-        # an enormous thickness overflows the first field sweep
-        sc = small_scenario(sample=SampleSpec(xi=1e300, n_depth=41),
-                            pulse=PulseSpec(area=1e-3))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="t = 0.0000 ns"):
-                run_scenario(sc)
+        # an enormous thickness, which once overflowed the first field sweep, is past the
+        # collocation's reach: validation rejects it by name before anything runs
+        with pytest.raises(ScenarioError, match="sample.xi"):
+            small_scenario(sample=SampleSpec(xi=1e300, n_depth=41), pulse=PulseSpec(area=1e-3))
 
     def test_numerical_guard_reports_late_time(self):
-        # the same overflow with the prompt at t0 = 5 ns: every state and field is
-        # exactly zero before it, so the run turns non-finite at 5 ns, not earlier
-        sc = small_scenario(sample=SampleSpec(xi=1e300, n_depth=41),
-                            pulse=PulseSpec(area=1e-3, t0=5.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match=r"t = 5\.0000 ns"):
-                run_scenario(sc)
+        # the same thickness with the prompt at t0 = 5 ns: rejected by validation as well
+        with pytest.raises(ScenarioError, match="sample.xi"):
+            small_scenario(sample=SampleSpec(xi=1e300, n_depth=41), pulse=PulseSpec(area=1e-3, t0=5.0))
 
 
 class TestLinearRegimeMonitor:
@@ -384,15 +377,3 @@ class TestGaussianInput:
         b_imp = snaps_imp[0].b31
         b_g = snaps_g[0].b31
         assert np.linalg.norm(b_g - b_imp) / np.linalg.norm(b_imp) < 0.01
-
-
-@pytest.mark.parametrize("mu", [0.97, -0.97, 0.9 + 0.3j], ids=["positive", "negative", "complex"])
-def test_scan_tables_are_powers_of_mu(mu):
-    # the tables mu^m and beta*mu^-m, filled in place in a float64 or complex row; a
-    # negative real mu (no validated scenario in the suite reaches one) alternates in sign
-    mode = solver._Mode(mu, 0.5, (1.0, 0.0), (1.0, 0.0), 0.0, 0.0)
-    m = np.arange(40, dtype=float)
-    out = np.empty((2, 40), dtype=type(mu))
-    solver._fill_tables([mode], 0.0, m, out)
-    np.testing.assert_allclose(out[0], mu ** m, rtol=1e-13)
-    np.testing.assert_allclose(out[1], 0.5 * mu ** -m, rtol=1e-13)
