@@ -287,9 +287,9 @@ def _solve(basis, segments, eta: float, inputs: np.ndarray, kicks: dict, snap_st
     _segment_steps gives them; ``inputs`` is the front-face input as a
     float64 array of shape (2, n_t), full steps and midpoints; ``kicks``
     maps a step to the pulse area it deposits, applied before that step's
-    trace.  A segment runs in the modes of its splitting: between kicks,
-    snapshots and the ends of the steps that carry input, each stretch is
-    either driven (a scan) or free (a closed form).
+    trace.  A segment runs in the modes of its splitting: between kicks and
+    the ends of the steps that carry input, each stretch is either driven
+    (a scan, also cut at snapshots) or free (a closed form).
     Returns the state (X, Y) at ``snap_steps`` as an array (snapshot, 2, K).
     """
     sigma, r, coef = basis
@@ -304,13 +304,15 @@ def _solve(basis, segments, eta: float, inputs: np.ndarray, kicks: dict, snap_st
         kappa, u, l = _modes(sigma, 0.5 * eta * CLEBSCH_A ** 2, level)
         drive, read = l[1] * drive_y, u[1] * read_y
         zeta = l[0] * np.tile(xy[0], 2) + l[1] * np.tile(xy[1], 2)
-        cuts = sorted({first, stop, *(n for n in (*kicks, *snap_steps, lo, hi) if first < n < stop)})
+        # a snapshot inside a free stretch is read off its closed form, so it leaves the trace as it was
+        inner = (*kicks, lo, hi, *(n for n in snap_steps if lo <= n < hi))
+        cuts = sorted({first, stop, *(n for n in inner if first < n < stop)})
         for s, e in zip(cuts, cuts[1:]):
             if s in kicks:
                 zeta = zeta + kicks[s] * drive
-            if s in snap_steps:
-                p = u * zeta
-                snaps[snap_steps.index(s)] = p[:, :n_k] + p[:, n_k:]
+            for n in (n for n in snap_steps if s <= n < e):
+                p = u * (zeta * np.exp(kappa * ((n - s) * dt)))
+                snaps[snap_steps.index(n)] = p[:, :n_k] + p[:, n_k:]
             if lo <= s < hi:
                 zeta = _driven(zeta, kappa, drive, read, inputs[:, s:e], dt, trace[s:e])
             else:
