@@ -1,13 +1,20 @@
-"""The modal solver against an independent per-step reference loop.
+"""The modal solver against two independent per-step reference loops.
 
-``reference_run`` steps a different discretisation the plain way: every
-time step sweeps both fields across the slab with a cumulative trapezoid
-on the n_depth grid, takes an exponential-midpoint half step with the whole
-field held, sweeps again and takes the full step.  It shares no code with
-the solver beyond ``gaussian_input``.  The solver is spectral in depth and
-exact in time between inputs, so the two differ by the loop's truncation
-error: the tests fit its order in n_depth and in dt, on cases with schedule
-switching, the mirror and a resolved pulse.
+``collocation_run`` steps the solver's own discretisation the plain way:
+both lines of both branches as complex states on the Gauss-Legendre nodes,
+with the cumulative integration matrix built from the Lagrange basis, and
+every step one dense matrix exponential of the whole slab's generator plus
+its integral against the midpoint input.  It shares no code with the solver
+beyond ``gaussian_input`` and the node count ``depth_nodes``.  Both are the
+same discretisation, so they agree to rounding; the bound is 1e-10 of each
+array's largest magnitude.
+
+``reference_run`` steps a different discretisation: every time step sweeps
+both fields across the slab with a cumulative trapezoid on the n_depth
+grid, takes an exponential-midpoint half step with the whole field held,
+sweeps again and takes the full step.  It differs from the solver by its
+own truncation error: the tests fit its order in n_depth and in dt, on
+cases with schedule switching, the mirror and a resolved pulse.
 """
 
 import functools
@@ -18,7 +25,8 @@ import numpy as np
 import pytest
 
 from nfscatter import MirrorSpec, PulseSpec, SampleSpec, ScenarioConfig, gaussian_input, run_scenario, validate_scenario
-from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule, ScenarioError, Segment
+from nfscatter import solver
+from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule, ScenarioError, Segment, depth_nodes
 from nfscatter.presets import preset_scenario
 
 GAMMA = 1.0 / 141.1
@@ -79,6 +87,131 @@ def reference_run(sc):
     return fwd, bwd, snaps
 
 
+def expm(m):
+    """e^m of a small square matrix: a Taylor series at norm <= 1/4, squared back up."""
+    squarings = max(0, math.ceil(math.log2(max(np.abs(m).sum(axis=1).max(), 1e-300) / 0.25)))
+    m = m / 2.0 ** squarings
+    out = term = np.eye(len(m), dtype=m.dtype)
+    for k in range(1, 20):
+        term = term @ m / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def lagrange(nodes, points):
+    """[p, k]: the Lagrange basis polynomial of node k at point p, as its product formula."""
+    diff = np.subtract.outer(points, nodes)
+    out = np.empty((len(points), len(nodes)))
+    for k in range(len(nodes)):
+        others = np.arange(len(nodes)) != k
+        out[:, k] = np.prod(diff[:, others] / (nodes[k] - nodes[others]), axis=1)
+    return out
+
+
+def collocation_run(sc):
+    """(fwd, bwd, {step: state}) of the solver's discretisation; state (branch, line, depth) on the n_depth grid.
+
+    The slab's N Gauss-Legendre nodes u with weights w on [0, 1] carry f31
+    and f42 (b31 and b42) as independent complex states.  The forward field
+    at node j is Omega_F(0) + i eta a (S (f31 + f42))_j, with S[j, k] the
+    integral of node k's Lagrange polynomial over [0, u_j], taken by the
+    N-point rule on [0, u_j], which is exact for it; the backward field
+    integrates over [u_j, 1] instead.  A step multiplies the state by
+    e^(A dt) and adds the integral over the step of e^(A s) times the input
+    held at the midpoint value, both from one exponential of A bordered by
+    the input column.  Kicks land before a step's trace and snapshot, as in
+    ``reference_run``.
+    """
+    a, dt, n_t, n = CLEBSCH_A, sc.dt, sc.n_steps + 1, depth_nodes(sc.sample.xi)
+    x, w = np.polynomial.legendre.leggauss(n)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    cum = np.array([uj * (lagrange(u, uj * u) * w[:, None]).sum(axis=0) for uj in u])
+    out_grid = lagrange(u, np.linspace(0.0, 1.0, sc.sample.n_depth))
+    kappa, tau, t_off, pulse = 1j * sc.eta_l * a, sc.tau, sc.mirror.disable_time, sc.pulse
+    r = math.sqrt(sc.mirror.reflectivity)
+    gain = np.full(2 * n, 0.25j * a)
+
+    def gated(t_exit):
+        return t_exit >= 0.0 and (t_off is None or t_exit + 0.5 * tau <= t_off)
+
+    def level_at(t):  # the last schedule segment starting at or before t, else the first
+        segs = sc.schedule.segments
+        return ([seg.delta_b for seg in segs if seg.t_start <= t] or [segs[0].delta_b])[-1]
+
+    @functools.lru_cache(maxsize=None)
+    def step_maps(level, backward):
+        """(e^(A dt), int_0^dt e^(A s) gain ds) for one branch at one splitting."""
+        integ = np.outer(np.ones(n), w) - cum if backward else cum
+        field = gain[:, None] * kappa * np.tile(integ, (2, 2))
+        lam = np.repeat([-(0.5 * DEFAULT_GAMMA + 1j * level), -(0.5 * DEFAULT_GAMMA - 1j * level)], n)
+        bordered = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+        bordered[:2 * n, :2 * n] = np.diag(lam) + field
+        bordered[:2 * n, -1] = gain
+        e = expm(bordered * dt)
+        return e[:2 * n, :2 * n], e[:2 * n, -1]
+
+    def branch(front, kicks, backward):
+        """The back-face (front-face, for the backward branch) trace and the snapshots of one branch."""
+        trace, snaps, y = np.zeros(n_t, dtype=complex), {}, np.zeros(2 * n, dtype=complex)
+        for i in range(n_t):
+            t = i * dt
+            y = y + gain * kicks.get(i, 0.0)
+            trace[i] = front(t) + kappa * (w @ (y[:n] + y[n:]))
+            if i in snap_steps:
+                snaps[i] = y.reshape(2, n) @ out_grid.T
+            if i < n_t - 1:
+                e, p = step_maps(level_at(t), backward)
+                y = e @ y + p * front(t + 0.5 * dt)
+        return trace, snaps
+
+    def feed(t):  # the mirror's input at the back face: the gated, delayed forward trace
+        t_exit = t - tau
+        if r == 0.0 or not gated(t_exit):
+            return 0.0
+        xs = t_exit / dt
+        j = int(xs)
+        return -r * (fwd[j] + (fwd[j + 1] - fwd[j]) * (xs - j))
+
+    kicks_f, kicks_b = {}, {}
+    if pulse.mode == "impulsive":
+        kicks_f[round(pulse.t0 / dt)] = pulse.area
+        if r > 0.0 and gated(pulse.t0):
+            kicks_b[math.ceil((pulse.t0 + tau) / dt - 1e-9)] = -r * pulse.area
+    snap_steps = {round(t / dt) for t in sc.record_snapshots_at}
+    fwd, snaps_f = branch(lambda t: gaussian_input(t, pulse) if pulse.mode == "gaussian" else 0.0, kicks_f, False)
+    bwd, snaps_b = branch(feed, kicks_b, True)
+    return fwd, bwd, {i: np.array([snaps_f[i], snaps_b[i]]) for i in snaps_f}
+
+
+def node_map(sc, level):
+    """The 2x2 one-step map of an interior depth node of ``reference_run``, from its own coefficients."""
+    a, dt, gamma = CLEBSCH_A, sc.dt, DEFAULT_GAMMA
+    w = 1j * sc.eta_l * a * 0.5 / (sc.sample.n_depth - 1)
+    lam = np.array([-(0.5 * gamma + 1j * level), -(0.5 * gamma - 1j * level)])
+    e_h, e_f = np.exp(0.5 * dt * lam), np.exp(dt * lam)
+    p_h, p_f = 0.25j * a * (e_h - 1.0) / lam, 0.25j * a * (e_f - 1.0) / lam
+    return np.diag(e_f) + w * np.outer(p_f, e_h + w * p_h.sum())
+
+
+def eigen_gap(sc, level):
+    """|mu1 - mu2| / |mean| of the interior map's eigenvalues, negative where they are a complex pair."""
+    m = node_map(sc, level)
+    disc = (0.25 * (m[0, 0] - m[1, 1]) ** 2 + m[0, 1] * m[1, 0]).real
+    return math.copysign(2.0 * math.sqrt(abs(disc)) / abs(0.5 * (m[0, 0] + m[1, 1])), disc)
+
+
+def coalescing_level(sc, gap=0.0):
+    """delta_b in (0, 2 gamma) where the interior map's eigen_gap is ``gap``; at 0 the eigenvalues coincide."""
+    lo, hi = 1e-6 * GAMMA, 2.0 * GAMMA
+    assert eigen_gap(sc, lo) > gap > eigen_gap(sc, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if eigen_gap(sc, mid) > gap else (lo, mid)
+    return lo
+
+
 BASE = ScenarioConfig(
     sample=SampleSpec(xi=1.0, n_depth=21),
     pulse=PulseSpec(area=1e-3, t0=0.5),
@@ -112,17 +245,41 @@ def fig2c_short():
     return replace(cfg, sample=replace(cfg.sample, n_depth=41), t_end=120.0, dt=0.05)
 
 
+def coalescing(xi=5.0, gap=0.0):
+    cfg = replace(BASE, sample=SampleSpec(xi=xi, n_depth=11))
+    return replace(cfg, schedule=HyperfineSchedule.constant(coalescing_level(validate_scenario(cfg), gap)))
+
+
+def nearest_pair(xi=5.0):
+    """The first float delta_b past the exceptional point at which the eigenvalues are a complex pair."""
+    cfg = replace(BASE, sample=SampleSpec(xi=xi, n_depth=11))
+    sc = validate_scenario(cfg)
+    level = coalescing_level(sc)
+    while eigen_gap(sc, level) >= 0.0:
+        level = math.nextafter(level, math.inf)
+    return replace(cfg, schedule=HyperfineSchedule.constant(level))
+
+
 def free_mode_across_blocks():
     """The field goes off while Re f31 != 0 and stays off for many damping times.
 
     With the field off Re f31 takes no input and feeds no field, so the
     state passes from the modes of one splitting to those of the other with
     a large share that no input reaches.  Snapshots sit on the switch-off
-    step and later in the field-off segment.
+    step and later in the field-off segment, in later rows of its free
+    stretch's table.
     """
     return replace(BASE, sample=SampleSpec(xi=50.0, n_depth=11), pulse=PulseSpec(area=1e-5, t0=0.0),
                    schedule=HyperfineSchedule((Segment(0.0, 0.0125), Segment(90.0, 0.0))), t_end=1500.0, dt=3.0,
                    record_snapshots_at=(90.0, 561.0, 1200.0))
+
+
+# signed eigen_gap of the cases on either side of reference_run's exceptional point: real
+# and distinct above 0, a complex pair below; xi = 20 makes the field-off gap large enough
+# (1.4e-4) for the real side to reach 1e-4.  The modal solver has no exceptional point at
+# a real delta_b, so for it these are small splittings on thick slabs.
+NEAR_COALESCING = {"coalescing_real_1e-4": 1e-4, "coalescing_real_1e-8": 1e-8,
+                   "coalescing_pair_1e-4": -1e-4, "coalescing_pair_1e-8": -1e-8}
 
 
 CASES = {
@@ -141,12 +298,16 @@ CASES = {
     "fig2c_segments": fig2c_short,
     "xi_zero": lambda: replace(BASE, sample=SampleSpec(xi=0.0, n_depth=21)),
     "field_off": lambda: replace(BASE, schedule=HyperfineSchedule.constant(0.0)),
+    "coalescing_eigenvalues": coalescing,
+    # the worst-conditioned complex pair a float delta_b reaches in reference_run
+    "coalescing_pair_nearest": nearest_pair,
     "extreme_coupling": lambda: replace(BASE, sample=SampleSpec(xi=50.0, n_depth=11), pulse=PulseSpec(area=1e-5, t0=0.0),
                                         schedule=HyperfineSchedule.constant(0.0), t_end=27000.0, dt=3.0,
                                         record_snapshots_at=(12.0, 300.0)),
     "kick_on_segment_start": kick_on_segment_start,
     "free_mode_across_blocks": free_mode_across_blocks,
     "snapshot_on_kick": lambda: replace(BASE, record_snapshots_at=(0.5, math.ceil((0.5 + TAU) / 0.01 - 1e-9) * 0.01)),
+    **{name: (lambda gap=gap: coalescing(20.0, gap)) for name, gap in NEAR_COALESCING.items()},
 }
 
 
@@ -154,6 +315,51 @@ CASES = {
 def case_reference(case):
     """``reference_run`` of one CASES entry, computed once for the tests that read it."""
     return reference_run(validate_scenario(CASES[case]()))
+
+
+@functools.lru_cache(maxsize=None)
+def case_collocation(case):
+    """``collocation_run`` of one CASES entry, computed once for the tests that read it."""
+    return collocation_run(validate_scenario(CASES[case]()))
+
+
+def assert_close(got, ref, name):
+    scale = np.abs(ref).max()
+    if scale == 0.0:
+        assert np.all(got == 0.0), name
+    else:
+        err = np.abs(got - ref).max() / scale
+        assert err <= 1e-10, f"{name}: relative max error {err:.2e}"
+
+
+def check_against_reference(case):
+    sc = validate_scenario(CASES[case]())
+    traces, snapshots = run_scenario(sc)
+    fwd, bwd, snaps = case_collocation(case)
+    # the scheme keeps both fields real (conjugate lines, imaginary kicks, real inputs);
+    # the solver solves f31 alone in real coordinates
+    assert np.all(traces.fwd_amp.imag == 0.0) and np.all(traces.bwd_amp.imag == 0.0)
+    assert_close(traces.fwd_amp, fwd, "fwd")
+    assert_close(traces.bwd_amp, bwd, "bwd")
+    assert len(snapshots) == len(snaps)
+    for snap, step in zip(snapshots, sorted(snaps)):
+        assert snap.t == pytest.approx(step * sc.dt)
+        for name, got, ref in (("f31", snap.f31, snaps[step][0, 0]), ("f42", snap.f42, snaps[step][0, 1]),
+                               ("b31", snap.b31, snaps[step][1, 0]), ("b42", snap.b42, snaps[step][1, 1])):
+            assert_close(got, ref, f"t = {snap.t} {name}")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_march_matches_reference_loop(case):
+    check_against_reference(case)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_march_matches_reference_loop_in_short_blocks(case, monkeypatch):
+    # 50-step rows and scans: a free stretch spans many rows of its table and a driven
+    # one many prefix sums, and the thick slabs' scans are cut shorter still
+    monkeypatch.setattr(solver, "_BLOCK", 50)
+    check_against_reference(case)
 
 
 # case: (n_depth grid at the case's dt, dt grid at n_depth 401); each grid is coarse
@@ -221,19 +427,35 @@ def test_reference_loop_converges_in_dt(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_reference_keeps_lines_conjugate(case):
-    # the invariant the solver's real coordinates rest on, checked on the loop that marches
-    # both lines of both branches independently: f42 = -conj(f31), b42 = -conj(b31)
+    # the invariant the solver's real coordinates rest on, checked on both loops, which
+    # march both lines of both branches independently: f42 = -conj(f31), b42 = -conj(b31)
     # in every snapshot, and real fields (their sum is the field's source) in the traces
-    fwd, bwd, snaps = case_reference(case)
-    for name, trace in (("fwd", fwd), ("bwd", bwd)):
-        assert np.abs(trace.imag).max() <= 1e-13 * np.abs(trace).max(), name
-    for step, x in snaps.items():
-        for branch, (line31, line42) in zip("fb", x):
-            scale = np.abs(line31).max()
-            assert np.abs(line42 + line31.conj()).max() <= 1e-13 * scale, f"step {step} {branch}42"
+    for loop, (fwd, bwd, snaps) in (("trapezoid", case_reference(case)), ("collocation", case_collocation(case))):
+        for name, trace in (("fwd", fwd), ("bwd", bwd)):
+            assert np.abs(trace.imag).max() <= 1e-13 * np.abs(trace).max(), f"{loop} {name}"
+        for step, x in snaps.items():
+            for branch, (line31, line42) in zip("fb", x):
+                scale = np.abs(line31).max()
+                assert np.abs(line42 + line31.conj()).max() <= 1e-13 * scale, f"{loop} step {step} {branch}42"
 
 
 def test_cases_reach_their_regimes():
+    # the coalescing case sits on the exceptional point of reference_run's interior map
+    sc = validate_scenario(CASES["coalescing_eigenvalues"]())
+    mu = np.linalg.eigvals(node_map(sc, sc.schedule.segments[0].delta_b))
+    assert abs(mu[0] - mu[1]) < 1e-6 * abs(mu[0])
+    # the cases beside it sit on their side of the exceptional point, at their gap
+    for name, gap in NEAR_COALESCING.items():
+        sc = validate_scenario(CASES[name]())
+        level = sc.schedule.segments[0].delta_b
+        assert eigen_gap(sc, level) == pytest.approx(gap, rel=1e-3), name
+        mu = np.linalg.eigvals(node_map(sc, level))
+        if gap > 0.0:
+            assert np.all(np.abs(mu.imag) < 1e-3 * np.abs(mu[0] - mu[1])), name
+        else:
+            assert abs(mu[0] - mu[1].conjugate()) < 1e-3 * abs(mu[0] - mu[1]), name
+    sc = validate_scenario(CASES["coalescing_pair_nearest"]())
+    assert -1e-10 < eigen_gap(sc, sc.schedule.segments[0].delta_b) < 0.0
     # the field goes off with Re f31 a large share of the state
     sc = validate_scenario(CASES["free_mode_across_blocks"]())
     t_off = sc.schedule.segments[1].t_start
