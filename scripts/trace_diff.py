@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the numbers in two ``nfscatter run`` output directories.
 
-Usage: python scripts/trace_diff.py DIR_A DIR_B [--rtol 1e-10] [--channels]
+Usage: python scripts/trace_diff.py DIR_A DIR_B [--rtol 1e-10]
 
 Each column of ``traces.csv`` and ``pattern.csv`` is compared relative to
 that column's largest magnitude in either directory; a ``re_*``/``im_*``
@@ -10,11 +10,11 @@ pair is one complex column, scaled by its largest modulus.  The files print
 digit is print rounding and counts as 0.  The numeric fields of
 ``report.json`` are compared relative to their own size, angles (fields
 ending in ``_rad``) in radians modulo 2 pi; any other field must be equal.
-One line per file gives the worst difference; the exit code is 1 if one
+One line per file gives the worst difference; under each CSV's line, one
+line per complex channel (``fwd``, ``bwd``, ...) gives its worst
+difference relative to DIR_A's peak and its relative L2 difference
+||b - a|| / ||a||.  The exit code is 1 if a file's worst difference
 exceeds ``--rtol`` or a file exists in one directory only, else 0.
-``--channels`` adds, under each CSV's line, one line per complex channel
-(``fwd``, ``bwd``, ...) with its worst difference relative to DIR_A's peak
-and its relative L2 difference ||b - a|| / ||a||.
 """
 
 import argparse
@@ -100,7 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("dir_a", type=Path)
     p.add_argument("dir_b", type=Path)
     p.add_argument("--rtol", type=float, default=1e-10, help="largest accepted difference (default 1e-10)")
-    p.add_argument("--channels", action="store_true", help="also print each complex channel's differences")
     args = p.parse_args(argv)
     failed = False
     for name in (*CSV_FILES, "report.json"):
@@ -113,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
             continue
         worst = file_diff(name, path_a, path_b)
         print(f"{name} {worst:.3g}")
-        if args.channels and name in CSV_FILES and worst != math.inf:
+        if name in CSV_FILES and worst != math.inf:
             for channel, peak_rel, rel_l2 in channel_diffs(read_csv(path_a), read_csv(path_b)):
                 print(f"  {channel} max {peak_rel:.3g} relL2 {rel_l2:.3g}")
         failed = failed or not worst <= args.rtol

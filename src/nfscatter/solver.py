@@ -67,10 +67,6 @@ LINEAR_FIELD_WARN = 0.1
 #: steps per row of a free stretch's table, and per stretch of a driven scan
 _BLOCK = 256
 
-#: Aberth sweeps that find the collocation's eigenvalues: from the starting
-#: circle, 18 nodes reach their rounding floor in 21
-_ROOT_SWEEPS = 30
-
 #: largest |mu|^-m a driven scan may reach, which keeps its prefix sums far from overflow
 _SCAN_GROWTH = 1e150
 
@@ -137,11 +133,10 @@ def _segment_steps(sc: ValidatedScenario, n_t: int):
 
 def _legendre_series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_m c[..., m] P_m(x) for Legendre coefficients ``c``, by the polynomials' recurrence."""
-    p0, p1 = np.ones_like(x), x
-    out = c[..., :1] * p0 + c[..., 1:2] * p1
-    for k in range(1, c.shape[-1] - 1):
+    p0, p1, out = 0.0 * x, np.ones_like(x), 0.0
+    for k in range(c.shape[-1]):
+        out = out + c[..., k:k + 1] * p1
         p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-        out += c[..., k + 1:k + 2] * p1
     return out
 
 
@@ -162,28 +157,29 @@ def _basis(n: int):
     V^-1 is then within 3e-14 of the integration at 14 nodes, not 9e-12).
     All of it runs, and is returned, in numpy's extended precision (80-bit
     on x86-64): the basis is ill-conditioned (cond 2e7 at 14 nodes, 4e9 at
-    18), and rounded to float64 it moves thick slabs' snapshots by 2e-8.
+    18), and rounded to float64 it moves thick slabs' snapshots by 2e-8, so
+    a platform whose long double is float64 raises RuntimeError here.
     No BLAS or LAPACK routine runs: loading one adds its code and buffers,
     0.1 to 2 MB each, to the process's resident set.
     """
+    if np.finfo(np.longdouble).nmant < 63:
+        raise RuntimeError("the modal basis needs numpy's 80-bit or wider long double; this platform's is float64")
     k = np.arange(n - 1, dtype=np.longdouble)
     sub, sup = 0.5 / (2.0 * k + 1.0), -0.5 / (2.0 * k + 3.0)  # T[k+1, k] and T[k, k+1]
-    diag = np.zeros(n, dtype=np.longdouble)
-    diag[0] = 0.5
+    diag = np.append(0.5, np.zeros_like(k))  # T[k, k]: int_-1^x P_0 = P_0 + P_1 holds the one nonzero
 
     def minors(lam):
-        """The leading minors det(T - lam)_j, j = 0 ... n, and the last one's derivative."""
+        """The leading minors det(T - lam)_j, j = 0 ... n, and the last one over its derivative."""
         f = [np.ones_like(lam), diag[0] - lam]
         df = [np.zeros_like(lam), -np.ones_like(lam)]
         for j in range(1, n):
             f.append((diag[j] - lam) * f[j] - sub[j - 1] * sup[j - 1] * f[j - 1])
             df.append((diag[j] - lam) * df[j] - f[j] - sub[j - 1] * sup[j - 1] * df[j - 1])
-        return f, df[-1]
+        return f, f[-1] / df[-1]
 
     lam = 0.1 * np.exp(2j * math.pi * (np.arange(n) + 0.25) / n).astype(np.clongdouble)
-    for _ in range(_ROOT_SWEEPS):
-        f, df = minors(lam)
-        ratio = f[-1] / df
+    for _ in range(30):  # Aberth's sweeps: from this circle, 18 nodes reach their rounding floor in 21
+        f, ratio = minors(lam)
         gap = lam[:, None] - lam
         np.fill_diagonal(gap, np.inf)
         lam = lam - ratio / (1.0 - ratio * (1.0 / gap).sum(axis=1))
@@ -205,8 +201,7 @@ def _basis(n: int):
 
 def _gauss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with a x = b for a small square a, by Gaussian elimination with partial pivoting, in a's precision."""
-    ab = np.column_stack((a, b))
-    n = len(b)
+    ab, n = np.column_stack((a, b)), len(b)
     for k in range(n):
         p = k + int(np.argmax(np.abs(ab[k:, k])))
         ab[[k, p]] = ab[[p, k]]
@@ -229,9 +224,7 @@ def _modes(sigma: np.ndarray, c: float, delta_b: float):
     block is a multiple of I (c sigma = db = 0), split there along X and Y.
     """
     h = 0.5 * c * sigma
-    scale = np.maximum(np.abs(h), abs(delta_b))
-    scale[scale == 0.0] = 1.0
-    rho = scale * np.sqrt((h / scale) ** 2 - (delta_b / scale) ** 2 + 0j)
+    rho = np.sqrt(h * h - np.longdouble(delta_b) ** 2)  # long double: no float64 splitting overflows it
     rho[(rho * h.conj()).real < 0.0] *= -1.0
     flat = rho == 0.0
     q, d = np.where(flat, 2.0, rho + h), np.where(flat, 2.0, 2.0 * rho)

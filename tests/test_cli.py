@@ -492,40 +492,22 @@ def test_trace_diff_script(tmp_path, monkeypatch, capsys):
     shutil.copytree(a, b)
     capsys.readouterr()
     assert trace_diff.main([str(a), str(b)]) == 0
-    assert capsys.readouterr().out.split() == ["traces.csv", "0", "pattern.csv", "0", "report.json", "0"]
+    # each CSV's line is followed by one line per complex channel; pattern.csv has none
+    assert capsys.readouterr().out.splitlines() == [
+        "traces.csv 0", "  fwd max 0 relL2 0", "  bwd max 0 relL2 0", "pattern.csv 0", "report.json 0"]
 
-    # one forward amplitude moved in its 6th significant digit
-    lines = (b / "traces.csv").read_text().splitlines(keepends=True)
-    row = next(i for i, line in enumerate(lines) if line[0].isdigit() and float(line.split(",")[1]) != 0.0)
-    cells = lines[row].split(",")
-    cells[1] = repr(float(cells[1]) * (1.0 + 1e-5))
-    lines[row] = ",".join(cells)
-    (b / "traces.csv").write_text("".join(lines))
-    assert trace_diff.main([str(a), str(b)]) == 1
-    assert trace_diff.main([str(a), str(b), "--rtol", "1e-4"]) == 0
-
-
-def test_trace_diff_channels(tmp_path, monkeypatch, capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "trace_diff.py"
-    spec = importlib.util.spec_from_file_location("trace_diff", path)
-    trace_diff = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec.loader.exec_module(trace_diff)
-
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli(["run", "--preset", "single_pass", "--set", "t_end=20", "--out", str(a)]) == 0
-    shutil.copytree(a, b)
-    # every forward amplitude scaled by 1 + 1e-3: both measures read 1e-3; the zero backward channel reads 0
+    # every forward amplitude moved in its 6th significant digit: the forward channel's
+    # measures both read 1e-5, and the untouched backward channel reads 0
     lines = (b / "traces.csv").read_text().splitlines(keepends=True)
     for i, line in enumerate(lines):
         if line[0].isdigit():
             cells = line.split(",")
-            cells[1] = repr(float(cells[1]) * (1.0 + 1e-3))
+            cells[1] = repr(float(cells[1]) * (1.0 + 1e-5))
             lines[i] = ",".join(cells)
     (b / "traces.csv").write_text("".join(lines))
-    capsys.readouterr()
-    assert trace_diff.main([str(a), str(b), "--channels", "--rtol", "1e-2"]) == 0
+    assert trace_diff.main([str(a), str(b)]) == 1
+    assert trace_diff.main([str(a), str(b), "--rtol", "1e-4"]) == 0
     out = capsys.readouterr().out.splitlines()
     fwd = next(line.split() for line in out if line.strip().startswith("fwd"))
-    assert float(fwd[2]) == pytest.approx(1e-3, rel=1e-3) and float(fwd[4]) == pytest.approx(1e-3, rel=1e-3)
+    assert float(fwd[2]) == pytest.approx(1e-5, rel=1e-3) and float(fwd[4]) == pytest.approx(1e-5, rel=1e-3)
     assert "  bwd max 0 relL2 0" in out

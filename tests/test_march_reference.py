@@ -429,7 +429,10 @@ def test_reference_loop_converges_in_dt(case):
 def test_reference_keeps_lines_conjugate(case):
     # the invariant the solver's real coordinates rest on, checked on both loops, which
     # march both lines of both branches independently: f42 = -conj(f31), b42 = -conj(b31)
-    # in every snapshot, and real fields (their sum is the field's source) in the traces
+    # in every snapshot, and real fields (their sum is the field's source) in the traces,
+    # exactly real in the trapezoid loop
+    fwd, bwd, _ = case_reference(case)
+    assert np.all(fwd.imag == 0.0) and np.all(bwd.imag == 0.0)
     for loop, (fwd, bwd, snaps) in (("trapezoid", case_reference(case)), ("collocation", case_collocation(case))):
         for name, trace in (("fwd", fwd), ("bwd", bwd)):
             assert np.abs(trace.imag).max() <= 1e-13 * np.abs(trace).max(), f"{loop} {name}"

@@ -18,6 +18,7 @@ from nfscatter import (
     run_scenario,
     validate_scenario,
 )
+from nfscatter import solver
 from nfscatter.model import HyperfineSchedule
 from nfscatter.presets import preset_scenario
 
@@ -377,3 +378,12 @@ class TestGaussianInput:
         b_imp = snaps_imp[0].b31
         b_g = snaps_g[0].b31
         assert np.linalg.norm(b_g - b_imp) / np.linalg.norm(b_imp) < 0.01
+
+
+def test_basis_refuses_double_precision_long_double(monkeypatch):
+    # where numpy's long double is float64 the thick slabs' modal basis loses accuracy,
+    # so the solver refuses to build it instead of running silently degraded
+    finfo = np.finfo
+    monkeypatch.setattr(np, "finfo", lambda t: finfo(np.float64 if t is np.longdouble else t))
+    with pytest.raises(RuntimeError, match="long double"):
+        solver._basis.__wrapped__(6)
