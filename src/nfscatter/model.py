@@ -221,7 +221,7 @@ class ScenarioConfig:
     mirror: MirrorSpec
     schedule: HyperfineSchedule
     t_end: float
-    dt: float = 0.005
+    dt: float = 0.02
     record_snapshots_at: tuple[float, ...] = ()
 
     def as_dict(self) -> dict:
@@ -255,10 +255,6 @@ class ValidatedScenario(ScenarioConfig):
 def _scenario_hash(resolved: dict) -> str:
     blob = json.dumps(resolved, sort_keys=True, allow_nan=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _nudge(t: float, dt: float) -> float:
-    return round(t / dt) * dt
 
 
 def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedScenario:
@@ -299,41 +295,23 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
         raise ScenarioError(f"t_end/dt + 1 must be at most {MAX_GRID_POINTS} time points "
                             f"(got t_end={config.t_end}, dt={dt})")
 
+    # every event acts at its exact time; only t_end moves, onto the output grid
     nudges: list[tuple[str, float, float]] = []
-
     n_steps = round(config.t_end / dt)
     t_end = n_steps * dt
     if t_end != config.t_end:
         nudges.append(("t_end", config.t_end, t_end))
 
-    # align schedule discontinuities to the step grid so every step sees one level
-    segs = []
-    for i, seg in enumerate(config.schedule.segments):
-        if i == 0:
-            segs.append(Segment(min(seg.t_start, 0.0), seg.delta_b))
-            continue
-        t_nudged = _nudge(seg.t_start, dt)
-        if t_nudged != seg.t_start:
-            nudges.append((f"schedule[{i}].t_start", seg.t_start, t_nudged))
-        segs.append(Segment(t_nudged, seg.delta_b))
-    starts = [s.t_start for s in segs]
-    if any(b <= a for a, b in zip(starts, starts[1:])):
-        raise ScenarioError(f"schedule segments collide after grid alignment: {starts}")
-    schedule = HyperfineSchedule(tuple(segs))
-
     pulse = config.pulse
-    if pulse.mode == "impulsive":
-        t0 = _nudge(pulse.t0, dt)
-        if t0 != pulse.t0:
-            nudges.append(("pulse.t0", pulse.t0, t0))
-            pulse = replace(pulse, t0=t0)
     if not 0.0 <= pulse.t0 < t_end:
         raise ScenarioError(f"pulse.t0 must lie in [0, t_end) (got {pulse.t0})")
+    if pulse.mode == "gaussian" and pulse.fwhm < 2.0 * dt:
+        raise ScenarioError(f"pulse.fwhm must be >= 2 * dt to resolve the envelope (got fwhm {pulse.fwhm}, dt {dt})")
 
     # a derived tau = pi/|delta_b| is at least 20*pi*dt by the beat rule above
     mirror = config.mirror
     if mirror.reflectivity > 0.0 and mirror.delay_tau is None:
-        base = schedule.first_nonzero_level()
+        base = config.schedule.first_nonzero_level()
         if base is None:
             raise ScenarioError(
                 "mirror.delay_tau is unset and the schedule has no nonzero level to derive it from"
@@ -344,25 +322,21 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
         raise ScenarioError(f"mirror.delay_tau must be >= dt for a reflecting mirror (got {tau}, dt={dt})")
 
     # each snapshot stores four n_depth rows
-    if len(config.record_snapshots_at) * config.sample.n_depth > MAX_GRID_POINTS:
+    snaps = config.record_snapshots_at
+    if len(snaps) * config.sample.n_depth > MAX_GRID_POINTS:
         raise ScenarioError(f"record_snapshots_at times x sample.n_depth must be at most {MAX_GRID_POINTS} "
-                            f"(got {len(config.record_snapshots_at)} x {config.sample.n_depth})")
-    snaps = []
-    for t in config.record_snapshots_at:
-        tn = _nudge(t, dt)
-        if not 0.0 <= tn <= t_end:
+                            f"(got {len(snaps)} x {config.sample.n_depth})")
+    for t in snaps:
+        if not 0.0 <= t <= t_end:
             raise ScenarioError(f"record_snapshots_at entry {t} outside [0, t_end]")
-        if tn != t:
-            nudges.append(("record_snapshots_at", t, tn))
-        snaps.append(tn)
     if len(set(snaps)) != len(snaps):
-        raise ScenarioError(f"record_snapshots_at entries collide after grid alignment: {snaps}")
+        raise ScenarioError(f"record_snapshots_at entries must be distinct (got {list(snaps)})")
 
     resolved = ValidatedScenario(
         sample=config.sample,
         pulse=pulse,
         mirror=mirror,
-        schedule=schedule,
+        schedule=config.schedule,
         t_end=t_end,
         dt=dt,
         record_snapshots_at=tuple(snaps),

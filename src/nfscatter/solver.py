@@ -51,6 +51,7 @@ then built from that trace in whole-array passes.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -69,6 +70,10 @@ _BLOCK = 256
 
 #: largest |mu|^-m a driven scan may reach, which keeps its prefix sums far from overflow
 _SCAN_GROWTH = 1e150
+
+#: half-width of a gaussian pulse's drive window in fwhm: 17 fwhm is 40 sigma, where the
+#: envelope e^(-x^2/2) is below float64's smallest number
+_GAUSS_REACH = 17.0
 
 
 class NumericalError(RuntimeError):
@@ -107,28 +112,38 @@ class TraceSet:
     metadata: dict = field(default_factory=dict)
 
 
-def _reflects(t_exit, tau: float, disable_time: float | None):
-    """The mirror gate: is light leaving the back face at ``t_exit`` reflected?
+def _last_reflected_exit(tau: float, disable_time: float | None) -> float:
+    """The mirror gate: the last time at which light leaving the back face is reflected.
 
-    It meets the mirror at t_exit + tau/2 and is reflected only if the
-    mirror is still in the beam then.  Nothing leaves before t = 0.
-    Elementwise for an array of exit times.
+    Light leaving at t_exit >= 0 (nothing leaves before t = 0) meets the
+    mirror at t_exit + tau/2, is reflected only if the mirror is still in
+    the beam then (t_exit + tau/2 <= disable_time), and returns to the back
+    face at t_exit + tau.  The reflected prompt's kick and the mirror
+    feedback both take their timing from here.
     """
-    ok = np.asarray(t_exit) >= 0.0
-    if disable_time is not None:
-        ok = ok & (t_exit + 0.5 * tau <= disable_time)
-    return ok
+    return math.inf if disable_time is None else disable_time - 0.5 * tau
 
 
-def _segment_steps(sc: ValidatedScenario, n_t: int):
-    """(delta_b, first step, stop step) for every schedule segment that holds a step.
+def _row(t: float, dt: float, n_t: int) -> int:
+    """The first of ``n_t`` output rows at or after time ``t`` >= 0 (``n_t`` if none); 1e-9 of a step below a row counts as at it."""
+    return n_t if t >= n_t * dt else math.ceil(t / dt - 1e-9)
 
-    Step i advances with the level of the last segment starting at or
-    before i*dt.
+
+def _stretches(sc: ValidatedScenario, events):
+    """(start, stop, delta_b, first row, stop row) of each stretch of the run between two cuts.
+
+    The cuts are t = 0, every schedule switch and the ``events``, at their
+    exact times, as far as they lie in [0, t_end].  A stretch runs at the
+    level of the last segment starting at or before its start and holds
+    the output rows from its start to the next stretch's, the last one
+    t_end's; a cut within 1e-9 of a step below a row counts as at the row.
     """
-    segs = sc.schedule.segments
-    starts = [min(max(round(s.t_start / sc.dt), 0), n_t) for s in segs] + [n_t]
-    return [(segs[k].delta_b, starts[k], starts[k + 1]) for k in range(len(segs)) if starts[k] < starts[k + 1]]
+    segs, n_t = sc.schedule.segments, sc.n_steps + 1
+    starts = [s.t_start for s in segs]
+    cuts = sorted(t for t in {0.0, *starts[1:], *events} if 0.0 <= t <= sc.t_end)
+    rows = [_row(t, sc.dt, n_t) for t in cuts] + [n_t]
+    for k, (a, b) in enumerate(zip(cuts, [*cuts[1:], sc.t_end])):
+        yield a, b, segs[bisect.bisect_right(starts, a) - 1].delta_b, rows[k], rows[k + 1]
 
 
 def _legendre_series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -234,31 +249,35 @@ def _modes(sigma: np.ndarray, c: float, delta_b: float):
     return kappa, np.block([[q, -db], [-db, q]]) / np.tile(d, 2), np.block([[one, db / q], [db / q, one]])
 
 
-def _free(zeta, kappa, read, dt: float, trace: np.ndarray):
-    """Write the undriven trace Re sum(read*zeta*e^(kappa*m*dt)) into ``trace``; return zeta one step past it.
+def _free(coef, kappa, offset: float, dt: float, trace: np.ndarray):
+    """Write the undriven trace Re sum(coef*e^(kappa*(offset + m*dt))) into ``trace``.
 
     The steps are rows of _BLOCK: the trace is the real part of each row's
-    start factors read*zeta*e^(kappa*t_row) times one table e^(kappa*m*dt),
+    start factors coef*e^(kappa*t_row) times one table e^(kappa*m*dt),
     m < _BLOCK, summed over the modes as one real matrix product in extended
     precision (numpy's own loop, not BLAS), where the modes' large terms
     cancel.
     """
     n = trace.size
-    coef = read * zeta
-    if coef.any():
+    if n and coef.any():
         width = min(_BLOCK, n)
         table = np.exp(np.outer(kappa, np.arange(width) * dt))
-        start = coef * np.exp(np.outer(np.arange(-(-n // width)) * (width * dt), kappa))
+        start = coef * np.exp(np.outer(offset + np.arange(-(-n // width)) * (width * dt), kappa))
         acc = np.hstack((start.real, -start.imag)) @ np.vstack((table.real, table.imag))
         trace[:] = acc.ravel()[:n]
-    return zeta * np.exp(kappa * (n * dt))
 
 
-def _driven(zeta, kappa, drive, read, inputs: np.ndarray, dt: float, trace: np.ndarray):
-    """Advance the modes over the input ``inputs`` (full steps, midpoints) and write the trace; return zeta past it.
+def _step(zeta, kappa, drive, drive_in, t0: float, t1: float):
+    """Advance the modes from t0 to t1 by the exponential midpoint rule: the input held at its midpoint value."""
+    mu = np.exp(kappa * (t1 - t0))
+    return zeta * mu + drive * (mu - 1.0) / kappa * drive_in(np.array([0.5 * (t0 + t1)]))[0]
 
-    Exponential midpoint rule: each step adds the midpoint input times
-    drive*(e^(kappa*dt) - 1)/kappa.  The recurrence is a prefix sum of
+
+def _driven(zeta, kappa, drive, read, drive_in, first: int, dt: float, trace: np.ndarray):
+    """Write the trace at rows ``first``, ``first`` + 1, ... from the modes at the first; return them at the last.
+
+    Exponential midpoint rule: each step adds the input at its midpoint
+    times drive*(e^(kappa*dt) - 1)/kappa.  The recurrence is a prefix sum of
     input*mu^-m times mu^m, over stretches of at most _BLOCK steps, cut
     shorter where |mu|^-m would pass _SCAN_GROWTH.
     """
@@ -266,60 +285,89 @@ def _driven(zeta, kappa, drive, read, inputs: np.ndarray, dt: float, trace: np.n
     rate = -kappa.real.min() * dt
     width = max(1, min(_BLOCK, int(math.log(_SCAN_GROWTH) / rate)))
     pw = np.exp(np.outer(kappa * dt, np.arange(1, width + 1)))
-    for b0 in range(0, trace.size, width):
-        k = min(width, trace.size - b0)
-        z = np.empty((kappa.size, k + 1), dtype=kappa.dtype)
+    n = trace.size
+    for b0 in range(0, n, width):
+        k = min(width, n - b0)
+        s = min(k, n - 1 - b0)  # the steps after this block's rows: none after the last row
+        z = np.empty((kappa.size, s + 1), dtype=kappa.dtype)
         z[:, 0] = 0.0
-        np.divide(np.outer(beta, inputs[1, b0:b0 + k]), pw[:, :k], out=z[:, 1:])
+        np.divide(np.outer(beta, drive_in((first + b0 + 0.5 + np.arange(s)) * dt)), pw[:, :s], out=z[:, 1:])
         np.cumsum(z, axis=1, out=z)
         z += zeta[:, None]
-        z[:, 1:] *= pw[:, :k]
-        trace[b0:b0 + k] = inputs[0, b0:b0 + k] + (read[:, None] * z[:, :k]).real.sum(axis=0)
-        zeta = z[:, k].copy()
+        z[:, 1:] *= pw[:, :s]
+        trace[b0:b0 + k] = (read[:, None] * z[:, :k]).real.sum(axis=0)
+        zeta = z[:, s].copy()
     return zeta
 
 
-def _solve(basis, segments, eta: float, inputs: np.ndarray, kicks: dict, snap_steps: list, dt: float,
+def _solve(basis, sc: ValidatedScenario, drive_in, window: tuple[float, float], kicks: dict, snap_times: list,
            trace: np.ndarray):
-    """Integrate one branch over its schedule segments, writing its back-face field into ``trace``.
+    """Integrate one branch over the run, writing the field it adds to its input at its exit face into ``trace``.
 
-    ``segments`` holds (delta_b, first step, stop step) of each segment, as
-    _segment_steps gives them; ``inputs`` is the front-face input as a
-    float64 array of shape (2, n_t), full steps and midpoints; ``kicks``
-    maps a step to the pulse area it deposits, applied before that step's
-    trace.  A segment runs in the modes of its splitting: between kicks and
-    the ends of the steps that carry input, each stretch is either driven
-    (a scan, also cut at snapshots) or free (a closed form).
-    Returns the state (X, Y) at ``snap_steps`` as an array (snapshot, 2, K).
+    ``drive_in`` gives the front-face input at an array of times; it is zero
+    outside ``window`` = [start, stop).  ``kicks`` maps a time to the pulse
+    area it deposits, before that time's trace and snapshot.  The kicks, the
+    window's ends and the snapshots inside it cut the run into stretches
+    (``_stretches``), each in the modes of its splitting.  A stretch inside
+    the window is driven: exponential midpoint steps from its start to each
+    row and on to its end, each with its own midpoint.  Any other is free: a
+    closed form from its start, which also gives its snapshots.
+    Returns the state (X, Y) at ``snap_times`` as an array (snapshot, 2, K),
+    and the free stretches as (start, stop, read*zeta at the start, kappa),
+    from which ``_field_at`` evaluates the trace at any time.
     """
     sigma, r, coef = basis
     n_k = sigma.size
+    dt, (lo, hi) = sc.dt, window
     xy = np.zeros((2, n_k), dtype=sigma.dtype)
-    snaps = np.zeros((len(snap_steps), 2, n_k), dtype=sigma.dtype)
-    active = np.flatnonzero(inputs.any(axis=0))
-    lo, hi = (active[0], active[-1] + 1) if active.size else (0, 0)
+    snaps = np.zeros((len(snap_times), 2, n_k), dtype=sigma.dtype)
     drive_y = np.tile(0.25 * CLEBSCH_A * r, 2)
-    read_y = np.tile(-4.0 * eta * CLEBSCH_A * coef[0], 2)
-    for level, first, stop in segments:
-        kappa, u, l = _modes(sigma, 0.5 * eta * CLEBSCH_A ** 2, level)
-        drive, read = l[1] * drive_y, u[1] * read_y
-        zeta = l[0] * np.tile(xy[0], 2) + l[1] * np.tile(xy[1], 2)
-        # a snapshot inside a free stretch is read off its closed form, so it leaves the trace as it was
-        inner = (*kicks, lo, hi, *(n for n in snap_steps if lo <= n < hi))
-        cuts = sorted({first, stop, *(n for n in inner if first < n < stop)})
-        for s, e in zip(cuts, cuts[1:]):
-            if s in kicks:
-                zeta = zeta + kicks[s] * drive
-            for n in (n for n in snap_steps if s <= n < e):
-                p = u * (zeta * np.exp(kappa * ((n - s) * dt)))
-                snaps[snap_steps.index(n)] = p[:, :n_k] + p[:, n_k:]
-            if lo <= s < hi:
-                zeta = _driven(zeta, kappa, drive, read, inputs[:, s:e], dt, trace[s:e])
-            else:
-                zeta = _free(zeta, kappa, read, dt, trace[s:e])
-        p = u * zeta
-        xy = p[:, :n_k] + p[:, n_k:]
-    return snaps
+    read_y = np.tile(-4.0 * sc.eta_l * CLEBSCH_A * coef[0], 2)
+    stretches = list(_stretches(sc, (*kicks, lo, hi, *(t for t in snap_times if lo <= t < hi))))
+    owner = [bisect.bisect_right([s[0] for s in stretches], t) - 1 for t in snap_times]
+    free, level = [], None
+    for j, (a, b, delta_b, r0, r1) in enumerate(stretches):
+        if delta_b != level:
+            if level is not None:
+                p = u * zeta
+                xy = p[:, :n_k] + p[:, n_k:]
+            kappa, u, l = _modes(sigma, 0.5 * sc.eta_l * CLEBSCH_A ** 2, delta_b)
+            drive, read = l[1] * drive_y, u[1] * read_y
+            zeta = l[0] * np.tile(xy[0], 2) + l[1] * np.tile(xy[1], 2)
+            level = delta_b
+        if a in kicks:
+            zeta = zeta + kicks[a] * drive
+        for i in (i for i, o in enumerate(owner) if o == j):
+            p = u * (zeta * np.exp(kappa * (snap_times[i] - a)))
+            snaps[i] = p[:, :n_k] + p[:, n_k:]
+        if lo <= a < hi:
+            if r1 > r0:
+                zeta = _step(zeta, kappa, drive, drive_in, a, r0 * dt)
+                zeta = _driven(zeta, kappa, drive, read, drive_in, r0, dt, trace[r0:r1])
+                a = (r1 - 1) * dt
+            zeta = _step(zeta, kappa, drive, drive_in, a, b)
+        else:
+            _free(read * zeta, kappa, r0 * dt - a, dt, trace[r0:r1])
+            free.append((a, b, read * zeta, kappa))
+            zeta = zeta * np.exp(kappa * (b - a))
+    return snaps, free
+
+
+def _field_at(t: np.ndarray, t_grid: np.ndarray, trace: np.ndarray, free: list) -> np.ndarray:
+    """A branch's trace at the times ``t``: the closed form where a free stretch holds them, else interpolated."""
+    out = np.interp(t, t_grid, trace)
+    for a, b, coef, kappa in free:
+        inside = (t >= a) & (t < b)
+        if inside.any():
+            out[inside] = (coef * np.exp(np.outer(t[inside] - a, kappa))).real.sum(axis=1)
+    return out
+
+
+def _add_input(trace: np.ndarray, drive_in, window: tuple[float, float], dt: float):
+    """Add a branch's front-face input to its trace on the rows inside ``window``."""
+    rows = np.arange(_row(window[0], dt, trace.size), _row(window[1], dt, trace.size))
+    if rows.size:
+        trace[rows] += drive_in(rows * dt)
 
 
 def gaussian_input(t, pulse: PulseSpec):
@@ -337,7 +385,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     time at which a field goes non-finite.
 
     The forward branch (f31, f42) is integrated over the whole run; its
-    back-face trace then gives the backward branch (b31, b42, stored in
+    back-face field then gives the backward branch (b31, b42, stored in
     reversed depth so that it takes the same equations) its mirror input.
     Without a reflecting mirror the backward branch is identically zero and
     is left out.
@@ -349,52 +397,41 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     basis = _basis(depth_nodes(sc.sample.xi))
     mirror = sc.mirror
     tau = sc.tau
-    disable_time = mirror.disable_time
     refl_amp = math.sqrt(mirror.reflectivity)
     pulse = sc.pulse
+    snap_times = sorted(sc.record_snapshots_at)
 
-    segments = _segment_steps(sc, n_t)
-
-    # impulsive-mode kicks per branch, {step: pulse area}: the prompt at t0
-    # and, when the gate admits it, the mirror-reflected prompt arriving one
-    # round trip later; a kick of area theta adds i*(a/4)*theta to both lines
-    kicks_f: dict[int, float] = {}
-    kicks_b: dict[int, float] = {}
-    if pulse.mode == "impulsive":
-        theta = pulse.area
-        kicks_f[round(pulse.t0 / dt)] = theta
-        if refl_amp > 0.0 and _reflects(pulse.t0, tau, disable_time):
-            ib = math.ceil((pulse.t0 + tau) / dt - 1e-9)  # first grid time >= t0 + tau
-            if ib < n_t:
-                kicks_b[ib] = -refl_amp * theta
-
-    # the forward branch's input at the full steps (row 0) and the midpoints
-    # (row 1): the resolved pulse, or in impulsive mode a read-only zero view
-    # that holds no memory
-    half = np.array([[0.0], [0.5 * dt]])
-    inputs = gaussian_input(t_grid + half, pulse) if pulse.mode == "gaussian" else np.broadcast_to(0.0, (2, n_t))
-    snap_at = {round(t / dt): t for t in sc.record_snapshots_at}
-    snap_steps = sorted(snap_at)
+    # the forward branch's input: the resolved pulse, which is exactly 0 in float64
+    # beyond _GAUSS_REACH widths of its centre, or in impulsive mode the prompt's kick at
+    # t0; a kick of area theta adds i*(a/4)*theta to both lines
+    drive_f = functools.partial(gaussian_input, pulse=pulse)
+    if pulse.mode == "gaussian":
+        window_f = (max(pulse.t0 - _GAUSS_REACH * pulse.fwhm, 0.0), pulse.t0 + _GAUSS_REACH * pulse.fwhm)
+        kicks_f, onset = {}, window_f[0]
+    else:
+        window_f, kicks_f, onset = (0.0, 0.0), {pulse.t0: pulse.area}, pulse.t0
     fwd, bwd = np.zeros(n_t), np.zeros(n_t)
-    fs = _solve(basis, segments, sc.eta_l, inputs, kicks_f, snap_steps, dt, fwd)
+    fs, free_f = _solve(basis, sc, drive_f, window_f, kicks_f, snap_times, fwd)
     # the peak counts the medium-generated field only; a resolved input pulse
     # is transiently large by construction without breaking linearity
-    peak_field = float(np.abs(fwd - inputs[0]).max())
+    peak_field = float(np.abs(fwd).max())
+    _add_input(fwd, drive_f, window_f, dt)
 
     bs = np.zeros_like(fs)
     if refl_amp > 0.0:
-        # the mirror input -sqrt(R) * Omega_F(t - tau, L) while the gate is open, else 0,
-        # built in place from the exit times, rounded as (t + h) - tau; the delayed field
-        # interpolates the forward trace linearly and, as tau >= dt, reads only samples
-        # recorded before the step
-        t_exit = t_grid + half
-        t_exit -= tau
-        inputs = np.interp(t_exit, t_grid, fwd)
-        inputs *= -refl_amp
-        inputs[~_reflects(t_exit, tau, disable_time)] = 0.0
-        del t_exit
-        bs = _solve(basis, segments, sc.eta_l, inputs, kicks_b, snap_steps, dt, bwd)
-        peak_field = max(peak_field, float(np.abs(bwd - inputs[0]).max()))
+        # the mirror input -sqrt(R) * Omega_F(t - tau, L) over the exit times the gate
+        # reflects, the forward field taken in closed form where its branch is free; in
+        # impulsive mode the reflected prompt's kick lands one round trip after the prompt
+        last_exit = _last_reflected_exit(tau, mirror.disable_time)
+        window_b = (onset + tau, last_exit + tau)
+        kicks_b = {pulse.t0 + tau: -refl_amp * pulse.area} if kicks_f and pulse.t0 <= last_exit else {}
+
+        def feed(t):
+            return -refl_amp * _field_at(t - tau, t_grid, fwd, free_f)
+
+        bs, _ = _solve(basis, sc, feed, window_b, kicks_b, snap_times, bwd)
+        peak_field = max(peak_field, float(np.abs(bwd).max()))
+        _add_input(bwd, feed, window_b, dt)
 
     bad = ~(np.isfinite(fwd) & np.isfinite(bwd))
     if bad.any():
@@ -411,16 +448,16 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     # output grid; the lines are a conjugate pair: f42 = -conj(f31), b42 = -conj(b31)
     grid = np.linspace(-1.0, 1.0, sc.sample.n_depth)
     snapshots = []
-    for s, step in enumerate(snap_steps):
+    for s, t in enumerate(snap_times):
         f31, b31 = (_legendre_series(2.0 * (basis[2] * xy[:, None, :]).sum(axis=-1).real, grid).astype(float)
                     for xy in (fs[s], bs[s]))
         f31, b31 = f31[0] + 1j * f31[1], b31[0, ::-1] + 1j * b31[1, ::-1]
-        snapshots.append(CoherenceSnapshot(snap_at[step], f31, -f31.conj(), b31, -b31.conj()))
+        snapshots.append(CoherenceSnapshot(t, f31, -f31.conj(), b31, -b31.conj()))
 
     # a reflecting mirror stands in the forward detector's beam until it is disabled
     in_beam = np.full(n_t, refl_amp > 0.0)
-    if disable_time is not None:
-        in_beam &= t_grid < disable_time
+    if mirror.disable_time is not None:
+        in_beam &= t_grid < mirror.disable_time
     detected = np.where(in_beam, math.sqrt(1.0 - mirror.reflectivity) * fwd, fwd)
 
     traces = TraceSet(

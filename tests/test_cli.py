@@ -249,24 +249,29 @@ def test_load_scenario_validates_once(monkeypatch, extra):
 
 
 def test_noop_override_keeps_meta(tmp_path):
-    # nudges are reported against the preset's times, with or without --set
-    plain, noop = tmp_path / "plain", tmp_path / "noop"
+    # a no-op --set writes the preset's meta.json; every event keeps its exact time, so the
+    # nudges hold only a t_end off the step grid
+    plain, noop, off = tmp_path / "plain", tmp_path / "noop", tmp_path / "off"
     assert run_cli(["run", "--preset", "fig2a", "--out", str(plain)]) == 0
     assert run_cli(["run", "--preset", "fig2a", "--set", "t_end=200", "--out", str(noop)]) == 0
     meta = (plain / "meta.json").read_bytes()
     assert (noop / "meta.json").read_bytes() == meta
-    assert json.loads(meta)["nudges"]
+    assert json.loads(meta)["nudges"] == []
+    assert run_cli(["run", "--preset", "fig2a", "--set", "t_end=30.005", "--out", str(off)]) == 0
+    assert json.loads((off / "meta.json").read_text())["nudges"] == [["t_end", 30.005, 30.0]]
 
 
 def test_dt_override_applies_before_validation(tmp_path):
-    # the inversion at pi/(2 delta_b) = 7.388 ns aligns once, to the 0.02 ns grid
+    # --dt sets the scenario's dt before its one validation; the inversion at
+    # pi/(2 delta_b) = 7.388 ns keeps its exact time on any grid
     out = tmp_path / "c"
-    assert run_cli(["run", "--preset", "fig2c", "--dt", "0.02", "--out", str(out)]) == 0
+    argv = ["run", "--preset", "fig2c", "--dt", "0.01", "--set", "t_end=20", "--set", "record_snapshots_at=[]"]
+    assert run_cli([*argv, "--out", str(out)]) == 0
     meta = json.loads((out / "meta.json").read_text())
-    want = validate_scenario(replace(preset_scenario("fig2c"), dt=0.02))
-    assert meta["config_hash"] == want.config_hash
-    assert meta["scenario"]["schedule"] == want.as_dict()["schedule"]
-    assert meta["scenario"]["schedule"]["segments"][1][0] == pytest.approx(7.38)
+    want = validate_scenario(replace(preset_scenario("fig2c"), dt=0.01, t_end=20.0, record_snapshots_at=()))
+    assert meta["config_hash"] == want.config_hash and meta["scenario"]["dt"] == 0.01
+    assert meta["scenario"]["schedule"] == preset_scenario("fig2c").as_dict()["schedule"]
+    assert meta["scenario"]["schedule"]["segments"][1][0] == 0.5 * math.pi / (30.0 / 141.1)
 
 
 def test_benchmark_hooks_exist_in_cli(monkeypatch):
@@ -304,7 +309,7 @@ def test_sweep_delta_b_switch_off_after_retrieval_fails_its_row(tmp_path):
     assert [r["status"] for r in rows] == [
         "failed: splitting 5 gamma switches the field off at 1.5*pi/delta_b = 132.984 ns: after the 100 ns "
         "retrieval (the splitting must exceed 1.5*pi/100 rad/ns = 6.65 gamma)", "ok"]
-    assert rows[1]["config_hash"] == "e01668644258"  # the 30 gamma protocol, as before the check
+    assert rows[1]["config_hash"] == "3e1ba8a6076e"  # the 30 gamma protocol, as before the check
 
 
 def test_sweep_single_value_matches_run(tmp_path):

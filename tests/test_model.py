@@ -72,10 +72,11 @@ def test_protocol_preset_segments(name, levels):
 
 
 @pytest.mark.parametrize("name, config_hash", [
-    ("fig2a", "6cd5ecb31fbe"), ("fig2b", "b9be927db276"), ("fig2c", "5babf84c046e"), ("single_pass", "fb148aa4ddcf"),
-])
+    ("fig2a", "e7c196628381"), ("fig2b", "1e23aea3b3a0"), ("fig2c", "c6c4ad725f06"), ("single_pass", "13c978bcfdbc"),
+], ids=["fig2a", "fig2b", "fig2c", "single_pass"])
 def test_preset_config_hash(name, config_hash):
-    # the admissible-splitting check in gated_mirror_scenario moves no valid preset
+    # the admissible-splitting check in gated_mirror_scenario moves no valid preset; the
+    # hashes pin the default dt of 0.02 ns
     assert validate_scenario(preset_scenario(name)).config_hash == config_hash
 
 
@@ -107,10 +108,10 @@ class TestValidateScenario:
         assert validate_scenario(sc) is sc
 
     def test_edited_validated_scenario_rejected(self):
-        # its times already sit on the step grid, so validating the edit would round them twice
+        # its derived fields (n_steps, the nudged t_end, the hash) belong to the old values
         sc = validate_scenario(preset_scenario("fig2c"))
         with pytest.raises(ScenarioError, match="validate its ScenarioConfig"):
-            validate_scenario(replace(sc, dt=0.02))
+            validate_scenario(replace(sc, dt=0.01))
 
     def test_coarse_dt_rejected(self):
         cfg = replace(preset_scenario("fig2a"), dt=1.0)
@@ -124,17 +125,21 @@ class TestValidateScenario:
             validate_scenario(cfg)
 
     def test_schedule_nudged_to_grid(self):
+        # no longer: a segment start between two steps is kept exactly, as are pulse.t0 and
+        # the snapshot times; only t_end moves onto the step grid
         cfg = ScenarioConfig(
             sample=SampleSpec(xi=0.1),
             pulse=PulseSpec(),
             mirror=MirrorSpec(reflectivity=0.0, delay_tau=0.0),
             schedule=HyperfineSchedule((Segment(0.0, DB30), Segment(1.2341, 0.0))),
-            t_end=10.0,
+            t_end=10.004,
             dt=0.01,
+            record_snapshots_at=(2.3456,),
         )
+        cfg = replace(cfg, pulse=replace(cfg.pulse, t0=0.1234))
         sc = validate_scenario(cfg)
-        assert sc.schedule.segments[1].t_start == pytest.approx(1.23)
-        assert any(n[0].startswith("schedule[") for n in sc.nudges)
+        assert sc.schedule == cfg.schedule and sc.pulse == cfg.pulse and sc.record_snapshots_at == (2.3456,)
+        assert sc.nudges == (("t_end", 10.004, 10.0),)
 
     def test_tau_derivation_needs_nonzero_level(self):
         cfg = ScenarioConfig(

@@ -17,7 +17,7 @@ from nfscatter import (
     validate_scenario,
 )
 from nfscatter.model import HyperfineSchedule
-from nfscatter.solver import _segment_steps
+from nfscatter.solver import _stretches
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA
@@ -42,12 +42,12 @@ def segment_lists(draw):
     return [Segment(tick / 100.0, draw(st.sampled_from(LEVELS))) for tick in ticks]
 
 
-@given(st.lists(st.floats(min_value=-5.0, max_value=25.0), min_size=1, max_size=6,
-                unique_by=lambda t: round(t / 0.02)),
-       st.lists(st.sampled_from(LEVELS), min_size=6, max_size=6))
-def test_segment_steps_give_every_step_one_level(times, levels):
-    # start times that collide on the 0.02 ns grid are excluded; segments may start
-    # before 0 and past t_end = 20 ns
+@given(st.lists(st.floats(min_value=-5.0, max_value=25.0), min_size=1, max_size=6, unique=True),
+       st.lists(st.sampled_from(LEVELS), min_size=6, max_size=6),
+       st.lists(st.floats(min_value=-1.0, max_value=21.0), max_size=3))
+def test_segment_steps_give_every_step_one_level(times, levels, events):
+    # segments may start at any time, before 0 and past t_end = 20 ns, and the events
+    # (kicks, window ends, snapshots) too: the run is cut at each at its exact time
     times = sorted(times)
     times[0] = min(times[0], 0.0)
     sc = validate_scenario(ScenarioConfig(
@@ -58,17 +58,23 @@ def test_segment_steps_give_every_step_one_level(times, levels):
         t_end=20.0,
         dt=0.02,
     ))
-    n_t = sc.n_steps + 1
-    got = [None] * n_t
-    for level, first, stop in _segment_steps(sc, n_t):
-        assert first < stop
-        for i in range(first, stop):
-            assert got[i] is None
-            got[i] = level
-    # step i takes the last segment starting at or before i*dt, else the first
     segs = sc.schedule.segments
-    assert got == [([s.delta_b for s in segs if s.t_start <= i * sc.dt] or [segs[0].delta_b])[-1]
-                   for i in range(n_t)]
+    stretches = list(_stretches(sc, events))
+    # the stretches tile [0, t_end], one starting at every cut
+    assert stretches[0][0] == 0.0 and stretches[-1][1] == sc.t_end
+    assert all(s[1] == nxt[0] for s, nxt in zip(stretches, stretches[1:]))
+    assert [s[0] for s in stretches] == sorted({t for t in (0.0, *times[1:], *events) if 0.0 <= t <= sc.t_end})
+    # each runs at the level of the last segment starting at or before it, and no segment
+    # starts inside it; the rows go through the stretches in order, each in the stretch
+    # that holds its time, a time within 1e-9 of a step below a cut counting as at it
+    rows = []
+    for k, (a, b, level, first, stop) in enumerate(stretches):
+        assert level == [s.delta_b for s in segs if s.t_start <= a][-1]
+        assert not any(a < s.t_start < b for s in segs)
+        assert all(a / sc.dt - 1e-9 <= i for i in range(first, stop))
+        assert k == len(stretches) - 1 or all(i < b / sc.dt - 1e-9 for i in range(first, stop))
+        rows += range(first, stop)
+    assert rows == list(range(sc.n_steps + 1))
 
 
 @given(st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=0.01, max_value=5.0),

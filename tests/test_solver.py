@@ -96,10 +96,12 @@ class TestApplyImpulse:
             assert np.all(snap.b31 == 0.0) and np.all(snap.b42 == 0.0)
 
     def test_backward_reflected_kick(self):
+        # the reflected prompt lands at exactly t0 + tau, between two steps: one float before
+        # it the backward branch is still empty
         mirror = MirrorSpec(reflectivity=0.99, delay_tau=math.pi / DB30, disable_time=7.39)
         sc = small_scenario(sample=SampleSpec(xi=0.0, n_depth=41), mirror=mirror)
-        t_back = math.ceil(sc.tau / sc.dt - 1e-9) * sc.dt  # first grid time >= tau
-        _, snaps = run_scenario(replace_snapshot(sc, (t_back - sc.dt, t_back)))
+        assert sc.tau / sc.dt % 1.0 > 0.1
+        _, snaps = run_scenario(replace_snapshot(sc, (math.nextafter(sc.tau, 0.0), sc.tau)))
         assert np.all(snaps[0].b31 == 0.0)
         expected = -0.25j * A * math.sqrt(0.99) * 1e-3
         assert np.allclose(snaps[1].b31, expected, rtol=1e-12, atol=0.0)
