@@ -10,6 +10,9 @@ pair is one complex column, scaled by its largest modulus.  The files print
 digit is print rounding and counts as 0.  The numeric fields of
 ``report.json`` are compared relative to their own size, angles (fields
 ending in ``_rad``) in radians modulo 2 pi; any other field must be equal.
+Two ``traces.csv`` files on different grids, one's step an integer
+multiple of the other's (a run at dt 0.005 against one at dt 0.02), are
+compared on the times both hold.
 One line per file gives the worst difference; under each CSV's line, one
 line per complex channel (``fwd``, ``bwd``, ...) gives its worst
 difference relative to DIR_A's peak and its relative L2 difference
@@ -45,9 +48,21 @@ def column_scales(names: list[str], data: np.ndarray) -> np.ndarray:
     return scale
 
 
-def csv_diff(a: tuple[list[str], np.ndarray], b: tuple[list[str], np.ndarray]) -> float:
-    """Worst column-relative difference beyond the 9-digit print rounding."""
+def shared_times(a: tuple[list[str], np.ndarray], b: tuple[list[str], np.ndarray]):
+    """Both CSVs reduced to the rows of the times they share, where one t_ns grid is every k-th row of the other."""
     (names, x), (names_b, y) = a, b
+    if names != names_b or names[0] != "t_ns" or len(x) == len(y) or min(len(x), len(y)) < 2:
+        return a, b
+    k, rest = divmod(max(len(x), len(y)) - 1, min(len(x), len(y)) - 1)
+    xs, ys = (x[::k], y) if len(x) > len(y) else (x, y[::k])
+    if rest or np.abs(xs[:, 0] - ys[:, 0]).max() > 1e-8 * np.abs(ys[:, 0]).max():
+        return a, b
+    return (names, xs), (names, ys)
+
+
+def csv_diff(a: tuple[list[str], np.ndarray], b: tuple[list[str], np.ndarray]) -> float:
+    """Worst column-relative difference beyond the 9-digit print rounding, on the times both hold."""
+    (names, x), (names_b, y) = shared_times(a, b)
     if names != names_b or x.shape != y.shape:
         return math.inf
     big = np.maximum(np.abs(x), np.abs(y))
@@ -58,8 +73,8 @@ def csv_diff(a: tuple[list[str], np.ndarray], b: tuple[list[str], np.ndarray]) -
 
 
 def channel_diffs(a: tuple[list[str], np.ndarray], b: tuple[list[str], np.ndarray]):
-    """(channel, worst difference over a's peak, relative L2 difference) of each re_*/im_* pair."""
-    (names, x), (_, y) = a, b
+    """(channel, worst difference over a's peak, relative L2 difference) of each re_*/im_* pair, on shared times."""
+    (names, x), (_, y) = shared_times(a, b)
     for k, name in enumerate(names):
         if name.startswith("re_") and f"im_{name[3:]}" in names:
             j = names.index(f"im_{name[3:]}")

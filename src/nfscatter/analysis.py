@@ -102,16 +102,19 @@ def _window_mask(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
 def entanglement_report(traces: TraceSet, window: tuple[float, float]) -> EntanglementReport:
     """Classify the two-branch output state over a time window."""
     mask = _window_mask(traces.t_grid, window)
+    # trapezoid weights, so that the sums stand for integrals over the window to O(dt^2)
+    weight = np.ones(int(mask.sum()))
+    weight[[0, -1]] = 0.5
     fwd = traces.fwd_detected[mask]
     bwd = traces.bwd_amp[mask]
-    e_fwd = float(np.sum(np.abs(fwd) ** 2))
-    e_bwd = float(np.sum(np.abs(bwd) ** 2))
+    e_fwd = float(np.sum(weight * np.abs(fwd) ** 2))
+    e_bwd = float(np.sum(weight * np.abs(bwd) ** 2))
     if e_fwd == 0.0 or e_bwd == 0.0:
         balance = e_bwd / e_fwd if e_fwd > 0.0 else (math.inf if e_bwd > 0.0 else 0.0)
         return EntanglementReport(window, balance, 0.0, math.pi, "indeterminate")
     balance = e_bwd / e_fwd
 
-    cross = bwd * fwd
+    cross = weight * bwd * fwd
     resultant = float(np.sum(cross))
     total = float(np.sum(np.abs(cross)))
     if total == 0.0:
@@ -157,7 +160,7 @@ def storage_suppression(traces: TraceSet, t_off: float, t_on: float) -> float:
 
 
 def beat_period(t_grid: np.ndarray, intensity: np.ndarray, window: tuple[float, float]) -> float:
-    """Mean spacing between successive intensity minima inside the window.
+    """Mean spacing between successive intensity minima inside the window, each placed between samples.
 
     A local minimum counts only if the intensity rises by at least a factor
     _BEAT_PROMINENCE towards both neighbouring maxima, which rejects shallow
@@ -181,4 +184,9 @@ def beat_period(t_grid: np.ndarray, intensity: np.ndarray, window: tuple[float, 
             accepted.append(idx)
     if len(accepted) < 2:
         raise ValueError(f"found {len(accepted)} prominent minima in {window}; need at least 2")
-    return float(np.mean(np.diff(t[accepted])))
+    # each minimum at the vertex of the parabola through it and its two neighbours: a dip
+    # where a field crosses zero is quadratic, so its time does not snap to the grid
+    idx = np.array(accepted)
+    left, mid, right = inten[idx - 1], inten[idx], inten[idx + 1]
+    at = t[idx] + 0.5 * (left - right) / (left - 2.0 * mid + right) * (t[idx + 1] - t[idx])
+    return float(np.mean(np.diff(at)))

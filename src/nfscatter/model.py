@@ -241,8 +241,8 @@ class ScenarioConfig:
 class ValidatedScenario(ScenarioConfig):
     """A scenario with every invariant checked and derived quantities filled.
 
-    ``nudges`` records every time that was moved onto the step grid, as
-    (field, requested, used) triples.
+    ``nudges`` records a t_end moved onto the step grid, the one time that
+    moves, as a (field, requested, used) triple.
     """
 
     tau: float                  # mirror round trip actually used, ns
@@ -260,10 +260,13 @@ def _scenario_hash(resolved: dict) -> str:
 def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedScenario:
     """Check every invariant and fill derived quantities.
 
-    Idempotent: validating an already validated scenario returns it
-    unchanged.  One edited since (its config_hash no longer matches) is
-    rejected, since its times are already on the step grid and would round
-    twice.  Rejections name the offending field.
+    Every time keeps its exact value, as the solver acts on each event at
+    it and dt only samples the output: only t_end is moved, onto the step
+    grid, and ``nudges`` records it.  Idempotent: validating an already
+    validated scenario returns it unchanged.  One edited since (its
+    config_hash no longer matches) is rejected, since its derived fields
+    belong to the values before the edit.  Rejections name the offending
+    field.
     """
     if isinstance(config, ValidatedScenario):
         if config.config_hash != _scenario_hash(config.as_dict()):

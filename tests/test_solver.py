@@ -20,6 +20,7 @@ from nfscatter import (
 )
 from nfscatter import solver
 from nfscatter.model import HyperfineSchedule
+from nfscatter.oracles import constant_field_forward
 from nfscatter.presets import preset_scenario
 
 GAMMA = 1.0 / 141.1
@@ -236,6 +237,42 @@ class TestDelayLine:
         for name in ("absent", "R0"):
             assert np.array_equal(traces[name].fwd_amp, traces["mirror"].fwd_amp), name
             assert np.all(traces[name].bwd_amp == 0.0), name
+
+
+class TestExactEventTimes:
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
+    def test_presets_do_not_depend_on_dt(self, request, name):
+        # every event acts at its exact time, so dt samples only the output: the preset at the
+        # default dt 0.02 is the same code at dt 0.004 on every 5th row, and so are the
+        # 60 ns snapshots
+        sc, traces, snaps = request.getfixturevalue(f"{name}_run")
+        assert sc.dt == 0.02
+        fine, fine_snaps = run_scenario(replace(preset_scenario(name), dt=0.004))
+        assert np.allclose(fine.t_grid[::5], traces.t_grid, rtol=0.0, atol=1e-12)
+        for got, ref in ((traces.fwd_amp, fine.fwd_amp[::5]), (traces.bwd_amp, fine.bwd_amp[::5])):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert [s.t for s in snaps] == [s.t for s in fine_snaps] == ([60.0] if name != "fig2a" else [])
+        for snap, ref in zip(snaps, fine_snaps):
+            for line in ("f31", "b31"):
+                assert np.abs(getattr(snap, line) - getattr(ref, line)).max() <= 1e-10 * np.abs(getattr(ref, line)).max()
+
+    def test_zero_window_returns_the_prompt_alone(self):
+        # with the gate closing as the prompt meets the mirror (disable_time = t0 + tau/2) the
+        # mirror returns the prompt and nothing after it: fig2b's backward trace up to the
+        # switch-off is -sqrt(R) times the constant-field oracle one round trip late.  tau =
+        # 14.78 ns is 739 steps, so those rows sit on the oracle's uniform grid from 0
+        cfg = preset_scenario("fig2b")
+        tau = 14.78
+        sc = validate_scenario(replace(cfg, mirror=replace(cfg.mirror, delay_tau=tau,
+                                                           disable_time=cfg.pulse.t0 + 0.5 * tau)))
+        traces, _ = run_scenario(sc)
+        t_off = sc.schedule.segments[1].t_start
+        back = traces.t_grid >= sc.pulse.t0 + tau - 1e-9
+        rows = back & (traces.t_grid < t_off)
+        oracle = constant_field_forward(np.arange(rows.sum()) * sc.dt, sc.sample.xi, sc.pulse.area, GAMMA, DB30)
+        want = -math.sqrt(sc.mirror.reflectivity) * oracle
+        assert np.abs(traces.bwd_amp[rows] - want).max() <= 1e-9 * np.abs(want).max()
+        assert np.all(traces.bwd_amp[~back] == 0.0)
 
 
 class TestRunScenario:
