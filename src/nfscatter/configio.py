@@ -68,7 +68,7 @@ def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
         mirror=_section(data, "mirror", MirrorSpec),
         schedule=_schedule_from_dict(data.get("schedule", {})),
         t_end=_float(data["t_end"], "t_end"),
-        dt=_float(data.get("dt", 0.005), "dt"),
+        dt=_float(data.get("dt", ScenarioConfig.dt), "dt"),
         record_snapshots_at=tuple(_float(t, f"record_snapshots_at[{i}]")
                                   for i, t in enumerate(_list(data.get("record_snapshots_at", []),
                                                               "record_snapshots_at"))),

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from nfscatter import Segment, validate_scenario
+from nfscatter import ScenarioConfig, Segment, validate_scenario
 from nfscatter.configio import ConfigError, apply_overrides, load_config, scenario_from_dict
 from nfscatter.presets import PRESETS, preset_scenario
 
@@ -24,6 +24,13 @@ def test_round_trip_every_preset(name):
     sc = preset_scenario(name)
     again = validate_scenario(scenario_from_dict(sc.as_dict()))
     assert again.config_hash == validate_scenario(sc).config_hash
+
+
+def test_absent_dt_is_the_default():
+    # a config file without dt runs at ScenarioConfig's default, as the presets do
+    data = fig2a_dict()
+    del data["dt"]
+    assert scenario_from_dict(data).dt == ScenarioConfig.dt == 0.02
 
 
 def test_absent_schedule_is_field_off():
