@@ -15,6 +15,11 @@ grid, takes an exponential-midpoint half step with the whole field held,
 sweeps again and takes the full step.  It differs from the solver by its
 own truncation error: the tests fit its order in n_depth and in dt, on
 cases with schedule switching, the mirror and a resolved pulse.
+
+Both loops take every event at its exact time, as the solver does: a step
+that holds a kick, a schedule switch, an end of a branch's input window or
+a snapshot is split there (``timeline``), each part with its own midpoint
+input.
 """
 
 import bisect

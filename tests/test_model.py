@@ -125,8 +125,8 @@ class TestValidateScenario:
             validate_scenario(cfg)
 
     def test_schedule_nudged_to_grid(self):
-        # no longer: a segment start between two steps is kept exactly, as are pulse.t0 and
-        # the snapshot times; only t_end moves onto the step grid
+        # only t_end moves onto the step grid: a segment start between two steps keeps its
+        # exact time, as do pulse.t0 and the snapshot times
         cfg = ScenarioConfig(
             sample=SampleSpec(xi=0.1),
             pulse=PulseSpec(),
