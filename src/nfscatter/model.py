@@ -260,9 +260,9 @@ def _scenario_hash(resolved: dict) -> str:
 def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedScenario:
     """Check every invariant and fill derived quantities.
 
-    Every time keeps its exact value, as the solver acts on each event at
-    it and dt only samples the output: only t_end is moved, onto the step
-    grid, and ``nudges`` records it.  Idempotent: validating an already
+    Every time keeps its exact value: the solver acts on each event at its
+    time, and dt only samples the output.  Only t_end moves, onto the step
+    grid, and ``nudges`` records that move.  Idempotent: validating an already
     validated scenario returns it unchanged.  One edited since (its
     config_hash no longer matches) is rejected, since its derived fields
     belong to the values before the edit.  Rejections name the offending
@@ -298,7 +298,6 @@ def validate_scenario(config: ScenarioConfig | ValidatedScenario) -> ValidatedSc
         raise ScenarioError(f"t_end/dt + 1 must be at most {MAX_GRID_POINTS} time points "
                             f"(got t_end={config.t_end}, dt={dt})")
 
-    # every event acts at its exact time; only t_end moves, onto the output grid
     nudges: list[tuple[str, float, float]] = []
     n_steps = round(config.t_end / dt)
     t_end = n_steps * dt

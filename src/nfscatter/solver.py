@@ -130,7 +130,7 @@ def _last_reflected_exit(tau: float, disable_time: float | None) -> float:
 
 
 def _row(t: float, dt: float, n_t: int) -> int:
-    """The first of ``n_t`` output rows at or after time ``t`` >= 0 (``n_t`` if none); 1e-9 of a step below a row counts as at it."""
+    """The first of ``n_t`` output rows at or after time ``t`` >= 0, else ``n_t``; 1e-9 of a step below counts as at it."""
     return n_t if t >= n_t * dt else math.ceil(t / dt - 1e-9)
 
 

@@ -9,7 +9,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from nfscatter import (
     DEFAULT_GAMMA,

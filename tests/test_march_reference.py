@@ -169,7 +169,7 @@ def lagrange(nodes, points):
 
 
 def collocation_run(sc):
-    """(fwd, bwd, {snapshot time: state}) of the solver's discretisation; state (branch, line, depth) on the n_depth grid.
+    """(fwd, bwd, {snapshot time: state}) of the solver's discretisation; state (branch, line, depth) on n_depth.
 
     The slab's N Gauss-Legendre nodes u with weights w on [0, 1] carry f31
     and f42 (b31 and b42) as independent complex states.  The forward field

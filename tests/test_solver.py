@@ -253,8 +253,8 @@ class TestExactEventTimes:
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
         assert [s.t for s in snaps] == [s.t for s in fine_snaps] == ([60.0] if name != "fig2a" else [])
         for snap, ref in zip(snaps, fine_snaps):
-            for line in ("f31", "b31"):
-                assert np.abs(getattr(snap, line) - getattr(ref, line)).max() <= 1e-10 * np.abs(getattr(ref, line)).max()
+            for got, want in ((snap.f31, ref.f31), (snap.b31, ref.b31)):
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_zero_window_returns_the_prompt_alone(self):
         # with the gate closing as the prompt meets the mirror (disable_time = t0 + tau/2) the
