@@ -32,13 +32,9 @@ from .solver import (
     run_scenario,
 )
 from .analysis import (
-    EntanglementReport,
-    ExcitationPattern,
-    IntensitySeries,
     beat_period,
     entanglement_report,
     excitation_pattern,
-    intensities,
     storage_suppression,
 )
 from .presets import PRESETS, SweepSpec, gated_mirror_scenario, preset_scenario, single_pass_scenario
@@ -53,8 +49,6 @@ __all__ = [
     "derived_timings", "validate_scenario",
     "OracleCurve", "first_order_amplitude", "envelope_attenuation", "relative_l2",
     "TraceSet", "CoherenceSnapshot", "NumericalError", "gaussian_input", "run_scenario",
-    "IntensitySeries", "EntanglementReport", "ExcitationPattern",
-    "intensities", "entanglement_report", "excitation_pattern",
-    "storage_suppression", "beat_period",
+    "entanglement_report", "excitation_pattern", "storage_suppression", "beat_period",
     "PRESETS", "SweepSpec", "preset_scenario", "gated_mirror_scenario", "single_pass_scenario",
 ]

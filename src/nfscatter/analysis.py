@@ -1,7 +1,7 @@
 """Observables computed from traces and snapshots.
 
-Everything here is a pure transformation of immutable inputs: intensities,
-the branch-balance/relative-phase entanglement report, storage suppression,
+Everything here is a pure transformation of immutable inputs: the
+branch-balance/relative-phase entanglement report, storage suppression,
 beat period extraction and the sub-angstrom standing-wave excitation
 pattern.
 """
@@ -9,7 +9,6 @@ pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,71 +19,6 @@ _PATTERN_POINTS = 512
 
 #: beat_period's prominence: the intensity ratio of both neighbouring maxima to a minimum
 _BEAT_PROMINENCE = 10.0
-
-
-@dataclass(frozen=True)
-class IntensitySeries:
-    t_grid: np.ndarray
-    i_fwd: np.ndarray   # |fwd_detected|^2, what the detector behind the mirror sees
-    i_bwd: np.ndarray   # |bwd_amp|^2
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Branch balance and relative phase of the two output field modes.
-
-    ``balance`` is the backward/forward energy ratio over the window;
-    ``mean_phase`` the energy-weighted circular mean of the relative phase
-    of bwd and fwd_detected, both envelopes referenced to the sample faces
-    with zero alignment offset.  The fields are real, so that phase is 0
-    (same sign) or pi (opposite sign), and so is the mean.
-    """
-
-    window: tuple[float, float]
-    balance: float
-    mean_phase: float
-    phase_spread: float
-    classification: str   # "symmetric" | "antisymmetric" | "indeterminate"
-
-    def as_dict(self) -> dict:
-        return {
-            "window_ns": list(self.window),
-            "balance": self.balance,
-            "mean_phase_rad": self.mean_phase,
-            "phase_spread_rad": self.phase_spread,
-            "classification": self.classification,
-        }
-
-
-@dataclass(frozen=True)
-class ExcitationPattern:
-    """Excitation density over one carrier period of sub-wavelength coordinate s.
-
-    Each excited sublevel carries a forward/backward amplitude pair, so
-
-        density(s) = |f31*e^{iks} + b31*e^{-iks}|^2 + |f42*e^{iks} + b42*e^{-iks}|^2
-
-    with depth-averaged amplitudes.  Equal-sign branches give cos^2(ks)
-    (antinode at s = 0), opposite signs give sin^2(ks); a single branch
-    gives a flat, traveling pattern.  The sums f31+f42 and b31+b42 are the
-    radiating combinations and sit near zero while the excitation is
-    stored; the per-sublevel amplitudes carry the branch sign that decides
-    cosine versus sine.  The intensity modulation period is pi/k, half the
-    carrier period.
-    """
-
-    s_grid: np.ndarray        # angstrom, over [0, 2*pi/k)
-    density: np.ndarray
-    period: float             # carrier period 2*pi/k, angstrom
-
-
-def intensities(traces: TraceSet) -> IntensitySeries:
-    """Pointwise squared magnitudes of the detected envelopes."""
-    return IntensitySeries(
-        t_grid=traces.t_grid,
-        i_fwd=np.abs(traces.fwd_detected) ** 2,
-        i_bwd=np.abs(traces.bwd_amp) ** 2,
-    )
 
 
 def _window_mask(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
@@ -99,8 +33,17 @@ def _window_mask(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     return mask
 
 
-def entanglement_report(traces: TraceSet, window: tuple[float, float]) -> EntanglementReport:
-    """Classify the two-branch output state over a time window."""
+def entanglement_report(traces: TraceSet, window: tuple[float, float]) -> dict:
+    """Branch balance and relative phase of the two output field modes over a time window.
+
+    Returns ``report.json``'s entanglement fields.  ``balance`` is the
+    backward/forward energy ratio over the window; ``mean_phase_rad`` the
+    energy-weighted circular mean of the relative phase of bwd and
+    fwd_detected, both envelopes referenced to the sample faces with zero
+    alignment offset.  The fields are real, so that phase is 0 (same sign) or
+    pi (opposite sign), and so is the mean.  ``classification`` is
+    "symmetric", "antisymmetric" or "indeterminate".
+    """
     mask = _window_mask(traces.t_grid, window)
     # trapezoid weights, so that the sums stand for integrals over the window to O(dt^2)
     weight = np.ones(int(mask.sum()))
@@ -109,25 +52,37 @@ def entanglement_report(traces: TraceSet, window: tuple[float, float]) -> Entang
     bwd = traces.bwd_amp[mask]
     e_fwd = float(np.sum(weight * np.abs(fwd) ** 2))
     e_bwd = float(np.sum(weight * np.abs(bwd) ** 2))
-    if e_fwd == 0.0 or e_bwd == 0.0:
-        balance = e_bwd / e_fwd if e_fwd > 0.0 else (math.inf if e_bwd > 0.0 else 0.0)
-        return EntanglementReport(window, balance, 0.0, math.pi, "indeterminate")
-    balance = e_bwd / e_fwd
-
+    balance = e_bwd / e_fwd if e_fwd > 0.0 else (math.inf if e_bwd > 0.0 else 0.0)
+    mean_phase, spread, cls = 0.0, math.pi, "indeterminate"
     cross = weight * bwd * fwd
     resultant = float(np.sum(cross))
     total = float(np.sum(np.abs(cross)))
-    if total == 0.0:
-        return EntanglementReport(window, balance, 0.0, math.pi, "indeterminate")
-    mean_phase = math.pi if resultant < 0.0 else 0.0
-    rbar = min(abs(resultant) / total, 1.0)
-    spread = math.sqrt(max(-2.0 * math.log(rbar), 0.0)) if rbar > 0.0 else math.pi
-    cls = ("antisymmetric" if mean_phase else "symmetric") if spread < math.pi / 8 else "indeterminate"
-    return EntanglementReport(window, balance, mean_phase, spread, cls)
+    if e_fwd > 0.0 and e_bwd > 0.0 and total > 0.0:
+        mean_phase = math.pi if resultant < 0.0 else 0.0
+        rbar = min(abs(resultant) / total, 1.0)
+        spread = math.sqrt(max(-2.0 * math.log(rbar), 0.0)) if rbar > 0.0 else math.pi
+        if spread < math.pi / 8:
+            cls = "antisymmetric" if mean_phase else "symmetric"
+    return {"window_ns": list(window), "balance": balance, "mean_phase_rad": mean_phase,
+            "phase_spread_rad": spread, "classification": cls}
 
 
-def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float) -> ExcitationPattern:
-    """Standing-wave excitation density from a stored-excitation snapshot."""
+def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Standing-wave excitation density over one carrier period 2*pi/k of sub-wavelength coordinate s.
+
+    Returns ``(s_grid, density)``, s in angstrom over [0, 2*pi/k).  Each
+    excited sublevel carries a forward/backward amplitude pair, so
+
+        density(s) = |f31*e^{iks} + b31*e^{-iks}|^2 + |f42*e^{iks} + b42*e^{-iks}|^2
+
+    with depth-averaged amplitudes.  Equal-sign branches give cos^2(ks)
+    (antinode at s = 0), opposite signs give sin^2(ks); a single branch
+    gives a flat, traveling pattern.  The sums f31+f42 and b31+b42 are the
+    radiating combinations and sit near zero while the excitation is
+    stored; the per-sublevel amplitudes carry the branch sign that decides
+    cosine versus sine.  The intensity modulation period is pi/k, half the
+    carrier period.
+    """
     f31 = complex(np.mean(snapshot.f31))
     f42 = complex(np.mean(snapshot.f42))
     b31 = complex(np.mean(snapshot.b31))
@@ -139,7 +94,7 @@ def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float) -> Exc
     fwd = np.exp(1j * wave_number_k * s)
     bwd = np.conj(fwd)
     density = np.abs(f31 * fwd + b31 * bwd) ** 2 + np.abs(f42 * fwd + b42 * bwd) ** 2
-    return ExcitationPattern(s_grid=s, density=density, period=period)
+    return s, density
 
 
 def storage_suppression(traces: TraceSet, t_off: float, t_on: float) -> float:
@@ -149,8 +104,7 @@ def storage_suppression(traces: TraceSet, t_off: float, t_on: float) -> float:
     """
     if not t_off < t_on:
         raise ValueError(f"need t_off < t_on (got {t_off}, {t_on})")
-    series = intensities(traces)
-    total = series.i_fwd + series.i_bwd
+    total = traces.fwd_detected ** 2 + traces.bwd_amp ** 2
     stored = _window_mask(traces.t_grid, (t_off + 1.0, t_on - 1.0))
     before = _window_mask(traces.t_grid, (t_off - 5.0, t_off))
     ref = float(np.max(total[before]))

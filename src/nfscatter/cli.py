@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import beat_period, entanglement_report, excitation_pattern, intensities, storage_suppression
+from .analysis import beat_period, entanglement_report, excitation_pattern, storage_suppression
 from .configio import ConfigError, apply_overrides, load_config, scenario_from_dict
 from .model import DEFAULT_GAMMA, WAVE_NUMBER_K, ScenarioError, ValidatedScenario, validate_scenario
 from .oracles import envelope_attenuation
@@ -72,8 +72,7 @@ def build_report(scenario: ValidatedScenario, traces) -> dict:
     if bounds and bounds[1] >= scenario.t_end:
         bounds = None  # retrieval lies beyond the simulated span
     window = (bounds[1], scenario.t_end) if bounds else (0.0, scenario.t_end)
-    ent = entanglement_report(traces, window)
-    report.update(ent.as_dict())
+    report.update(entanglement_report(traces, window))
 
     if bounds:
         t_off, t_on = bounds
@@ -87,9 +86,8 @@ def build_report(scenario: ValidatedScenario, traces) -> dict:
         report["notes"]["storage_suppression"] = "schedule has no off/on storage window inside the run"
 
     beat_window = (0.0, min(bounds[0] + 1.0, scenario.t_end)) if bounds else (0.0, scenario.t_end)
-    series = intensities(traces)
     try:
-        report["beat_period_ns"] = beat_period(series.t_grid, series.i_fwd, beat_window)
+        report["beat_period_ns"] = beat_period(traces.t_grid, traces.fwd_detected ** 2, beat_window)
     except ValueError as exc:
         report["beat_period_ns"] = None
         report["notes"]["beat_period"] = str(exc)
@@ -105,10 +103,7 @@ def cmd_run(args) -> int:
     write_json(out / "report.json", build_report(scenario, traces))
 
     if snapshots:
-        patterns = []
-        for snap in snapshots:
-            pat = excitation_pattern(snap, WAVE_NUMBER_K)
-            patterns.append((snap.t, pat.s_grid, pat.density))
+        patterns = [(snap.t, *excitation_pattern(snap, WAVE_NUMBER_K)) for snap in snapshots]
         write_pattern_csv(out / "pattern.csv", patterns, scenario.config_hash)
 
     write_json(out / "meta.json", {

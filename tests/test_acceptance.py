@@ -23,7 +23,6 @@ from nfscatter import (
     envelope_attenuation,
     excitation_pattern,
     first_order_amplitude,
-    intensities,
     relative_l2,
     run_scenario,
     storage_suppression,
@@ -100,7 +99,7 @@ def test_A5_branch_balance_tracks_prediction(fig2a_run, fig2b_run, gated_run_fac
     measured = {}
     for name, run in (("fig2a", fig2a_run), ("fig2b", fig2b_run)):
         _, traces, _ = run
-        measured[name] = entanglement_report(traces, window).balance
+        measured[name] = entanglement_report(traces, window)["balance"]
     ok_window = all(0.85 <= b <= 1.25 for b in measured.values())
 
     ratios = []
@@ -109,7 +108,7 @@ def test_A5_branch_balance_tracks_prediction(fig2a_run, fig2b_run, gated_run_fac
             balance = measured["fig2b"]
         else:
             _, traces, _ = gated_run_factory(xi=xi, disable_time=7.39)
-            balance = entanglement_report(traces, window).balance
+            balance = entanglement_report(traces, window)["balance"]
         predicted = 0.99 / envelope_attenuation(xi, GAMMA, DB30)
         ratios.append((xi, balance, predicted, balance / predicted))
     ok_track = all(abs(r - 1.0) <= 0.20 for _, _, _, r in ratios)
@@ -123,9 +122,9 @@ def test_A6_symmetric_antisymmetric_control(fig2b_run, fig2c_run):
     _, traces_c, _ = fig2c_run
     rep_b = entanglement_report(traces_b, (100.0, 200.0))
     rep_c = entanglement_report(traces_c, (100.0, 200.0))
-    dev_c = abs(abs(rep_c.mean_phase) - math.pi)
-    ok = (rep_b.classification == "symmetric" and abs(rep_b.mean_phase) < 0.2
-          and rep_c.classification == "antisymmetric" and dev_c < 0.2)
+    dev_c = abs(abs(rep_c["mean_phase_rad"]) - math.pi)
+    ok = (rep_b["classification"] == "symmetric" and abs(rep_b["mean_phase_rad"]) < 0.2
+          and rep_c["classification"] == "antisymmetric" and dev_c < 0.2)
 
     # the two runs differ only by the inversion event at t_invert
     sb, sc = fig2b_run[0], fig2c_run[0]
@@ -136,15 +135,14 @@ def test_A6_symmetric_antisymmetric_control(fig2b_run, fig2c_run):
     ok_diff = (segs_c == expected_c
                and sb.sample == sc.sample and sb.mirror == sc.mirror and sb.pulse == sc.pulse)
     check("A6", ok and ok_diff,
-          f"fig2b {rep_b.classification} |phase|={abs(rep_b.mean_phase):.4f} < 0.2; "
-          f"fig2c {rep_c.classification} |phase-pi|={dev_c:.4f} < 0.2; "
+          f"fig2b {rep_b['classification']} |phase|={abs(rep_b['mean_phase_rad']):.4f} < 0.2; "
+          f"fig2c {rep_c['classification']} |phase-pi|={dev_c:.4f} < 0.2; "
           f"configs differ only by inversion at {t_inv:.4f} ns: {ok_diff}")
 
 
 def test_A7_beat_period(fig2a_run):
     _, traces, _ = fig2a_run
-    series = intensities(traces)
-    period = beat_period(series.t_grid, series.i_fwd, (0.0, 23.0))
+    period = beat_period(traces.t_grid, traces.fwd_detected ** 2, (0.0, 23.0))
     check("A7", abs(period - TAU) <= 0.05 * TAU,
           f"pre-storage beat node spacing {period:.4f} ns vs pi/delta_b = {TAU:.4f} ns (tol 5%)")
 
@@ -154,23 +152,20 @@ def test_A8_standing_wave_pattern(fig2b_run, fig2c_run):
     _, _, snaps_c = fig2c_run
     k = WAVE_NUMBER_K
 
-    pat_b = excitation_pattern(snaps_b[0], k)
-    pat_c = excitation_pattern(snaps_c[0], k)
-    cell = pat_b.s_grid[1] - pat_b.s_grid[0]
-    s_b = pat_b.s_grid[int(np.argmax(pat_b.density))]
-    s_c = pat_c.s_grid[int(np.argmax(pat_c.density))]
+    s_grid_b, density_b = excitation_pattern(snaps_b[0], k)
+    s_grid_c, density_c = excitation_pattern(snaps_c[0], k)
+    cell = s_grid_b[1] - s_grid_b[0]
+    s_b = s_grid_b[int(np.argmax(density_b))]
+    s_c = s_grid_c[int(np.argmax(density_c))]
 
     # modulation period from the spacing of the two interior maxima structure
-    def max_positions(pat):
-        d = pat.density
-        idx = [i for i in range(1, len(d) - 1) if d[i] > d[i - 1] and d[i] >= d[i + 1]]
-        return [pat.s_grid[i] for i in idx]
-
-    maxima_c = max_positions(pat_c)
+    d = density_c
+    maxima_c = [s_grid_c[i] for i in range(1, len(d) - 1) if d[i] > d[i - 1] and d[i] >= d[i + 1]]
     mod_period = maxima_c[1] - maxima_c[0] if len(maxima_c) >= 2 else math.nan
 
-    sine_peak = 0.25 * pat_c.period          # pi/(2k) = 0.215 angstrom
-    half_period = 0.5 * pat_c.period         # pi/k = 0.430 angstrom
+    period = 2.0 * math.pi / k               # carrier period, angstrom
+    sine_peak = 0.25 * period                # pi/(2k) = 0.215 angstrom
+    half_period = 0.5 * period               # pi/k = 0.430 angstrom
     ok = (abs(s_b - 0.0) <= cell
           and abs(s_c - sine_peak) <= cell and abs(sine_peak - 0.215) < 1e-3
           and abs(mod_period - half_period) <= cell and abs(half_period - 0.430) < 1e-3)
@@ -185,9 +180,9 @@ def test_A8_flat_control():
     k = 2.0 * math.pi * 14.413 / 12.39842
     ones = np.full(9, 0.5 + 0j)
     zeros = np.zeros(9, dtype=complex)
-    pat = excitation_pattern(
+    _, density = excitation_pattern(
         CoherenceSnapshot(t=0.0, f31=ones, f42=ones.copy(), b31=zeros, b42=zeros.copy()), k)
-    flat = np.ptp(pat.density) <= 1e-12 * np.max(pat.density)
+    flat = np.ptp(density) <= 1e-12 * np.max(density)
     check("A8-flat", flat, "single-branch pattern is flat (traveling excitation)")
 
 

@@ -7,7 +7,6 @@ from nfscatter import (
     beat_period,
     entanglement_report,
     excitation_pattern,
-    intensities,
     storage_suppression,
 )
 from nfscatter.solver import CoherenceSnapshot, TraceSet
@@ -15,6 +14,7 @@ from nfscatter.solver import CoherenceSnapshot, TraceSet
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA
 K = 2.0 * math.pi * 14.413 / 12.39842
+PERIOD = 2.0 * math.pi / K   # carrier period of the excitation pattern, angstrom
 
 
 def make_traces(t, fwd, bwd, in_beam=None, refl=0.0):
@@ -35,56 +35,36 @@ def make_snapshot(f_sum, b_sum, n=7):
                              b31=half_b, b42=half_b.copy())
 
 
-class TestIntensities:
-    def test_zero(self):
-        t = np.linspace(0, 1, 5)
-        s = intensities(make_traces(t, np.zeros(5), np.zeros(5)))
-        assert np.all(s.i_fwd == 0) and np.all(s.i_bwd == 0)
-
-    def test_quadratic_scaling(self):
-        t = np.linspace(0, 1, 5)
-        a = intensities(make_traces(t, np.full(5, 1.0), np.zeros(5)))
-        b = intensities(make_traces(t, np.full(5, 2.0), np.zeros(5)))
-        assert np.allclose(b.i_fwd, 4 * a.i_fwd)
-
-    def test_detected_attenuation(self):
-        t = np.linspace(0, 1, 5)
-        in_beam = np.array([True, True, False, False, False])
-        s = intensities(make_traces(t, np.ones(5), np.zeros(5), in_beam, refl=0.99))
-        assert s.i_fwd[0] == pytest.approx(0.01)
-        assert s.i_fwd[-1] == pytest.approx(1.0)
-
-
 class TestEntanglementReport:
     def test_equal_branches_symmetric(self):
         t = np.linspace(100, 200, 501)
         env = np.exp(-GAMMA * t / 2) * np.sin(DB30 * (t - 100.0))
         rep = entanglement_report(make_traces(t, env, env.copy()), (100.0, 200.0))
-        assert rep.balance == pytest.approx(1.0)
-        assert rep.mean_phase == pytest.approx(0.0, abs=1e-12)
-        assert rep.classification == "symmetric"
+        assert rep["balance"] == pytest.approx(1.0)
+        assert rep["mean_phase_rad"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["classification"] == "symmetric"
 
     def test_opposite_branches_antisymmetric(self):
         t = np.linspace(100, 200, 501)
         env = np.exp(-GAMMA * t / 2) * np.sin(DB30 * (t - 100.0))
         rep = entanglement_report(make_traces(t, env, -env), (100.0, 200.0))
-        assert rep.balance == pytest.approx(1.0)
-        assert abs(abs(rep.mean_phase) - math.pi) < 1e-12
-        assert rep.classification == "antisymmetric"
+        assert rep["balance"] == pytest.approx(1.0)
+        assert abs(abs(rep["mean_phase_rad"]) - math.pi) < 1e-12
+        assert rep["classification"] == "antisymmetric"
 
     def test_balance_scale_invariance(self):
         t = np.linspace(100, 200, 501)
         env = np.exp(-GAMMA * t / 2) * np.sin(DB30 * (t - 100.0))
         r1 = entanglement_report(make_traces(t, env, 0.9 * env), (100.0, 200.0))
         r2 = entanglement_report(make_traces(t, 7 * env, 6.3 * env), (100.0, 200.0))
-        assert r1.balance == pytest.approx(r2.balance)
+        assert r1["balance"] == pytest.approx(r2["balance"])
 
     def test_dead_branch_indeterminate(self):
         t = np.linspace(100, 200, 501)
         env = np.exp(-GAMMA * t / 2)
         rep = entanglement_report(make_traces(t, env, np.zeros_like(env)), (100.0, 200.0))
-        assert rep.classification == "indeterminate"
-        assert rep.balance == 0.0
+        assert rep["classification"] == "indeterminate"
+        assert rep["balance"] == 0.0
 
     def test_bad_window_rejected(self):
         t = np.linspace(0, 10, 11)
@@ -97,31 +77,34 @@ class TestEntanglementReport:
 
 class TestExcitationPattern:
     def test_equal_amplitudes_cosine(self):
-        pat = excitation_pattern(make_snapshot(1.0, 1.0), K)
-        assert np.argmax(pat.density) == 0
-        node = np.argmin(np.abs(pat.s_grid - 0.25 * pat.period))
-        assert pat.density[node] < 1e-24 * pat.density.max()
+        s_grid, density = excitation_pattern(make_snapshot(1.0, 1.0), K)
+        assert np.argmax(density) == 0
+        node = np.argmin(np.abs(s_grid - 0.25 * PERIOD))
+        assert density[node] < 1e-24 * density.max()
 
     def test_opposite_amplitudes_sine(self):
-        pat = excitation_pattern(make_snapshot(1.0, -1.0), K)
-        s_max = pat.s_grid[np.argmax(pat.density)]
-        assert s_max == pytest.approx(0.25 * pat.period, abs=pat.s_grid[1])
+        s_grid, density = excitation_pattern(make_snapshot(1.0, -1.0), K)
+        s_max = s_grid[np.argmax(density)]
+        assert s_max == pytest.approx(0.25 * PERIOD, abs=s_grid[1])
 
     def test_single_branch_flat(self):
-        pat = excitation_pattern(make_snapshot(1.0, 0.0), K)
-        assert np.ptp(pat.density) < 1e-15 * pat.density.max()
+        _, density = excitation_pattern(make_snapshot(1.0, 0.0), K)
+        assert np.ptp(density) < 1e-15 * density.max()
 
     def test_modulation_period(self):
-        pat = excitation_pattern(make_snapshot(1.0, 1.0), K)
-        # intensity modulation repeats at half the carrier period
-        assert 0.5 * pat.period == pytest.approx(0.430, abs=5e-4)
+        s_grid, density = excitation_pattern(make_snapshot(1.0, 1.0), K)
+        # the grid spans one carrier period, and the intensity modulation repeats at half of it
+        assert s_grid[1] * len(s_grid) == pytest.approx(PERIOD, rel=1e-12)
+        half = len(s_grid) // 2
+        assert np.max(np.abs(density[half:] - density[:half])) < 1e-12 * density.max()
+        assert 0.5 * PERIOD == pytest.approx(0.430, abs=5e-4)
 
     def test_total_excitation_independent_of_phase(self):
         pat_integral = []
         for b in (1.0, -1.0, 1j):
-            pat = excitation_pattern(make_snapshot(1.0, b), K)
-            cell = pat.s_grid[1] - pat.s_grid[0]
-            pat_integral.append(float(np.sum(pat.density) * cell))
+            s_grid, density = excitation_pattern(make_snapshot(1.0, b), K)
+            cell = s_grid[1] - s_grid[0]
+            pat_integral.append(float(np.sum(density) * cell))
         assert pat_integral[0] == pytest.approx(pat_integral[1], rel=1e-12)
         assert pat_integral[0] == pytest.approx(pat_integral[2], rel=1e-12)
 
