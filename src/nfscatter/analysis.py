@@ -100,17 +100,19 @@ def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float) -> tup
 def storage_suppression(traces: TraceSet, t_off: float, t_on: float) -> float:
     """Peak total intensity inside the dark window over the peak just before it.
 
-    Windows: [t_off + 1 ns, t_on - 1 ns] against [t_off - 5 ns, t_off].
+    Windows: [t_off + 1 ns, t_on - 1 ns] against [t_off - 5 ns, t_off].  Each
+    peak also takes the intensity interpolated at its window's exact ends,
+    where a falling intensity peaks, so that the ratio does not move with dt.
     """
     if not t_off < t_on:
         raise ValueError(f"need t_off < t_on (got {t_off}, {t_on})")
+    t = traces.t_grid
     total = traces.fwd_detected ** 2 + traces.bwd_amp ** 2
-    stored = _window_mask(traces.t_grid, (t_off + 1.0, t_on - 1.0))
-    before = _window_mask(traces.t_grid, (t_off - 5.0, t_off))
-    ref = float(np.max(total[before]))
+    stored, ref = (max(np.max(total[_window_mask(t, w)]), *np.interp(w, t, total))
+                   for w in ((t_off + 1.0, t_on - 1.0), (t_off - 5.0, t_off)))
     if ref == 0.0:
         raise ValueError("no signal in the window preceding switch-off")
-    return float(np.max(total[stored])) / ref
+    return float(stored / ref)
 
 
 def beat_period(t_grid: np.ndarray, intensity: np.ndarray, window: tuple[float, float]) -> float:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from nfscatter import (
     beat_period,
     entanglement_report,
     excitation_pattern,
+    run_scenario,
     storage_suppression,
+    validate_scenario,
 )
+from nfscatter.presets import preset_scenario
 from nfscatter.solver import CoherenceSnapshot, TraceSet
 
 GAMMA = 1.0 / 141.1
@@ -139,6 +143,16 @@ class TestStorageSuppression:
         _, traces, _ = single_pass_run
         ratio = storage_suppression(traces, 22.163936, 100.0)
         assert ratio > 0.1
+
+
+    def test_ratio_does_not_move_with_dt(self, fig2a_run):
+        # the intensity falls through both windows: a peak read off each window's first
+        # sample moved the ratio by 3.7e-3 between dt 0.02 and 0.005
+        sc, traces, _ = fig2a_run
+        _, t_off, t_on = (seg.t_start for seg in sc.schedule.segments)
+        fine, _ = run_scenario(validate_scenario(replace(preset_scenario("fig2a"), dt=0.005)))
+        assert storage_suppression(fine, t_off, t_on) == pytest.approx(
+            storage_suppression(traces, t_off, t_on), rel=1e-5)
 
 
 class TestBeatPeriod:
