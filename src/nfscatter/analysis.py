@@ -21,6 +21,13 @@ _PATTERN_POINTS = 512
 _BEAT_PROMINENCE = 10.0
 
 
+def _trapezoid(n: int) -> np.ndarray:
+    """Trapezoid weights over n uniform samples, so that a weighted sum stands for an integral to O(h^2)."""
+    weight = np.ones(n)
+    weight[[0, -1]] = 0.5
+    return weight
+
+
 def _window_mask(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     t1, t2 = window
     if not t2 > t1:
@@ -45,9 +52,7 @@ def entanglement_report(traces: TraceSet, window: tuple[float, float]) -> dict:
     "symmetric", "antisymmetric" or "indeterminate".
     """
     mask = _window_mask(traces.t_grid, window)
-    # trapezoid weights, so that the sums stand for integrals over the window to O(dt^2)
-    weight = np.ones(int(mask.sum()))
-    weight[[0, -1]] = 0.5
+    weight = _trapezoid(int(mask.sum()))
     fwd = traces.fwd_detected[mask]
     bwd = traces.bwd_amp[mask]
     e_fwd = float(np.sum(weight * np.abs(fwd) ** 2))
@@ -75,7 +80,8 @@ def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float) -> tup
 
         density(s) = |f31*e^{iks} + b31*e^{-iks}|^2 + |f42*e^{iks} + b42*e^{-iks}|^2
 
-    with depth-averaged amplitudes.  Equal-sign branches give cos^2(ks)
+    with depth-averaged amplitudes, each the trapezoid mean over the snapshot's
+    uniform depth grid.  Equal-sign branches give cos^2(ks)
     (antinode at s = 0), opposite signs give sin^2(ks); a single branch
     gives a flat, traveling pattern.  The sums f31+f42 and b31+b42 are the
     radiating combinations and sit near zero while the excitation is
@@ -83,10 +89,11 @@ def excitation_pattern(snapshot: CoherenceSnapshot, wave_number_k: float) -> tup
     cosine versus sine.  The intensity modulation period is pi/k, half the
     carrier period.
     """
-    f31 = complex(np.mean(snapshot.f31))
-    f42 = complex(np.mean(snapshot.f42))
-    b31 = complex(np.mean(snapshot.b31))
-    b42 = complex(np.mean(snapshot.b42))
+    weight = _trapezoid(snapshot.f31.size)
+    f31 = complex(np.average(snapshot.f31, weights=weight))
+    f42 = complex(np.average(snapshot.f42, weights=weight))
+    b31 = complex(np.average(snapshot.b31, weights=weight))
+    b42 = complex(np.average(snapshot.b42, weights=weight))
     if f31 == f42 == b31 == b42 == 0.0:
         raise ValueError("no excitation stored: all depth-averaged coherences vanish")
     period = 2.0 * math.pi / wave_number_k

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nfscatter import (
+    WAVE_NUMBER_K,
     beat_period,
     entanglement_report,
     excitation_pattern,
@@ -111,6 +112,16 @@ class TestExcitationPattern:
             pat_integral.append(float(np.sum(density) * cell))
         assert pat_integral[0] == pytest.approx(pat_integral[1], rel=1e-12)
         assert pat_integral[0] == pytest.approx(pat_integral[2], rel=1e-12)
+
+    def test_depth_mean_converges(self, fig2b_run):
+        # the depth mean is a trapezoid rule: a plain sample mean weights both faces fully,
+        # which moved fig2b's pattern at n_depth 201 by 5.4e-6 of its peak
+        sc, _, snaps = fig2b_run
+        fine = replace(preset_scenario("fig2b"), sample=replace(sc.sample, n_depth=2001))
+        _, fine_snaps = run_scenario(validate_scenario(fine))
+        _, density = excitation_pattern(snaps[0], WAVE_NUMBER_K)
+        _, density_fine = excitation_pattern(fine_snaps[0], WAVE_NUMBER_K)
+        assert np.max(np.abs(density - density_fine)) < 1e-7 * np.max(density_fine)
 
     def test_empty_snapshot_rejected(self):
         with pytest.raises(ValueError, match="no excitation"):
