@@ -25,9 +25,9 @@ WAVE_NUMBER_K = 2.0 * math.pi * 14.413 / HC_KEV_ANGSTROM  # photon wave number 2
 #: time resolution safety factor: dt must resolve the fastest beat
 _DT_BEAT_FACTOR = 20.0
 
-#: most time points (n_steps + 1) and depth points (n_depth) a run may have,
-#: checked before anything is allocated: at the cap the state buffers take about
-#: 0.4 GB; presets and benchmark workloads use at most 40,001 and 4,001 points
+#: most time points (n_steps + 1) and depth points (n_depth) a run may have, checked
+#: before anything is allocated: at the cap a fig2b solve peaks at 42 MB (time) or
+#: 104 MB (depth, one snapshot); presets and benchmark workloads use at most 10,001 and 4,001
 MAX_GRID_POINTS = 1_000_000
 
 #: Gauss-Legendre collocation nodes across the slab, by thickness: a slab of

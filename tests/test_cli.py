@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -124,7 +125,7 @@ def test_oversized_grid_rejected_before_allocation(tmp_path, capsys, sets, field
     # R = 0 means no mirror, and the area cap holds for every pulse
     (["--set", "mirror.present=false"], "mirror: present"),
     (["--set", "pulse.linear_regime=false"], "pulse: linear_regime"),
-    # a reflecting mirror's round trip is at least one step (single_pass has dt 0.005)
+    # a reflecting mirror's round trip is at least one step (single_pass has dt 0.02)
     (["--set", "mirror.reflectivity=0.5", "--set", "mirror.delay_tau=0"], "mirror.delay_tau"),
     (["--set", "mirror.reflectivity=0.5", "--set", "mirror.delay_tau=0.0025"], "mirror.delay_tau"),
     # only a gaussian pulse has a width
@@ -172,6 +173,9 @@ def test_event_schedule_config_rejected(tmp_path, capsys, schedule, key):
     (["--version"], 0, ""),
     # traces.csv is the one trace format
     (["run", "--preset", "fig2a", "--format", "json"], 1, "--format"),
+    # an unknown name exits 1 and names what is known
+    (["run", "--preset", "fig2d"], 1, "unknown preset 'fig2d'; known: fig2a"),
+    (["presets", "show"], 1, "unknown presets action 'show'; try 'list'"),
 ])
 def test_malformed_argument_is_input_error(tmp_path, capsys, argv, code, text):
     # argparse exits 2 on its own, which here would read as a numerical failure
@@ -312,6 +316,27 @@ def test_sweep_delta_b_switch_off_after_retrieval_fails_its_row(tmp_path):
     assert rows[1]["config_hash"] == "3e1ba8a6076e"  # the 30 gamma protocol, as before the check
 
 
+def test_sweep_tau_row_matches_run_with_that_delay(tmp_path):
+    assert run_cli(["sweep", "--axis", "tau", "--values", "12", "--base", "fig2b", "--out", str(tmp_path / "s")]) == 0
+    assert run_cli(["run", "--preset", "fig2b", "--set", "mirror.delay_tau=12", "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    lines = (tmp_path / "s" / "summary.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["status"] == "ok" and row["config_hash"] == report["config_hash"]
+    assert float(row["balance"]) == pytest.approx(report["balance"], rel=1e-8)
+
+
+def test_short_storage_window_reports_null_with_note(tmp_path):
+    # a field-off stretch under 2 ns leaves no dark window [t_off + 1, t_on - 1]
+    db = preset_scenario("fig2a").schedule.segments[0].delta_b
+    schedule = {"segments": [[0.0, db], [22.16393617107599, 0.0], [23.5, db]]}
+    out = tmp_path / "x"
+    assert run_cli(["run", "--preset", "fig2a", "--set", f"schedule={json.dumps(schedule)}", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["storage_suppression"] is None
+    assert report["notes"]["storage_suppression"].startswith("window must satisfy t1 < t2")
+
+
 def test_sweep_single_value_matches_run(tmp_path):
     out_r = tmp_path / "run"
     out_s = tmp_path / "sweep"
@@ -405,6 +430,15 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "fig2a" in proc.stdout
+
+
+def test_module_entry_point_in_process(monkeypatch, capsys):
+    # the same entry point as above, run in this process so that __main__.py is traced too
+    monkeypatch.setattr(sys, "argv", ["nfscatter", "presets", "list"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("nfscatter", run_name="__main__")
+    assert exc.value.code == 0
+    assert "fig2a" in capsys.readouterr().out
 
 
 def test_cli_import_leaves_fft_and_polynomial_unloaded():
