@@ -19,7 +19,7 @@ from nfscatter import (
     validate_scenario,
 )
 from nfscatter import solver
-from nfscatter.model import HyperfineSchedule
+from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, DEPTH_NODES, HyperfineSchedule
 from nfscatter.oracles import constant_field_forward
 from nfscatter.presets import preset_scenario
 
@@ -426,3 +426,27 @@ def test_basis_refuses_double_precision_long_double(monkeypatch):
     monkeypatch.setattr(np, "finfo", lambda t: finfo(np.float64 if t is np.longdouble else t))
     with pytest.raises(RuntimeError, match="long double"):
         solver._basis.__wrapped__(6)
+
+
+@pytest.mark.parametrize("delta_b", [0.0, DB30])
+@pytest.mark.parametrize("xi, n", DEPTH_NODES)
+def test_power_table_matches_direct_exp(xi, n, delta_b):
+    # the two-exp table against the direct long-double exp of every entry, on the modes of
+    # each node-count row at its largest xi, with the field off and on, at dt 0.02
+    kappa, _, _ = solver._modes(solver._basis(n)[0], 0.5 * 6.0 * DEFAULT_GAMMA * xi * CLEBSCH_A ** 2, delta_b)
+    for width in (1, 15, 16, 17, 50, 256):
+        for first in (0, 1):
+            ref = np.exp(np.outer(kappa, np.arange(first, first + width) * np.longdouble(0.02)))
+            got = solver._powers(kappa, first, width, 0.02)
+            assert got.shape == ref.shape
+            assert (np.abs(got - ref) / np.abs(ref)).max() < 1e-17, (width, first)
+
+
+def test_modes_built_once_per_splitting(monkeypatch):
+    # fig2b has three schedule segments at two splittings (field on, off, on again), and a
+    # reflecting mirror: each splitting's modes are built once and shared by both branches
+    calls = []
+    modes = solver._modes
+    monkeypatch.setattr(solver, "_modes", lambda sigma, c, delta_b: calls.append(delta_b) or modes(sigma, c, delta_b))
+    run_scenario(preset_scenario("fig2b"))
+    assert sorted(calls) == [0.0, pytest.approx(DB30)]
