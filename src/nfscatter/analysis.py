@@ -65,7 +65,7 @@ def entanglement_report(traces: TraceSet, window: tuple[float, float]) -> dict:
     if e_fwd > 0.0 and e_bwd > 0.0 and total > 0.0:
         mean_phase = math.pi if resultant < 0.0 else 0.0
         rbar = min(abs(resultant) / total, 1.0)
-        spread = math.sqrt(max(-2.0 * math.log(rbar), 0.0)) if rbar > 0.0 else math.pi
+        spread = math.sqrt(max(0.0, -2.0 * math.log(rbar))) if rbar > 0.0 else math.pi
         if spread < math.pi / 8:
             cls = "antisymmetric" if mean_phase else "symmetric"
     return {"window_ns": list(window), "balance": balance, "mean_phase_rad": mean_phase,

@@ -332,9 +332,14 @@ def test_short_storage_window_reports_null_with_note(tmp_path):
     schedule = {"segments": [[0.0, db], [22.16393617107599, 0.0], [23.5, db]]}
     out = tmp_path / "x"
     assert run_cli(["run", "--preset", "fig2a", "--set", f"schedule={json.dumps(schedule)}", "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
+    text = (out / "report.json").read_text()
+    report = json.loads(text)
     assert report["storage_suppression"] is None
     assert report["notes"]["storage_suppression"].startswith("window must satisfy t1 < t2")
+    # every cross term of this run's window (23.5-200 ns) has one sign: the phase spread
+    # is +0.0, where -2*log(1) alone gives -0.0
+    assert report["phase_spread_rad"] == 0.0 and math.copysign(1.0, report["phase_spread_rad"]) == 1.0
+    assert "-0.0" not in text
 
 
 def test_sweep_single_value_matches_run(tmp_path):
