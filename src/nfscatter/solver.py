@@ -31,21 +31,20 @@ with b = (0, a/4), and the back-face field is Omega_F(0) - 2 eta_l a w.Im f31.
 S is diagonalised once per N (``_basis``, on the Legendre coefficients of
 the node interpolant, where it is tridiagonal); its eigenvalues come in
 conjugate pairs, none real for even N, and each pair's eigenvalue sigma
-gives a 2x2 block of M in closed form, so a schedule segment is a sum of
-2 per pair of exponential modes, built once per run for each splitting
-and shared by both branches.  Every event acts at its exact time: the
-kicks, the segment switches, the snapshots and the ends of a branch's
-input window cut the run into stretches, and the state is carried to each
-by its modes' closed form e^(kappa (t_event - t)).  A stretch with no
-input is a closed form in time, evaluated on the output rows as per-row
-start factors times a table of e^(kappa m dt) (``_powers``).  Inside the
-input window (the gaussian pulse, the mirror feedback) the modes take the
-input by the exponential midpoint rule, held over each step at its
+gives a 2x2 block of M in closed form, so a schedule segment is a sum of 2
+per pair of exponential modes, built once per splitting and run.  Every
+event acts at its exact time: the kicks, the segment switches, the snapshots
+and the ends of a branch's input window cut the run into stretches, and the
+state is carried to each by its modes' closed form e^(kappa (t_event - t)).
+A stretch with no input is a closed form in time, evaluated on the output
+rows as per-row start factors times a table of e^(kappa m dt) (``_powers``).
+Inside the input window (the gaussian pulse, the mirror feedback) the modes
+take the input by the exponential midpoint rule, held over each step at its
 midpoint value, as one prefix sum per mode over such a table; a step that
-holds an event is split there, each part with its own midpoint.  So dt samples only the output rows and the
-array inputs, and n_depth only the grid the snapshots are evaluated on.
-The modes run in numpy's extended precision (see ``_basis``), and no BLAS
-or LAPACK routine runs here.
+holds an event is split there, each part with its own midpoint.  So dt
+samples only the output rows and the array inputs, and n_depth only the grid
+the snapshots are evaluated on.  The modes run in numpy's extended precision
+(see ``_basis``), and no BLAS or LAPACK routine runs here.
 
 The forward branch never sees the backward one.  Each branch takes its
 front-face input as a function of time and writes its exit-face field into
