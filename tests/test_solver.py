@@ -450,3 +450,35 @@ def test_modes_built_once_per_splitting(monkeypatch):
     monkeypatch.setattr(solver, "_modes", lambda sigma, c, delta_b: calls.append(delta_b) or modes(sigma, c, delta_b))
     run_scenario(preset_scenario("fig2b"))
     assert sorted(calls) == [0.0, pytest.approx(DB30)]
+
+
+def test_free_table_built_once_per_splitting(monkeypatch):
+    # fig2b's seven free stretches share one e^(kappa m dt) table per splitting (first 0);
+    # a driven scan's powers start at first 1 and are not counted
+    firsts = []
+    powers = solver._powers
+    monkeypatch.setattr(solver, "_powers", lambda kappa, first, width, dt: firsts.append(first)
+                        or powers(kappa, first, width, dt))
+    run_scenario(preset_scenario("fig2b"))
+    assert firsts.count(0) == 2
+
+
+@pytest.mark.parametrize("delta_b", [0.0, DB30])
+@pytest.mark.parametrize("xi, n", DEPTH_NODES)
+def test_free_stretch_matches_direct_sum(xi, n, delta_b):
+    # a free stretch shorter than, as long as and longer than a table row, against the direct
+    # long-double sum Re sum_k c_k e^(kappa_k (offset + m dt)), with the coefficients a kick
+    # of area 1 leaves in the read-out, on each node-count row at its largest xi; the terms
+    # cancel by up to 4e12 at 18 nodes, so the bound is on the summed term magnitudes
+    sigma, r, coef = solver._basis(n)
+    eta_l = 6.0 * DEFAULT_GAMMA * xi
+    kappa, u, l = solver._modes(sigma, 0.5 * eta_l * CLEBSCH_A ** 2, delta_b)
+    c = u[1] * np.tile(-4.0 * eta_l * CLEBSCH_A * coef[0], 2) * l[1] * np.tile(0.25 * CLEBSCH_A * r, 2)
+    table = solver._powers(kappa, 0, solver._BLOCK, 0.02)
+    table = np.concatenate((table.real, table.imag))
+    for steps in (1, 17, 255, 256, 257, 1000):
+        trace = np.zeros(steps)
+        solver._free(c, kappa, table, 0.0137, 0.02, trace)
+        terms = c * np.exp(np.outer(0.0137 + np.arange(steps) * np.longdouble(0.02), kappa))
+        err = np.abs(trace - terms.real.sum(axis=1)) / np.abs(terms).sum(axis=1)
+        assert err.max() < 1e-17, steps
