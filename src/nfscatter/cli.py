@@ -98,12 +98,18 @@ def cmd_run(args) -> int:
     scenario = _load_scenario(args)
     out = _out_dir(args.out)
     traces, snapshots = run_scenario(scenario)
+    # everything that can fail comes before the first write, so a failed run leaves no outputs
+    report = build_report(scenario, traces)
+    patterns = []
+    for snap in snapshots:
+        try:
+            patterns.append((snap.t, *excitation_pattern(snap, WAVE_NUMBER_K)))
+        except ValueError as exc:
+            raise ScenarioError(f"record_snapshots_at: {exc} at t = {snap.t:g} ns") from None
 
     write_traces_csv(out / "traces.csv", traces)
-    write_json(out / "report.json", build_report(scenario, traces))
-
-    if snapshots:
-        patterns = [(snap.t, *excitation_pattern(snap, WAVE_NUMBER_K)) for snap in snapshots]
+    write_json(out / "report.json", report)
+    if patterns:
         write_pattern_csv(out / "pattern.csv", patterns, scenario.config_hash)
 
     write_json(out / "meta.json", {

@@ -342,6 +342,16 @@ def test_short_storage_window_reports_null_with_note(tmp_path):
     assert "-0.0" not in text
 
 
+def test_snapshot_before_the_pulse_is_input_error(tmp_path, capsys):
+    # fig2b's snapshot at 60 ns comes before a pulse at 80 ns and holds no excitation: the
+    # run names the field and the time, and writes no file
+    out = tmp_path / "x"
+    assert run_cli(["run", "--preset", "fig2b", "--set", "pulse.t0=80", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "record_snapshots_at" in err and "t = 60 ns" in err
+    assert not (out / "traces.csv").exists() and not list(out.iterdir())
+
+
 def test_sweep_single_value_matches_run(tmp_path):
     out_r = tmp_path / "run"
     out_s = tmp_path / "sweep"
