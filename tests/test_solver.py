@@ -444,22 +444,16 @@ def test_power_table_matches_direct_exp(xi, n, delta_b):
 
 def test_modes_built_once_per_splitting(monkeypatch):
     # fig2b has three schedule segments at two splittings (field on, off, on again), and a
-    # reflecting mirror: each splitting's modes are built once and shared by both branches
-    calls = []
-    modes = solver._modes
+    # reflecting mirror: each splitting's modes, and the e^(kappa m dt) table (first 0) its
+    # free stretches share, are built once and shared by both branches; a driven scan's
+    # powers start at first 1
+    calls, firsts = [], []
+    modes, powers = solver._modes, solver._powers
     monkeypatch.setattr(solver, "_modes", lambda sigma, c, delta_b: calls.append(delta_b) or modes(sigma, c, delta_b))
-    run_scenario(preset_scenario("fig2b"))
-    assert sorted(calls) == [0.0, pytest.approx(DB30)]
-
-
-def test_free_table_built_once_per_splitting(monkeypatch):
-    # fig2b's seven free stretches share one e^(kappa m dt) table per splitting (first 0);
-    # a driven scan's powers start at first 1 and are not counted
-    firsts = []
-    powers = solver._powers
     monkeypatch.setattr(solver, "_powers", lambda kappa, first, width, dt: firsts.append(first)
                         or powers(kappa, first, width, dt))
     run_scenario(preset_scenario("fig2b"))
+    assert sorted(calls) == [0.0, pytest.approx(DB30)]
     assert firsts.count(0) == 2
 
 
