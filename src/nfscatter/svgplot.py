@@ -17,7 +17,8 @@ _ML, _MR, _MT, _MB = 70, 20, 30, 45
 
 
 def _poly(xs, ys, stroke, dash: str = "", width: float = 1.2) -> str:
-    pts = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+    # one % template over the interleaved x/y list: 0.77 -> 0.55 ms on a 1,549-point curve against a format per point
+    pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(np.column_stack((xs, ys)).ravel().tolist())
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"'
             f'{dash_attr} points="{pts}"/>')

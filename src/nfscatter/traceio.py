@@ -3,7 +3,9 @@
 Every file embeds the config hash so a run -> plot -> re-run chain can be
 checked end to end.  Floats are printed with 9 significant digits, traces.csv
 by one ``%`` template per block of rows; repeated runs of the same
-configuration produce byte-identical files.  The reader rejects non-finite cells.
+configuration produce byte-identical files.  The reader hands the open file to
+one ``np.loadtxt`` and runs its checking line generator only when that parse
+fails, to name the path and line at fault; it rejects non-finite cells.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,16 +81,20 @@ class TraceFile:
 def read_traces_csv(path: Path) -> TraceFile:
     """Parse a traces CSV; ``# key=value`` lines may appear anywhere, blank lines are skipped.
 
-    A generator checks each line and hands the data lines to one
-    ``np.loadtxt``, which parses each line as it arrives: a non-numeric cell
-    is on the line handed on last, and no list of lines is kept.  A
-    non-finite value (``nan``, ``inf``) is named by reading the file again
+    A checking line generator scans the comments and the header line; one
+    ``np.loadtxt`` then parses the rest of the open file.  When that parse
+    fails (a late comment or whitespace-only line, a bad cell, a width other
+    than 8, no data), the file is read again through the generator, which
+    checks each line and hands the data lines to ``np.loadtxt`` as they
+    arrive: an error names its path and line, and no list of lines is kept.
+    A non-finite value (``nan``, ``inf``) is named by reading the file again
     up to its row.  A malformed ``# schedule=`` attribute is rejected.
     """
     attrs: dict = {}
     lineno = 0
 
     def data_lines(fh):
+        """The header line, then each checked data line; comments go to ``attrs``."""
         nonlocal lineno
         n_rows = -1  # until the header line
         for lineno, line in enumerate(fh, start=1):
@@ -102,6 +109,7 @@ def read_traces_csv(path: Path) -> TraceFile:
                 if line != TRACES_HEADER:
                     raise TraceFormatError(f"{path}:{lineno}: expected header {TRACES_HEADER!r}")
                 n_rows = 0
+                yield line
             elif line.count(",") != 7:
                 raise TraceFormatError(f"{path}:{lineno}: expected 8 columns, got {line.count(',') + 1}")
             else:
@@ -110,9 +118,22 @@ def read_traces_csv(path: Path) -> TraceFile:
         if n_rows <= 0:  # raised here, loadtxt would only warn on no data
             raise TraceFormatError(f"{path}: {'no data rows' if n_rows == 0 else 'missing header line'}")
 
+    def parse(checked: bool) -> np.ndarray:
+        attrs.clear()
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's warning on no data fails the fast path
+            lines = data_lines(fh)
+            next(lines)  # the comments and the header line
+            cols = np.loadtxt(lines if checked else fh, delimiter=",", comments=None, ndmin=2).T
+        if len(cols) != 8:
+            raise ValueError
+        return cols
+
     try:
-        with open(path) as fh:
-            cols = np.loadtxt(data_lines(fh), delimiter=",", comments=None, ndmin=2).T
+        try:
+            cols = parse(checked=False)
+        except (ValueError, UserWarning):  # TraceFormatError and UnicodeDecodeError too: the checked pass names them
+            cols = parse(checked=True)
     except TraceFormatError:
         raise
     except (OSError, UnicodeDecodeError) as exc:
@@ -122,7 +143,7 @@ def read_traces_csv(path: Path) -> TraceFile:
     bad_rows = np.flatnonzero(~np.isfinite(cols).all(axis=0))
     if bad_rows.size:
         with open(path) as fh:
-            next(itertools.islice(data_lines(fh), bad_rows[0], None))
+            next(itertools.islice(data_lines(fh), bad_rows[0] + 1, None))  # + 1: the header line
         raise TraceFormatError(f"{path}:{lineno}: non-finite value")
     return TraceFile(
         t=cols[0], re_fwd=cols[1], im_fwd=cols[2], re_bwd=cols[3], im_bwd=cols[4],
@@ -151,13 +172,9 @@ def write_json(path: Path, payload: dict) -> None:
 
 def write_pattern_csv(path: Path, patterns: list[tuple[float, np.ndarray, np.ndarray]],
                       config_hash: str) -> None:
-    """Standing-wave patterns, one block of rows per snapshot time."""
-    lines = [
-        f"# nfscatter pattern v{SCHEMA_VERSION}",
-        f"# config_hash={config_hash}",
-        "snapshot_t_ns,s_angstrom,density",
-    ]
+    """Standing-wave patterns, one block of rows per snapshot time, each one ``%`` template."""
+    text = [f"# nfscatter pattern v{SCHEMA_VERSION}\n# config_hash={config_hash}\nsnapshot_t_ns,s_angstrom,density\n"]
     for t_snap, s_grid, density in patterns:
-        for s, d in zip(s_grid, density):
-            lines.append(f"{_fmt(t_snap)},{_fmt(s)},{_fmt(d)}")
-    path.write_text("\n".join(lines) + "\n")
+        row = f"{_fmt(t_snap)},%.9g,%.9g\n"  # the snapshot time is formatted once
+        text.append(row * len(s_grid) % tuple(np.column_stack((s_grid, density)).ravel().tolist()))
+    path.write_text("".join(text))

@@ -1,9 +1,10 @@
-"""Contract of the output stage: traces.csv bytes, its parse, SVG polylines.
+"""Contract of the output stage: traces.csv and pattern.csv bytes, the traces parse, SVG polylines.
 
 Each writer is checked against a per-element reference kept here, so the
 column-wise implementations in ``traceio`` and ``svgplot`` must reproduce
 the per-row output byte for byte; the M4 decimation is checked against a
-per-run loop.
+per-run loop.  The reader's one-``np.loadtxt`` fast path is checked against
+its checked line-by-line path.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from nfscatter.cli import main as cli_main
 from nfscatter.presets import preset_scenario
 from nfscatter.solver import TraceSet
 from nfscatter.svgplot import _m4, _poly, _x_map, _y_map
-from nfscatter.traceio import TRACES_HEADER, TraceFormatError, read_traces_csv, write_traces_csv
+from nfscatter.traceio import (TRACES_HEADER, TraceFormatError, read_traces_csv, write_pattern_csv,
+                               write_traces_csv)
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072014e-308,
            1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0]
@@ -95,6 +98,28 @@ def test_write_traces_csv_spans_row_blocks(tmp_path):
                       mirror_in_beam=t < 41.0, metadata={"config_hash": "x", "schedule": [[0.0, 0.2]]})
     write_traces_csv(tmp_path / "traces.csv", traces)
     assert (tmp_path / "traces.csv").read_text() == reference_traces_csv(traces)
+
+
+def reference_pattern_csv(patterns, config_hash: str) -> str:
+    """pattern.csv text formatted one cell at a time."""
+    lines = ["# nfscatter pattern v1", f"# config_hash={config_hash}", "snapshot_t_ns,s_angstrom,density"]
+    for t_snap, s_grid, density in patterns:
+        lines += [f"{t_snap:.9g},{s:.9g},{d:.9g}" for s, d in zip(s_grid, density)]
+    return "\n".join(lines) + "\n"
+
+
+pattern_values = st.one_of(st.sampled_from([*SPECIAL, 1e-5, -1e-5, 1e16, 9.9999999995e15]), values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=30).flatmap(lambda n: st.tuples(
+    pattern_values, *(st.lists(pattern_values, min_size=n, max_size=n).map(np.array) for _ in range(2)))),
+    max_size=3))
+def test_write_pattern_csv_matches_per_element_reference(patterns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pattern.csv"
+        write_pattern_csv(path, patterns, "abc123")
+        assert path.read_bytes() == reference_pattern_csv(patterns, "abc123").encode()
 
 
 @pytest.mark.parametrize("name", ["fwd_amp", "bwd_amp", "fwd_detected"])
@@ -224,6 +249,17 @@ def test_read_traces_csv_header_only_has_no_data_rows(tmp_path):
             read_traces_csv(path)
 
 
+def test_read_traces_csv_no_data_lets_no_warning_out(tmp_path):
+    # the fast path's parse warns on no data; the reader turns that into its own error
+    path = tmp_path / "header.csv"
+    path.write_text(TRACES_HEADER + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TraceFormatError, match="no data rows"):
+            read_traces_csv(path)
+    assert not caught
+
+
 def test_read_traces_csv_peak_memory_is_near_the_parsed_array(tmp_path):
     # the parse holds no list of lines: its peak is the array it returns plus a little
     n = 40_001
@@ -242,6 +278,76 @@ def test_read_traces_csv_peak_memory_is_near_the_parsed_array(tmp_path):
         tracemalloc.stop()
     assert len(tf.t) == n
     assert peak <= 1.5 * array_bytes, peak / array_bytes
+
+
+@contextlib.contextmanager
+def loadtxt_calls(fail_on_file: bool = False):
+    """What each ``np.loadtxt`` call is handed; with ``fail_on_file``, a parse of the open file fails."""
+    calls = []
+    real = np.loadtxt
+
+    def counted(src, *args, **kwargs):
+        calls.append(src)
+        if fail_on_file and isinstance(src, io.TextIOBase):
+            raise ValueError("fast path refused")
+        return real(src, *args, **kwargs)
+
+    with mock.patch.object(np, "loadtxt", counted):
+        yield calls
+
+
+def test_read_traces_csv_parses_a_written_file_in_one_loadtxt(tmp_path):
+    # the checked line generator runs only on error: a file write_traces_csv wrote takes one parse of the open file
+    n = 2500
+    amp = np.random.default_rng(3).standard_normal((3, n))
+    traces = TraceSet(t_grid=np.arange(n) * 0.005, fwd_amp=amp[0], bwd_amp=amp[1], fwd_detected=amp[2],
+                      mirror_in_beam=np.arange(n) % 3 == 0,
+                      metadata={"config_hash": "abc", "schedule": [(0.0, 0.2), (22.5, 0.0)]})
+    path = tmp_path / "traces.csv"
+    write_traces_csv(path, traces)
+    with loadtxt_calls() as calls:
+        tf = read_traces_csv(path)
+    assert len(calls) == 1 and isinstance(calls[0], io.TextIOBase)
+    assert tf.re_fwd.tolist() == [float(f"{x:.9g}") for x in amp[0].tolist()]
+    assert tf.attrs["config_hash"] == "abc" and tf.schedule == [(0.0, 0.2), (22.5, 0.0)]
+
+
+@st.composite
+def messy_traces_files(draw):
+    """traces.csv text with CRLF or LF line ends, late comments, blank or whitespace-only lines, padded cells."""
+    body = []
+    for row in draw(st.lists(st.lists(cells, min_size=8, max_size=8), min_size=1, max_size=20)):
+        body += draw(st.lists(st.sampled_from(["", "   ", "\t", "# tau=1.5", "# note", "#schedule=5:1"]),
+                              max_size=2))
+        pad = draw(st.sampled_from(["", " ", "\t "]))
+        body.append(pad + ",".join(row) + pad)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(["# config_hash=h0", "# schedule=0:0.2;22.5:0", TRACES_HEADER, *body]) + eol
+
+
+@settings(max_examples=100, deadline=None)
+@given(messy_traces_files())
+def test_read_traces_csv_fast_path_equals_checked_path(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traces.csv"
+        path.write_bytes(text.encode())
+        fast = read_traces_csv(path)
+        with loadtxt_calls(fail_on_file=True) as calls:
+            checked = read_traces_csv(path)
+    assert not isinstance(calls[-1], io.TextIOBase)  # the checked path parsed it
+    for name in ("t", "re_fwd", "im_fwd", "re_bwd", "im_bwd", "i_fwd", "i_bwd", "mirror_in_beam"):
+        assert getattr(fast, name).tobytes() == getattr(checked, name).tobytes(), name
+    assert fast.attrs == checked.attrs and list(fast.attrs) == list(checked.attrs)
+    assert fast.schedule == checked.schedule
+
+
+def test_read_traces_csv_non_utf8_data_row_cannot_be_read(tmp_path):
+    # the bad byte lies past the first decoded block, so the parse of the open file meets it, not the header scan
+    path = tmp_path / "binary.csv"
+    path.write_bytes(f"# c=1\n{TRACES_HEADER}\n{GOOD_ROW}\n".encode() + f"{GOOD_ROW}\n".encode() * 2000
+                     + b"0,1,2,\xff,4,5,6,1\n" + f"{GOOD_ROW}\n".encode())
+    with pytest.raises(TraceFormatError, match=f"^cannot read {re.escape(str(path))}: "):
+        read_traces_csv(path)
 
 
 def reference_poly_points(xs, ys) -> str:
