@@ -121,12 +121,15 @@ class SweepSpec:
             raise ScenarioError(f"sweep axis must be one of {SWEEP_AXES} (got {self.axis!r})")
         if not self.values:
             raise ScenarioError("sweep needs at least one value")
+        if self.base not in PRESETS:
+            raise ScenarioError(f"sweep --base: unknown preset {self.base!r}; known: {', '.join(PRESETS)}")
+        if self.axis == "delta_B" and self.base not in ("fig2a", "fig2b", "fig2c"):
+            raise ScenarioError(f"sweep --base {self.base!r}: delta_B sweeps rebuild the protocol, "
+                                "they need a fig2* base")
 
     def scenario_for(self, value: float) -> ScenarioConfig:
         """Scenario for one swept value; delta_B values are in multiples of gamma."""
         if self.axis == "delta_B":
-            if self.base not in ("fig2a", "fig2b", "fig2c"):
-                raise ScenarioError("delta_B sweeps rebuild the protocol and need a fig2* base")
             return gated_mirror_scenario(
                 delta_b_over_gamma=value,
                 invert=(self.base == "fig2c"),

@@ -316,6 +316,18 @@ def test_sweep_delta_b_switch_off_after_retrieval_fails_its_row(tmp_path):
     assert rows[1]["config_hash"] == "3e1ba8a6076e"  # the 30 gamma protocol, as before the check
 
 
+@pytest.mark.parametrize("axis, base, message", [
+    ("xi", "nosuch", "sweep --base: unknown preset 'nosuch'"),
+    ("delta_B", "single_pass", "sweep --base 'single_pass': delta_B sweeps rebuild the protocol"),
+])
+def test_sweep_unusable_base_is_input_error(tmp_path, capsys, axis, base, message):
+    # a base no row can use fails the whole sweep before any output, not each row
+    out = tmp_path / "s"
+    assert run_cli(["sweep", "--axis", axis, "--values", "1", "--base", base, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_sweep_tau_row_matches_run_with_that_delay(tmp_path):
     assert run_cli(["sweep", "--axis", "tau", "--values", "12", "--base", "fig2b", "--out", str(tmp_path / "s")]) == 0
     assert run_cli(["run", "--preset", "fig2b", "--set", "mirror.delay_tau=12", "--out", str(tmp_path / "r")]) == 0
