@@ -128,14 +128,21 @@ class SweepSpec:
                                 "they need a fig2* base")
 
     def scenario_for(self, value: float) -> ScenarioConfig:
-        """Scenario for one swept value; delta_B values are in multiples of gamma."""
+        """Scenario for one swept value; delta_B values are in multiples of gamma.
+
+        A delta_B row rebuilds the base's protocol at its splitting, the gate
+        closing as far after the prompt reaches the mirror as the base's does,
+        so the row at the base's own splitting is the base run.
+        """
+        base = preset_scenario(self.base)
         if self.axis == "delta_B":
+            margin = base.mirror.disable_time - 0.5 * base.mirror.delay_tau
             return gated_mirror_scenario(
                 delta_b_over_gamma=value,
                 invert=(self.base == "fig2c"),
-                snapshots=(60.0,) if self.base in ("fig2b", "fig2c") else (),
+                snapshots=base.record_snapshots_at,
+                disable_time=0.5 * derived_timings(value * DEFAULT_GAMMA).tau + margin,
             )
-        base = preset_scenario(self.base)
         if self.axis == "xi":
             return replace(base, sample=replace(base.sample, xi=value))
         if self.axis == "R":

@@ -21,37 +21,38 @@ reflected only while t_exit + tau/2 <= disable_time.
 
 Every field input is real, kicks are imaginary and delta_b is real, so
 f42 = -conj(f31): the fields stay real and only f31 is solved for.  Depth
-uses Gauss-Legendre collocation: N nodes u_k with weights w_k and the
-cumulative integration matrix S, N even and set by xi alone
-(``model.depth_nodes``).  With y = (Re f31, Im f31) on the nodes,
+uses Gauss-Legendre collocation on N nodes, N even and set by xi alone
+(``model.depth_nodes``), carried as the Legendre coefficients y = (A, B) of
+the node interpolant of (Re f31, Im f31).  On them int_0^u is a tridiagonal
+T, so
 
-    y' = M y + b Omega_F(0),  M = [[-G/2 I, db I], [-db I, -G/2 I - (eta_l a^2/2) S]]
+    y' = M y + g Omega_F(0),  M = [[-G/2 I, db I], [-db I, -G/2 I - (eta_l a^2/2) T]]
 
-with b = (0, a/4), and the back-face field is Omega_F(0) - 2 eta_l a w.Im f31.
-S is diagonalised once per N (``_basis``, on the Legendre coefficients of
-the node interpolant, where it is tridiagonal); its eigenvalues come in
-conjugate pairs, none real for even N, and each pair's eigenvalue sigma
-gives a 2x2 block of M in closed form, so a schedule segment is a sum of 2
-per pair of exponential modes, built once per splitting and run.  Every
-event acts at its exact time: the kicks, the segment switches, the snapshots
-and the ends of a branch's input window cut the run into stretches, and the
-state is carried to each by its modes' closed form e^(kappa (t_event - t)).
-A stretch with no input is a closed form in time, evaluated on the output
-rows as per-row start factors times a table of e^(kappa m dt) (``_powers``,
-built once per splitting and run) in one long-double ``np.dot``, not BLAS.
-Inside the input window (the gaussian pulse, the mirror feedback) the modes
-take the input by the exponential midpoint rule, held over each step at its
-midpoint value, as one prefix sum per mode over such a table; a step that
-holds an event is split there, each part with its own midpoint.  So dt
-samples only the output rows and the array inputs, and n_depth only the grid
-the snapshots are evaluated on.  The modes run in numpy's extended precision
-(see ``_basis``), and no BLAS or LAPACK routine runs here.
+with g = (a/4) e_B0, and the back-face field is Omega_F(0) - 2 eta_l a B_0.
+Each splitting's M has one float64 propagator (``_Propagator``), built once
+per run and shared by both branches: e^(M h) over up to a step, Phi =
+e^(M dt) among them, is a Taylor polynomial of M (Moler & Van Loan, SIAM
+Rev. 45, 2003), and whole steps are products of the squares of Phi.  Every
+event acts at its exact time: the kicks, the segment switches, the
+snapshots and the ends of a branch's input window cut the run into
+stretches, and a switch only changes which propagator runs.  A stretch
+with no input writes its output rows as one product of a table r Phi^m,
+m < _BLOCK, with the states at every _BLOCK-th row.  Inside the input
+window (the gaussian pulse, the mirror feedback) the state takes the input
+by the exponential midpoint rule, held over each step at its midpoint
+value: the rows add the inputs convolved with r Phi^m G, G a step's
+response to a unit input, and a step that holds an event is split there,
+each part with its own midpoint.  So dt samples only the output rows and
+the array inputs, and n_depth only the grid the snapshots are evaluated
+on.  Every product is numpy's own loop (``np.einsum`` without
+``optimize``, ``np.convolve``): no BLAS or LAPACK routine runs here, since
+loading one adds 0.1 to 2 MB to the process's resident set.
 
 The forward branch never sees the backward one.  Each branch takes its
 front-face input as a function of time and writes its exit-face field into
 a float64 trace.  The forward branch is solved over the whole run first;
 the backward branch's mirror input is then the forward field at t - tau,
-in closed form where the forward branch is free, else interpolated
+from the row writer where the forward branch is free, else interpolated
 linearly from its trace.
 """
 
@@ -71,11 +72,8 @@ from .model import (CLEBSCH_A, DEFAULT_GAMMA, PulseSpec, ScenarioConfig, Validat
 #: warn when |Omega| exceeds this multiple of gamma (linear regime monitor)
 LINEAR_FIELD_WARN = 0.1
 
-#: steps per row of a free stretch's table, and per stretch of a driven scan
+#: rows per block of a stretch: the length of the read-out's tables
 _BLOCK = 256
-
-#: largest |mu|^-m a driven scan may reach, which keeps its prefix sums far from overflow
-_SCAN_GROWTH = 1e150
 
 #: half-width of a gaussian pulse's drive window in fwhm: 17 fwhm is 40 sigma, where the
 #: envelope e^(-x^2/2) is below float64's smallest number
@@ -161,225 +159,196 @@ def _legendre_series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _basis(n: int):
-    """The eigenbasis of ``n``-node Gauss-Legendre collocation of int_0^u on [0, 1], one of each conjugate pair.
+def _squared(powers: list, j: int) -> np.ndarray:
+    """powers[j], extending the list ``powers`` of a matrix's repeated squares as far as j."""
+    while len(powers) <= j:
+        powers.append(np.einsum("ij,jk->ik", powers[-1], powers[-1]))
+    return powers[j]
 
-    Returns (sigma, r, coef): a node state (x, y) = (Re f31, Im f31) is
-    2 Re(V (X, Y)) over the eigenvectors V of the integration matrix, with
-    eigenvalues sigma and Legendre coefficients the columns of coef; a
-    uniform Im f31 of 1 is Y = r, and the depth mean of y (the P_0
-    coefficient) is 2 Re(coef[0] . Y).  On the coefficients, with
-    x = 2u - 1, int_-1^x P_m = (P_m+1 - P_m-1)/(2m + 1) and int_-1^x P_0 =
-    P_0 + P_1: the integration is tridiagonal, and P_n, which vanishes at
-    the nodes, drops out.  Its eigenvalues are the roots of its leading-minor
-    recurrence, found together by Weierstrass's iteration, and the minors give
-    the eigenvectors, which two Newton steps per pair refine (V diag(sigma)
-    V^-1 is then within 3e-14 of the integration at 14 nodes, not 9e-12).
-    All of it runs, and is returned, in numpy's extended precision (80-bit
-    on x86-64): the basis is ill-conditioned (cond 2e7 at 14 nodes, 4e9 at
-    18), and rounded to float64 it moves thick slabs' snapshots by 2e-8, so
-    a platform whose long double is float64 raises RuntimeError here.
-    No BLAS or LAPACK routine runs: loading one adds its code and buffers,
-    0.1 to 2 MB each, to the process's resident set.
+
+class _Propagator:
+    """e^(M t) of one splitting on the Legendre coefficients y = (A, B) of (Re f31, Im f31), in float64.
+
+    M = [[-G/2 I, db I], [-db I, -G/2 I - c T]], with T the integration
+    int_0^u on the coefficients (x = 2u - 1): int_-1^x P_m = (P_m+1 -
+    P_m-1)/(2m + 1) and int_-1^x P_0 = P_0 + P_1, halved, and P_n, which
+    vanishes at the nodes, dropped.  An input u and a kick enter B_0 alone,
+    as (a/4) u, and the read-out is ``read`` B_0.  The Taylor terms M^k/k!,
+    the squares of Phi = e^(M dt) and of Phi^_BLOCK and the row tables are
+    each built on first use.
     """
-    if np.finfo(np.longdouble).nmant < 63:
-        raise RuntimeError("the modal basis needs numpy's 80-bit or wider long double; this platform's is float64")
-    k = np.arange(n - 1, dtype=np.longdouble)
-    sub, sup = 0.5 / (2.0 * k + 1.0), -0.5 / (2.0 * k + 3.0)  # T[k+1, k] and T[k, k+1]
-    diag = np.append(0.5, np.zeros_like(k))  # T[k, k]: int_-1^x P_0 = P_0 + P_1 holds the one nonzero
 
-    def minors(lam):
-        """The leading minors det(T - lam)_j, j = 0 ... n."""
-        f = [np.ones_like(lam), diag[0] - lam]
-        for j in range(1, n):
-            f.append((diag[j] - lam) * f[j] - sub[j - 1] * sup[j - 1] * f[j - 1])
-        return f
+    def __init__(self, n: int, c: float, delta_b: float, dt: float, read: float):
+        k = np.arange(n - 1)
+        tri = np.diag(0.5 / (2.0 * k + 1.0), -1) + np.diag(-0.5 / (2.0 * k + 3.0), 1)
+        tri[0, 0] = 0.5
+        eye, m = np.eye(n), np.empty((2 * n, 2 * n))
+        m[:n, :n], m[:n, n:] = -0.5 * DEFAULT_GAMMA * eye, delta_b * eye
+        m[n:, :n], m[n:, n:] = -delta_b * eye, -0.5 * DEFAULT_GAMMA * eye - c * tri
+        self.n, self.dt, self.read, self.block = n, dt, read, _BLOCK
+        self.norm = float(np.abs(m).sum(axis=1).max())
+        self.taylor = np.stack((np.eye(2 * n), m))
+        self.squares = [self.flow(np.eye(2 * n), dt)]
+        self.blocks = self.table = self.drive = None
 
-    lam = 0.1 * np.exp(2j * math.pi * (np.arange(n) + 0.25) / n).astype(np.clongdouble)
-    # Weierstrass's iteration, as det(T - lam) = prod(lam - sigma_k) for even n: from this
-    # circle, 18 nodes reach their rounding floor in 45 sweeps
-    for _ in range(60):
-        gap = lam[:, None] - lam
-        np.fill_diagonal(gap, 1.0)
-        lam = lam - minors(lam)[-1] / gap.prod(axis=1)
-    sigma = lam[lam.imag > 0.0]
-    # the minors are the eigenvector's coefficients up to the product of the superdiagonal
-    f = minors(sigma)
-    coef = np.array(f[:n]) * np.concatenate(([1.0], np.cumprod(-1.0 / sup)))[:, None]
-    coef /= np.sqrt((np.abs(coef) ** 2).sum(axis=0))
-    tri, jac = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1), np.zeros((n + 1, n + 1), dtype=np.clongdouble)
-    for _ in range(2):  # Newton on (T - sigma) v = 0, v0^H v = 1, v0 the vector before the step
-        for j, v in enumerate(coef.T.copy()):
-            jac[:n, :n], jac[:n, n], jac[n, :n] = tri - sigma[j] * np.eye(n), -v, v.conj()
-            step = _gauss(jac, np.append(-(jac[:n, :n] @ v), 0.0))
-            coef[:, j], sigma[j] = v + step[:n], sigma[j] + step[n]
-    # r solves 2 Re(coef r) = e_0, the coefficients of a uniform 1, as one real system
-    r = _gauss(np.hstack((coef.real, -coef.imag)), np.eye(n)[0] * 0.5).reshape(2, -1)
-    return sigma, r[0] + 1j * r[1], coef
+    def flow(self, y: np.ndarray, h: float, u: float = 0.0) -> np.ndarray:
+        """e^(M h) y for states y (2n, ...), plus for one state the response to the input u held over the time h.
 
+        The Taylor polynomial of M, on substeps of |h| ||M|| <= 1 each, to
+        the degree whose first omitted term is below 2^-54, in one einsum
+        per substep; the input's part is phi1(M h) h (a/4) u e_B0.
+        """
+        if not u and not y.any():
+            return y
+        subs = max(1, math.ceil(abs(h) * self.norm))
+        h /= subs
+        x = abs(h) * self.norm
+        deg, term = 1, x
+        while term > 2.0 ** -54:
+            deg += 1
+            term *= x / deg
+        if len(self.taylor) < deg:  # M^k/k!, built as far as a step's degree by Phi itself
+            terms = list(self.taylor)
+            while len(terms) < deg:
+                terms.append(np.einsum("ij,jl->il", terms[-1], terms[1]) / len(terms))
+            self.taylor = np.stack(terms)
+        hk = h ** np.arange(deg)
+        if u:
+            drive = 0.25 * CLEBSCH_A * u * h * hk / np.arange(1.0, deg + 1.0)  # h^(k+1)/(k+1)! over M^k/k!
+        for _ in range(subs):
+            v = np.multiply.outer(hk, y)
+            if u:
+                v[:, self.n] += drive
+            y = np.einsum("kij,kj...->i...", self.taylor[:deg], v)
+        return y
 
-def _gauss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with a x = b for a small square a, by Gaussian elimination with partial pivoting, in a's precision."""
-    ab = np.column_stack((a, b))
-    n = len(b)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(ab[k:, k])))
-        ab[[k, p]] = ab[[p, k]]
-        ab[k + 1:] -= np.multiply.outer(ab[k + 1:, k] / ab[k, k], ab[k])
-    x = np.zeros(n, dtype=ab.dtype)
-    for k in range(n - 1, -1, -1):
-        x[k] = (ab[k, n] - (ab[k, k + 1:n] * x[k + 1:]).sum()) / ab[k, k]
-    return x
+    def power(self, y: np.ndarray, m: int) -> np.ndarray:
+        """Phi^m y, by the squares Phi^(2^j) that the binary digits of m select."""
+        j = 0
+        while m:
+            if m & 1:
+                y = np.einsum("ij,j...->i...", _squared(self.squares, j), y)
+            m, j = m >> 1, j + 1
+        return y
 
+    def _table(self) -> np.ndarray:
+        """R[m] = r Phi^m for m < _BLOCK, r = read e_B0, as columns, by doubling along the squares of Phi."""
+        if self.table is None:
+            cols = np.zeros((2 * self.n, 1))
+            cols[self.n] = self.read
+            while cols.shape[1] < self.block:
+                step = _squared(self.squares, cols.shape[1].bit_length() - 1)
+                cols = np.hstack((cols, np.einsum("ji,jm->im", step, cols[:, :self.block - cols.shape[1]])))
+            self.table = cols
+        return self.table
 
-def _modes(sigma: np.ndarray, c: float, delta_b: float):
-    """Exponents kappa and right and left eigenvectors u, l of every 2x2 block at splitting ``delta_b``.
+    def _drive_tables(self):
+        """(h, Wt): h[m] = r Phi^m G and Wt[m] = Phi^(_BLOCK-1-m) G, with G a step's response to a unit input."""
+        if self.drive is None:
+            w = self.flow(np.zeros(2 * self.n), self.dt, 1.0)[None]
+            while len(w) < self.block:
+                step = _squared(self.squares, len(w).bit_length() - 1)
+                w = np.concatenate((w, np.einsum("ij,bj->bi", step, w[:self.block - len(w)])))
+            self.drive = self.read * w[:, self.n], w[::-1].copy()
+        return self.drive
 
-    Block k carries (X_k, Y_k) under [[-G/2, db], [-db, -G/2 - c sigma_k]].
-    With h = c sigma/2 and rho^2 = h^2 - db^2, its exponents are
-    -G/2 - h +- rho, rho's sign taken so that |rho + h| >= |rho - h|, which
-    keeps q = rho + h away from 0.  Modes run (+ of every block, - of every
-    block); a mode's coordinate is zeta = l . (X_k, Y_k), and (X_k, Y_k) is
-    the sum of u*zeta over the block's two modes.  rho is 0 only where the
-    block is a multiple of I (c sigma = db = 0), split there along X and Y.
-    """
-    h = 0.5 * c * sigma
-    rho = np.sqrt(h * h - np.longdouble(delta_b) ** 2)  # long double: no float64 splitting overflows it
-    rho[(rho * h.conj()).real < 0.0] *= -1.0
-    flat = rho == 0.0
-    q, d = np.where(flat, 2.0, rho + h), np.where(flat, 2.0, 2.0 * rho)
-    mean = -0.5 * DEFAULT_GAMMA - h
-    kappa = np.concatenate((mean + rho, mean - rho))
-    db, one = np.full_like(q, delta_b), np.ones_like(q)
-    u = np.concatenate(([q, -db], [-db, q]), axis=1) / np.concatenate((d, d))
-    return kappa, u, np.concatenate(([one, db / q], [db / q, one]), axis=1)
+    def rows(self, y: np.ndarray, trace: np.ndarray) -> np.ndarray:
+        """Write r Phi^m y, m = 0, 1, ..., into ``trace`` and return Phi^m y at its last row.
 
+        The states at every _BLOCK-th row come from y by doubling along the
+        squares of Phi^_BLOCK, and every row is one product of them with
+        the table R; the last row's state is the last block start's advanced.
+        """
+        n = trace.size
+        if not y.any():
+            trace[:] = 0.0
+            return y
+        count = -(-n // self.block)
+        starts = y[None]
+        if count > 1 and self.blocks is None:
+            self.blocks = [self.power(np.eye(2 * self.n), self.block)]
+        while len(starts) < count:
+            step = _squared(self.blocks, len(starts).bit_length() - 1)
+            starts = np.concatenate((starts, np.einsum("ij,bj->bi", step, starts[:count - len(starts)])))
+        trace[:] = np.einsum("bi,im->bm", starts, self._table()[:, :n]).ravel()[:n]
+        return self.power(starts[-1], n - 1 - self.block * (count - 1))
 
-def _powers(kappa: np.ndarray, first: int, width: int, dt: float) -> np.ndarray:
-    """The table e^(kappa*m*dt), m = ``first`` ... ``first`` + ``width`` - 1, one row per mode.
+    def driven(self, y: np.ndarray, drive_in, first: int, trace: np.ndarray) -> np.ndarray:
+        """Write the rows ``first``, ``first`` + 1, ... from the state y at the first; return the state at the last.
 
-    As m = first + 16a + b, b < 16, it is the outer product of two short exps,
-    e^(kappa*(first + 16a)*dt) and e^(kappa*b*dt): K*(16 + width/16) exps for K
-    modes, not K*width, with m*dt in long double; within 3e-19 of the direct exp.
-    """
-    step = np.longdouble(dt)
-    coarse = np.exp(np.outer(kappa, (first + 16 * np.arange(-(-width // 16))) * step))
-    fine = np.exp(np.outer(kappa, np.arange(min(16, width)) * step))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(kappa.size, -1)[:, :width]
-
-
-def _free(coef, kappa, table: np.ndarray, offset: float, dt: float, trace: np.ndarray):
-    """Write the undriven trace Re sum(coef*e^(kappa*(offset + m*dt))) into ``trace``.
-
-    The steps are rows of up to _BLOCK: the trace is the real part of each
-    row's start factors coef*e^(kappa*t_row) times the first columns of
-    ``table``, the splitting's e^(kappa*m*dt) (``_powers``, built once per run)
-    as its real rows over its imaginary ones, summed over the modes as one
-    long-double ``np.dot`` (numpy's own loop, not BLAS), where their large terms cancel.
-    """
-    n = trace.size
-    if n and coef.any():
-        width = min(_BLOCK, n)
-        start = coef * np.exp(np.outer(offset + np.arange(-(-n // width)) * (width * dt), kappa))
-        # not @: for long double, matmul's own loop measured about 3x slower, with identical results
-        acc = np.dot(np.concatenate((start.real, -start.imag), axis=1), table[:, :width])
-        trace[:] = acc.ravel()[:n]
-
-
-def _step(zeta, kappa, drive, drive_in, t0: float, t1: float):
-    """Advance the modes from t0 to t1 by the exponential midpoint rule: the input held at its midpoint value."""
-    mu = np.exp(kappa * (t1 - t0))
-    return zeta * mu + drive * (mu - 1.0) / kappa * drive_in(np.array([0.5 * (t0 + t1)]))[0]
-
-
-def _driven(zeta, kappa, drive, read, drive_in, first: int, dt: float, trace: np.ndarray):
-    """Write the trace at rows ``first``, ``first`` + 1, ... from the modes at the first; return them at the last.
-
-    Exponential midpoint rule: each step adds the input at its midpoint
-    times drive*(e^(kappa*dt) - 1)/kappa.  The recurrence is a prefix sum of
-    input*mu^-m times mu^m (a ``_powers`` table), over stretches of at most
-    _BLOCK steps, cut shorter where |mu|^-m would pass _SCAN_GROWTH.
-    """
-    beta = drive * (np.exp(kappa * dt) - 1.0) / kappa
-    rate = -kappa.real.min() * dt
-    width = max(1, min(_BLOCK, int(math.log(_SCAN_GROWTH) / rate)))
-    pw = _powers(kappa, 1, width, dt)
-    n = trace.size
-    for b0 in range(0, n, width):
-        k = min(width, n - b0)
-        s = min(k, n - 1 - b0)  # the steps after this block's rows: none after the last row
-        z = np.empty((kappa.size, s + 1), dtype=kappa.dtype)
-        z[:, 0] = 0.0
-        np.divide(np.outer(beta, drive_in((first + b0 + 0.5 + np.arange(s)) * dt)), pw[:, :s], out=z[:, 1:])
-        np.cumsum(z, axis=1, out=z)
-        z += zeta[:, None]
-        z[:, 1:] *= pw[:, :s]
-        trace[b0:b0 + k] = (read[:, None] * z[:, :k]).real.sum(axis=0)
-        zeta = z[:, s].copy()
-    return zeta
+        Exponential midpoint rule: each step adds G times the input at its
+        midpoint.  Per block of up to _BLOCK rows from the state y at its
+        first, row m is R[m] y plus the inputs u convolved with h, and the
+        block's s steps take y to Phi^s y plus the reversed Wt times u.
+        """
+        table, (h, wt) = self._table(), self._drive_tables()
+        n, width = trace.size, self.block
+        for b0 in range(0, n, width):
+            k = min(width, n - b0)
+            s = min(k, n - 1 - b0)  # the steps after this block's rows: none after the last row
+            trace[b0:b0 + k] = np.einsum("i,im->m", y, table[:, :k])
+            if s:  # np.convolve rejects an empty input
+                u = drive_in((first + b0 + 0.5 + np.arange(s)) * self.dt)
+                trace[b0 + 1:b0 + k] += np.convolve(u[:k - 1], h[:k - 1])[:k - 1]
+                y = self.power(y, s) + np.einsum("mi,m->i", wt[width - s:], u)
+        return y
 
 
-def _solve(basis, modes: dict, sc: ValidatedScenario, drive_in, window: tuple[float, float], kicks: dict,
+def _solve(props: dict, sc: ValidatedScenario, drive_in, window: tuple[float, float], kicks: dict,
            snap_times: list, trace: np.ndarray):
     """Integrate one branch over the run, writing the field it adds to its input at its exit face into ``trace``.
 
     ``drive_in`` gives the front-face input at an array of times; it is zero
     outside ``window`` = [start, stop).  ``kicks`` maps a time to the pulse
     area it deposits, before that time's trace and snapshot.  The kicks, the
-    window's ends and the snapshots inside it cut the run into stretches
-    (``_stretches``), each in its splitting's modes ``modes[delta_b]``.  A
-    stretch inside the window is driven: exponential midpoint steps from its
-    start to each row and on to its end, each with its own midpoint.  Any
-    other is free: a closed form from its start, which also gives its snapshots.
-    Returns the state (X, Y) at ``snap_times`` as an array (snapshot, 2, K),
-    and the free stretches as (start, stop, read*zeta at the start, kappa),
-    from which ``_field_at`` evaluates the trace at any time.
+    window's ends and the snapshots cut the run into stretches
+    (``_stretches``), each run by its splitting's propagator
+    ``props[delta_b]``.  A stretch inside the window is driven: exponential
+    midpoint steps from its start to each row and on to its end, each with
+    its own midpoint.  Any other is free, written by the row writer from its
+    first row.  Returns the states at ``snap_times`` as an array (snapshot,
+    2n), and the free stretches as (start, stop, state at the start,
+    propagator), from which ``_field_at`` evaluates the trace.
     """
-    sigma, r, coef = basis
-    n_k = sigma.size
     dt, (lo, hi) = sc.dt, window
-    xy = np.zeros((2, n_k), dtype=sigma.dtype)
-    snaps = np.zeros((len(snap_times), 2, n_k), dtype=sigma.dtype)
-    drive_y = np.concatenate((0.25 * CLEBSCH_A * r,) * 2)
-    read_y = np.concatenate((-4.0 * sc.eta_l * CLEBSCH_A * coef[0],) * 2)
-    stretches = list(_stretches(sc, (*kicks, lo, hi, *(t for t in snap_times if lo <= t < hi))))
-    owner = [bisect.bisect_right([s[0] for s in stretches], t) - 1 for t in snap_times]
-    free, level = [], None
-    for j, (a, b, delta_b, r0, r1) in enumerate(stretches):
-        if delta_b != level:
-            if level is not None:
-                p = u * zeta
-                xy = p[:, :n_k] + p[:, n_k:]
-            kappa, u, l, table = modes[delta_b]
-            drive, read = l[1] * drive_y, u[1] * read_y
-            zeta = l[0] * np.concatenate((xy[0], xy[0])) + l[1] * np.concatenate((xy[1], xy[1]))
-            level = delta_b
+    n = depth_nodes(sc.sample.xi)
+    y, snaps, free = np.zeros(2 * n), {}, []
+
+    def step(prop, y, t0, t1):
+        return prop.flow(y, t1 - t0, drive_in(np.array([0.5 * (t0 + t1)]))[0])
+
+    for a, b, delta_b, r0, r1 in _stretches(sc, (*kicks, lo, hi, *snap_times)):
+        prop = props[delta_b]
         if a in kicks:
-            zeta = zeta + kicks[a] * drive
-        for i in (i for i, o in enumerate(owner) if o == j):
-            p = u * (zeta * np.exp(kappa * (snap_times[i] - a)))
-            snaps[i] = p[:, :n_k] + p[:, n_k:]
+            y = y.copy()
+            y[n] += 0.25 * CLEBSCH_A * kicks[a]
+        snaps[a] = y
         if lo <= a < hi:
             if r1 > r0:
-                zeta = _step(zeta, kappa, drive, drive_in, a, r0 * dt)
-                zeta = _driven(zeta, kappa, drive, read, drive_in, r0, dt, trace[r0:r1])
+                y = prop.driven(step(prop, y, a, r0 * dt), drive_in, r0, trace[r0:r1])
                 a = (r1 - 1) * dt
-            zeta = _step(zeta, kappa, drive, drive_in, a, b)
+            y = step(prop, y, a, b)
         else:
-            _free(read * zeta, kappa, table, r0 * dt - a, dt, trace[r0:r1])
-            free.append((a, b, read * zeta, kappa))
-            zeta = zeta * np.exp(kappa * (b - a))
-    return snaps, free
+            free.append((a, b, y, prop))
+            if r1 > r0:
+                y = prop.rows(prop.flow(y, r0 * dt - a), trace[r0:r1])
+                a = (r1 - 1) * dt
+            y = prop.flow(y, b - a)
+    return np.array([snaps[t] for t in snap_times]), free
 
 
 def _field_at(t: np.ndarray, t_grid: np.ndarray, trace: np.ndarray, free: list) -> np.ndarray:
-    """A branch's trace at the times ``t``: the closed form where a free stretch holds them, else interpolated."""
+    """A branch's trace at the increasing times ``t``: the row writer's where a free stretch holds them, else interpolated.
+
+    The row writer steps by dt, so the times must be dt apart, as every
+    caller's are: one step midpoint, a driven block's midpoints, or rows.
+    """
     out = np.interp(t, t_grid, trace)
-    for a, b, coef, kappa in free:
-        inside = (t >= a) & (t < b)
-        if inside.any():
-            out[inside] = (coef * np.exp(np.outer(t[inside] - a, kappa))).real.sum(axis=1)
+    for a, b, y, prop in free:
+        i0, i1 = np.searchsorted(t, (a, b))
+        if i1 > i0:
+            q = math.floor((t[i0] - a) / prop.dt)
+            prop.rows(prop.flow(prop.power(y, q), t[i0] - a - q * prop.dt), out[i0:i1])
     return out
 
 
@@ -414,13 +383,9 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     dt = sc.dt
     n_t = sc.n_steps + 1
     t_grid = np.arange(n_t) * dt
-    basis = _basis(depth_nodes(sc.sample.xi))
-    c = 0.5 * sc.eta_l * CLEBSCH_A ** 2
-    modes = {}
-    for db in {s.delta_b for s in sc.schedule.segments}:
-        kappa, u, l = _modes(basis[0], c, db)
-        table = _powers(kappa, 0, min(_BLOCK, n_t), dt)
-        modes[db] = kappa, u, l, np.concatenate((table.real, table.imag))
+    n = depth_nodes(sc.sample.xi)
+    props = {db: _Propagator(n, 0.5 * sc.eta_l * CLEBSCH_A ** 2, db, dt, -2.0 * sc.eta_l * CLEBSCH_A)
+             for db in {s.delta_b for s in sc.schedule.segments}}
     mirror = sc.mirror
     tau = sc.tau
     refl_amp = math.sqrt(mirror.reflectivity)
@@ -437,7 +402,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     else:
         window_f, kicks_f, onset = (0.0, 0.0), {pulse.t0: pulse.area}, pulse.t0
     fwd, bwd = np.zeros(n_t), np.zeros(n_t)
-    fs, free_f = _solve(basis, modes, sc, drive_f, window_f, kicks_f, snap_times, fwd)
+    fs, free_f = _solve(props, sc, drive_f, window_f, kicks_f, snap_times, fwd)
     # the peak counts the medium-generated field only; a resolved input pulse
     # is transiently large by construction without breaking linearity
     peak_field = float(np.abs(fwd).max())
@@ -455,7 +420,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
         def feed(t):
             return -refl_amp * _field_at(t - tau, t_grid, fwd, free_f)
 
-        bs, _ = _solve(basis, modes, sc, feed, window_b, kicks_b, snap_times, bwd)
+        bs, _ = _solve(props, sc, feed, window_b, kicks_b, snap_times, bwd)
         peak_field = max(peak_field, float(np.abs(bwd).max()))
         _add_input(bwd, feed, window_b, dt)
 
@@ -470,13 +435,12 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
             stacklevel=2,
         )
 
-    # the states as Legendre series, (Re f31, Im f31) = 2 Re(coef (X, Y)), on the uniform
-    # output grid; the lines are a conjugate pair: f42 = -conj(f31), b42 = -conj(b31)
+    # the states' Legendre series on the uniform output grid; the lines are a conjugate
+    # pair: f42 = -conj(f31), b42 = -conj(b31)
     grid = np.linspace(-1.0, 1.0, sc.sample.n_depth)
     snapshots = []
     for s, t in enumerate(snap_times):
-        f31, b31 = (_legendre_series(2.0 * (basis[2] * xy[:, None, :]).sum(axis=-1).real, grid).astype(float)
-                    for xy in (fs[s], bs[s]))
+        f31, b31 = (_legendre_series(y.reshape(2, n), grid) for y in (fs[s], bs[s]))
         f31, b31 = f31[0] + 1j * f31[1], b31[0, ::-1] + 1j * b31[1, ::-1]
         snapshots.append(CoherenceSnapshot(t, f31, -f31.conj(), b31, -b31.conj()))
 

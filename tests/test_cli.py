@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from nfscatter import cli
 from nfscatter.cli import main
-from nfscatter.model import DEPTH_NODES, MAX_GRID_POINTS, validate_scenario
+from nfscatter.model import DEFAULT_GAMMA, DEPTH_NODES, MAX_GRID_POINTS, validate_scenario
 from nfscatter.presets import preset_scenario
 from nfscatter.traceio import TRACES_HEADER, read_traces_csv
 
@@ -313,7 +313,7 @@ def test_sweep_delta_b_switch_off_after_retrieval_fails_its_row(tmp_path):
     assert [r["status"] for r in rows] == [
         "failed: splitting 5 gamma switches the field off at 1.5*pi/delta_b = 132.984 ns: after the 100 ns "
         "retrieval (the splitting must exceed 1.5*pi/100 rad/ns = 6.65 gamma)", "ok"]
-    assert rows[1]["config_hash"] == "3e1ba8a6076e"  # the 30 gamma protocol, as before the check
+    assert rows[1]["config_hash"] == validate_scenario(preset_scenario("fig2a")).config_hash  # fig2a itself
 
 
 @pytest.mark.parametrize("axis, base, message", [
@@ -364,11 +364,15 @@ def test_snapshot_before_the_pulse_is_input_error(tmp_path, capsys):
     assert not (out / "traces.csv").exists() and not list(out.iterdir())
 
 
-def test_sweep_single_value_matches_run(tmp_path):
+@pytest.mark.parametrize("axis, value", [
+    ("xi", "1"), ("R", "0.99"), ("tau", repr(math.pi / (30.0 * DEFAULT_GAMMA))), ("delta_B", "30")])
+def test_sweep_single_value_matches_run(tmp_path, axis, value):
+    # a row at the base's own value is the base run, config hash included: a delta_B row
+    # rebuilds the protocol and keeps the base's gate margin (7.39 ns at 30 gamma)
     out_r = tmp_path / "run"
     out_s = tmp_path / "sweep"
     assert run_cli(["run", "--preset", "fig2b", "--out", str(out_r)]) == 0
-    assert run_cli(["sweep", "--axis", "xi", "--values", "1", "--base", "fig2b",
+    assert run_cli(["sweep", "--axis", axis, "--values", value, "--base", "fig2b",
                     "--out", str(out_s)]) == 0
     report = json.loads((out_r / "report.json").read_text())
     lines = (out_s / "summary.csv").read_text().splitlines()
@@ -495,6 +499,18 @@ def test_package_imports_stdlib_numpy_and_itself_only():
                 assert not (path.name == "oracles.py" and root == "nfscatter"), where
 
 
+def test_package_calls_no_blas_and_no_long_double():
+    # numpy hands float64 matrix products (@, dot, matmul) and every linalg routine to BLAS or
+    # LAPACK, whose code and buffers add 0.1 to 2 MB to the resident set, and its long double
+    # is float64 on some platforms: the package uses neither
+    banned = {"dot", "matmul", "linalg", "longdouble", "clongdouble"}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not isinstance(node, ast.MatMult), f"{where} uses @"
+            assert not (isinstance(node, ast.Attribute) and node.attr in banned), f"{where} uses .{node.attr}"
+
+
 def test_trace_digest_script_is_stable():
     repo = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -578,17 +594,25 @@ def test_trace_diff_script(tmp_path, monkeypatch, capsys):
     assert float(fwd[2]) == pytest.approx(1e-5, rel=1e-3) and float(fwd[4]) == pytest.approx(1e-5, rel=1e-3)
     assert "  bwd max 0 relL2 0" in out
 
-    # fig2b at dt 0.005 (40,001 rows) against the default 0.02 (10,001 rows) is compared on
-    # the times both hold, where the two agree to the printed digits; the 40 ns run shares
-    # no grid with them and still reads inf
-    fine, coarse = tmp_path / "fine", tmp_path / "coarse"
+    # fig2b at dt 0.005 (40,001 rows) is compared on the times both hold with its own every
+    # 4th row, exactly, and with the run at the default 0.02 (10,001 rows), whose traces agree
+    # to rounding (its report.json holds another config hash); the 40 ns run shares no grid with
+    # them and still reads inf
+    fine, thinned, coarse = tmp_path / "fine", tmp_path / "thinned", tmp_path / "coarse"
     assert run_cli(["run", "--preset", "fig2b", "--dt", "0.005", "--out", str(fine)]) == 0
     assert run_cli(["run", "--preset", "fig2b", "--out", str(coarse)]) == 0
-    assert [len(read_traces_csv(d / "traces.csv").t) for d in (fine, coarse)] == [40001, 10001]
+    shutil.copytree(fine, thinned)
+    lines = (fine / "traces.csv").read_text().splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if line[0].isdigit())
+    (thinned / "traces.csv").write_text("".join(lines[:head] + lines[head::4]))
+    assert [len(read_traces_csv(d / "traces.csv").t) for d in (fine, thinned, coarse)] == [40001, 10001, 10001]
     capsys.readouterr()
-    trace_diff.main([str(fine), str(coarse)])
+    trace_diff.main([str(fine), str(thinned)])
     assert capsys.readouterr().out.splitlines()[:4] == [
         "traces.csv 0", "  fwd max 0 relL2 0", "  bwd max 0 relL2 0", "pattern.csv 0"]
+    trace_diff.main([str(fine), str(coarse)])
+    worst = capsys.readouterr().out.splitlines()[0].split()
+    assert worst[0] == "traces.csv" and float(worst[1]) <= 1e-15
     trace_diff.main([str(coarse), str(a)])
     assert capsys.readouterr().out.splitlines()[0] == "traces.csv inf"
 
