@@ -166,18 +166,6 @@ def _squared(powers: list, j: int) -> np.ndarray:
     return powers[j]
 
 
-def _orbit(v: np.ndarray, count: int, powers: list, spec: str = "ij,jm->im") -> np.ndarray:
-    """The columns P^m v, m < ``count``, by doubling along the squares ``powers`` of P (``spec`` "ji,...": P^T)."""
-    out = np.empty((v.size, count))
-    out[:, 0] = v
-    m, j = 1, 0
-    while m < count:
-        k = min(m, count - m)
-        np.einsum(spec, _squared(powers, j), out[:, :k], out=out[:, m:m + k])
-        m, j = m + k, j + 1
-    return out
-
-
 class _Propagator:
     """e^(M t) of one splitting on the Legendre coefficients y = (A, B) of (Re f31, Im f31), in float64.
 
@@ -206,9 +194,9 @@ class _Propagator:
     def flow(self, y: np.ndarray, h: float, u: float = 0.0) -> np.ndarray:
         """e^(M h) y for states y (2n, ...), plus for one state the response to the input u held over the time h.
 
-        The Taylor polynomials of e^(M h) and of the input's part, phi1(M h)
-        h (a/4) u e_B0, on substeps of |h| ||M|| <= 1 each, to the degree
-        whose first omitted term is below 2^-54.
+        The Taylor polynomial of M, on substeps of |h| ||M|| <= 1 each, to
+        the degree whose first omitted term is below 2^-54, in one einsum
+        per substep; the input's part is phi1(M h) h (a/4) u e_B0.
         """
         if not u and not y.any():
             return y
@@ -225,13 +213,13 @@ class _Propagator:
                 terms.append(np.einsum("ij,jl->il", terms[-1], terms[1]) / len(terms))
             self.taylor = np.stack(terms)
         hk = h ** np.arange(deg)
-        step = np.einsum("k,kij->ij", hk, self.taylor[:deg])
-        drive = 0.0
-        if u:  # h^(k+1)/(k+1)! over M^k/k!
-            drive = np.einsum("k,ki->i", 0.25 * CLEBSCH_A * u * h * hk / np.arange(1.0, deg + 1.0),
-                              self.taylor[:deg, :, self.n])
+        if u:
+            drive = 0.25 * CLEBSCH_A * u * h * hk / np.arange(1.0, deg + 1.0)  # h^(k+1)/(k+1)! over M^k/k!
         for _ in range(subs):
-            y = np.einsum("ij,j...->i...", step, y) + drive
+            v = np.multiply.outer(hk, y)
+            if u:
+                v[:, self.n] += drive
+            y = np.einsum("kij,kj...->i...", self.taylor[:deg], v)
         return y
 
     def power(self, y: np.ndarray, m: int) -> np.ndarray:
@@ -244,37 +232,46 @@ class _Propagator:
         return y
 
     def _table(self) -> np.ndarray:
-        """The columns R[m] = r Phi^m, m < _BLOCK, with r = read e_B0."""
+        """R[m] = r Phi^m for m < _BLOCK, r = read e_B0, as columns, by doubling along the squares of Phi."""
         if self.table is None:
-            r = np.zeros(2 * self.n)
-            r[self.n] = self.read
-            self.table = _orbit(r, self.block, self.squares, "ji,jm->im")
+            cols = np.zeros((2 * self.n, 1))
+            cols[self.n] = self.read
+            while cols.shape[1] < self.block:
+                step = _squared(self.squares, cols.shape[1].bit_length() - 1)
+                cols = np.hstack((cols, np.einsum("ji,jm->im", step, cols[:, :self.block - cols.shape[1]])))
+            self.table = cols
         return self.table
 
     def _drive_tables(self):
-        """(h, W): h[m] = r Phi^m G and the columns W[m] = Phi^m G, m < _BLOCK, G a step's response to a unit input."""
+        """(h, Wt): h[m] = r Phi^m G and Wt[m] = Phi^(_BLOCK-1-m) G, with G a step's response to a unit input."""
         if self.drive is None:
-            w = _orbit(self.flow(np.zeros(2 * self.n), self.dt, 1.0), self.block, self.squares)
-            self.drive = self.read * w[self.n], w
+            w = self.flow(np.zeros(2 * self.n), self.dt, 1.0)[None]
+            while len(w) < self.block:
+                step = _squared(self.squares, len(w).bit_length() - 1)
+                w = np.concatenate((w, np.einsum("ij,bj->bi", step, w[:self.block - len(w)])))
+            self.drive = self.read * w[:, self.n], w[::-1].copy()
         return self.drive
 
     def rows(self, y: np.ndarray, trace: np.ndarray) -> np.ndarray:
         """Write r Phi^m y, m = 0, 1, ..., into ``trace`` and return Phi^m y at its last row.
 
-        The states at every _BLOCK-th row are the orbit of y under
-        Phi^_BLOCK, every row is one product of them with the table R, and
-        the last row's state is the last block start's advanced.
+        The states at every _BLOCK-th row come from y by doubling along the
+        squares of Phi^_BLOCK, and every row is one product of them with
+        the table R; the last row's state is the last block start's advanced.
         """
         n = trace.size
         if not y.any():
             trace[:] = 0.0
             return y
         count = -(-n // self.block)
+        starts = y[None]
         if count > 1 and self.blocks is None:
             self.blocks = [self.power(np.eye(2 * self.n), self.block)]
-        starts = _orbit(y, count, self.blocks)
-        trace[:] = np.einsum("ib,im->bm", starts, self._table()[:, :n]).ravel()[:n]
-        return self.power(starts[:, -1], n - 1 - self.block * (count - 1))
+        while len(starts) < count:
+            step = _squared(self.blocks, len(starts).bit_length() - 1)
+            starts = np.concatenate((starts, np.einsum("ij,bj->bi", step, starts[:count - len(starts)])))
+        trace[:] = np.einsum("bi,im->bm", starts, self._table()[:, :n]).ravel()[:n]
+        return self.power(starts[-1], n - 1 - self.block * (count - 1))
 
     def driven(self, y: np.ndarray, drive_in, first: int, trace: np.ndarray) -> np.ndarray:
         """Write the rows ``first``, ``first`` + 1, ... from the state y at the first; return the state at the last.
@@ -282,9 +279,9 @@ class _Propagator:
         Exponential midpoint rule: each step adds G times the input at its
         midpoint.  Per block of up to _BLOCK rows from the state y at its
         first, row m is R[m] y plus the inputs u convolved with h, and the
-        block's s steps take y to Phi^s y plus W, reversed, times u.
+        block's s steps take y to Phi^s y plus the reversed Wt times u.
         """
-        table, (h, w) = self._table(), self._drive_tables()
+        table, (h, wt) = self._table(), self._drive_tables()
         n, width = trace.size, self.block
         for b0 in range(0, n, width):
             k = min(width, n - b0)
@@ -293,7 +290,7 @@ class _Propagator:
             if s:  # np.convolve rejects an empty input
                 u = drive_in((first + b0 + 0.5 + np.arange(s)) * self.dt)
                 trace[b0 + 1:b0 + k] += np.convolve(u[:k - 1], h[:k - 1])[:k - 1]
-                y = self.power(y, s) + np.einsum("im,m->i", w[:, s - 1::-1], u)
+                y = self.power(y, s) + np.einsum("mi,m->i", wt[width - s:], u)
         return y
 
 
@@ -414,7 +411,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     bs = np.zeros_like(fs)
     if refl_amp > 0.0:
         # the mirror input -sqrt(R) * Omega_F(t - tau, L) over the exit times the gate
-        # reflects, the forward field from its row writer where its branch is free; in
+        # reflects, the forward field taken in closed form where its branch is free; in
         # impulsive mode the reflected prompt's kick lands one round trip after the prompt
         last_exit = _last_reflected_exit(tau, mirror.disable_time)
         window_b = (onset + tau, last_exit + tau)
