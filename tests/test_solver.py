@@ -22,6 +22,7 @@ from nfscatter import solver
 from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, DEPTH_NODES, HyperfineSchedule
 from nfscatter.oracles import constant_field_forward
 from nfscatter.presets import preset_scenario
+from test_march_reference import expm
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA
@@ -419,60 +420,72 @@ class TestGaussianInput:
         assert np.linalg.norm(b_g - b_imp) / np.linalg.norm(b_imp) < 0.01
 
 
-def test_basis_refuses_double_precision_long_double(monkeypatch):
-    # where numpy's long double is float64 the thick slabs' modal basis loses accuracy,
-    # so the solver refuses to build it instead of running silently degraded
+def test_runs_where_long_double_is_double(monkeypatch):
+    # the propagator is float64 throughout: where numpy's long double is float64 (Windows,
+    # arm64 macOS) fig2b runs, and gives the same traces and snapshots to the last bit
+    ref, ref_snaps = run_scenario(preset_scenario("fig2b"))
     finfo = np.finfo
     monkeypatch.setattr(np, "finfo", lambda t: finfo(np.float64 if t is np.longdouble else t))
-    with pytest.raises(RuntimeError, match="long double"):
-        solver._basis.__wrapped__(6)
+    got, got_snaps = run_scenario(preset_scenario("fig2b"))
+    assert np.array_equal(got.fwd_amp, ref.fwd_amp) and np.array_equal(got.bwd_amp, ref.bwd_amp)
+    assert np.array_equal(got_snaps[0].f31, ref_snaps[0].f31) and np.array_equal(got_snaps[0].b31, ref_snaps[0].b31)
+
+
+def test_propagator_built_once_per_splitting(monkeypatch):
+    # fig2b has three schedule segments at two splittings (field on, off, on again), and a
+    # reflecting mirror: one propagator per splitting, shared by both branches.  Its feedback
+    # window (0.002 ns) holds no output row, so no drive tables are built; a gaussian pulse's
+    # window builds them for the one splitting it falls in
+    built, passed = [], []
+    propagator, solve = solver._Propagator, solver._solve
+    monkeypatch.setattr(solver, "_Propagator", lambda *args: built.append(propagator(*args)) or built[-1])
+    monkeypatch.setattr(solver, "_solve", lambda props, *args: passed.append(props) or solve(props, *args))
+    run_scenario(preset_scenario("fig2b"))
+    assert len(built) == 2 and len(passed) == 2 and passed[0] is passed[1]
+    assert sorted(passed[0]) == [0.0, pytest.approx(DB30)]
+    assert sorted(map(id, passed[0].values())) == sorted(map(id, built))
+    assert all(p.table is not None and p.drive is None for p in built)
+
+    built.clear()
+    run_scenario(replace(preset_scenario("fig2b"), pulse=PulseSpec(mode="gaussian", area=1e-3, fwhm=0.5, t0=10.0)))
+    assert [p.drive is not None for p in built] == [p is passed[-1][DB30] for p in built]
 
 
 @pytest.mark.parametrize("delta_b", [0.0, DB30])
 @pytest.mark.parametrize("xi, n", DEPTH_NODES)
 def test_power_table_matches_direct_exp(xi, n, delta_b):
-    # the two-exp table against the direct long-double exp of every entry, on the modes of
-    # each node-count row at its largest xi, with the field off and on, at dt 0.02
-    kappa, _, _ = solver._modes(solver._basis(n)[0], 0.5 * 6.0 * DEFAULT_GAMMA * xi * CLEBSCH_A ** 2, delta_b)
-    for width in (1, 15, 16, 17, 50, 256):
-        for first in (0, 1):
-            ref = np.exp(np.outer(kappa, np.arange(first, first + width) * np.longdouble(0.02)))
-            got = solver._powers(kappa, first, width, 0.02)
-            assert got.shape == ref.shape
-            assert (np.abs(got - ref) / np.abs(ref)).max() < 1e-17, (width, first)
-
-
-def test_modes_built_once_per_splitting(monkeypatch):
-    # fig2b has three schedule segments at two splittings (field on, off, on again), and a
-    # reflecting mirror: each splitting's modes, and the e^(kappa m dt) table (first 0) its
-    # free stretches share, are built once and shared by both branches; a driven scan's
-    # powers start at first 1
-    calls, firsts = [], []
-    modes, powers = solver._modes, solver._powers
-    monkeypatch.setattr(solver, "_modes", lambda sigma, c, delta_b: calls.append(delta_b) or modes(sigma, c, delta_b))
-    monkeypatch.setattr(solver, "_powers", lambda kappa, first, width, dt: firsts.append(first)
-                        or powers(kappa, first, width, dt))
-    run_scenario(preset_scenario("fig2b"))
-    assert sorted(calls) == [0.0, pytest.approx(DB30)]
-    assert firsts.count(0) == 2
+    # the propagator's e^(M h) within a step (its Taylor polynomial) and its powers Phi^m
+    # (products of the squares of Phi) against the reference loops' own scaling-and-squaring
+    # exponential, on each node-count row at its largest xi, with the field off and on, at dt
+    # 0.02; the reference's squarings make its own error grow with m: measured worst 1.3e-17
+    # within a step and 2.0e-13 at m = 1000
+    eta_l = 6.0 * DEFAULT_GAMMA * xi
+    prop = solver._Propagator(n, 0.5 * eta_l * CLEBSCH_A ** 2, delta_b, 0.02, -2.0 * eta_l * CLEBSCH_A)
+    m, eye = prop.taylor[1], np.eye(2 * n)
+    for h in (-0.005, 0.0137, 0.02):
+        assert np.abs(prop.flow(eye, h) - expm(m * h)).max() <= 1e-16, h
+    for steps in (1, 15, 16, 17, 50, 255, 256, 1000):
+        ref = expm(m * (steps * 0.02))
+        assert np.abs(prop.power(eye, steps) - ref).max() <= 5e-16 * steps * np.abs(ref).max(), steps
 
 
 @pytest.mark.parametrize("delta_b", [0.0, DB30])
 @pytest.mark.parametrize("xi, n", DEPTH_NODES)
 def test_free_stretch_matches_direct_sum(xi, n, delta_b):
-    # a free stretch shorter than, as long as and longer than a table row, against the direct
-    # long-double sum Re sum_k c_k e^(kappa_k (offset + m dt)), with the coefficients a kick
-    # of area 1 leaves in the read-out, on each node-count row at its largest xi; the terms
-    # cancel by up to 4e12 at 18 nodes, so the bound is on the summed term magnitudes
-    sigma, r, coef = solver._basis(n)
+    # the row writer on a stretch shorter than, as long as and longer than a table row, from
+    # the state a kick of area 1 leaves, against the read-out of the direct march y <- Phi y,
+    # on each node-count row at its largest xi, with the field off and on; the state it
+    # returns is the march's at the last row.  Measured worst: 6.4e-14 of the peak
     eta_l = 6.0 * DEFAULT_GAMMA * xi
-    kappa, u, l = solver._modes(sigma, 0.5 * eta_l * CLEBSCH_A ** 2, delta_b)
-    c = u[1] * np.tile(-4.0 * eta_l * CLEBSCH_A * coef[0], 2) * l[1] * np.tile(0.25 * CLEBSCH_A * r, 2)
-    table = solver._powers(kappa, 0, solver._BLOCK, 0.02)
-    table = np.concatenate((table.real, table.imag))
+    prop = solver._Propagator(n, 0.5 * eta_l * CLEBSCH_A ** 2, delta_b, 0.02, -2.0 * eta_l * CLEBSCH_A)
+    y = np.zeros(2 * n)
+    y[n] = 0.25 * CLEBSCH_A
     for steps in (1, 17, 255, 256, 257, 1000):
         trace = np.zeros(steps)
-        solver._free(c, kappa, table, 0.0137, 0.02, trace)
-        terms = c * np.exp(np.outer(0.0137 + np.arange(steps) * np.longdouble(0.02), kappa))
-        err = np.abs(trace - terms.real.sum(axis=1)) / np.abs(terms).sum(axis=1)
-        assert err.max() < 1e-17, steps
+        last = prop.rows(y, trace)
+        march = [y]
+        for _ in range(steps - 1):
+            march.append(prop.squares[0] @ march[-1])
+        ref = prop.read * np.array(march)[:, n]
+        assert np.abs(trace - ref).max() <= 2e-13 * np.abs(ref).max(), steps
+        assert np.abs(last - march[-1]).max() <= 2e-13 * np.abs(march[-1]).max(), steps
