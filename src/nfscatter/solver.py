@@ -411,7 +411,7 @@ def run_scenario(scenario: ScenarioConfig | ValidatedScenario):
     bs = np.zeros_like(fs)
     if refl_amp > 0.0:
         # the mirror input -sqrt(R) * Omega_F(t - tau, L) over the exit times the gate
-        # reflects, the forward field taken in closed form where its branch is free; in
+        # reflects, the forward field from its row writer where its branch is free; in
         # impulsive mode the reflected prompt's kick lands one round trip after the prompt
         last_exit = _last_reflected_exit(tau, mirror.disable_time)
         window_b = (onset + tau, last_exit + tau)
