@@ -14,8 +14,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import beat_period, entanglement_report, excitation_pattern, storage_suppression
 from .configio import ConfigError, apply_overrides, load_config, scenario_from_dict
-from .model import DEFAULT_GAMMA, WAVE_NUMBER_K, ScenarioError, ValidatedScenario, validate_scenario
-from .oracles import envelope_attenuation
+from .model import DEFAULT_GAMMA, WAVE_NUMBER_K, ScenarioError, ValidatedScenario, envelope_attenuation, validate_scenario
 from .presets import PRESETS, SWEEP_AXES, SweepSpec, preset_scenario
 from .solver import NumericalError, run_scenario
 from .traceio import (

@@ -213,6 +213,18 @@ def derived_timings(delta_b: float) -> ProtocolTimings:
     )
 
 
+def envelope_attenuation(xi: float, gamma: float, delta_b: float) -> float:
+    """Rough beat-envelope decay factor exp(-pi*xi*gamma/delta_b).
+
+    Models the amplitude lost by a thin-sample signal over one mirror
+    round trip; the ratio R / envelope_attenuation predicts the
+    backward/forward branch balance after retrieval.
+    """
+    if not delta_b > 0.0:
+        raise ValueError(f"delta_b must be > 0 (got {delta_b})")
+    return math.exp(-math.pi * xi * gamma / delta_b)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one run, before validation."""

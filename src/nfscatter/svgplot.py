@@ -124,6 +124,8 @@ def render_amplitude_svg(t, re_fwd, re_bwd, schedule: list[tuple[float, float]],
     parts.append(_curve(xs, _y_map(re_fwd, y_min, y_max), "#c0392b"))
     parts.append(_curve(xs, _y_map(re_bwd, y_min, y_max), "#222222", dash="6,4"))
 
+    # a segment that starts at or after the trace's end would be drawn off the canvas
+    schedule = [seg for seg in schedule if seg[0] < t[-1]]
     if schedule:
         lvl_max = max(abs(lvl) for _, lvl in schedule) or 1.0
         ts, vs = [], []

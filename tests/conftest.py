@@ -2,8 +2,9 @@ import functools
 
 import pytest
 
-from nfscatter import run_scenario, validate_scenario
+from nfscatter.model import validate_scenario
 from nfscatter.presets import gated_mirror_scenario, preset_scenario, single_pass_scenario
+from nfscatter.solver import run_scenario
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,9 +2,8 @@
 
 Nothing here imports the solver.  The first Born term integrates the
 coherence equations once with the radiated-field feedback dropped; the
-rough beat-envelope attenuation model sits beside it; the single-line
-response is exact at any thickness with the hyperfine field off, and the
-energy-domain response at any thickness with a constant field.
+single-line response is exact at any thickness with the hyperfine field
+off, and the energy-domain response at any thickness with a constant field.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import fft
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,6 @@ def constant_field_forward(t, xi: float, theta: float, gamma: float, delta_b: fl
     t*exp(-gamma*t/2), so what wraps around the period stays near exp(-32)
     of the signal.  With delta_b = 0 this is ``single_line_forward``.
     """
-    from numpy import fft  # loaded only here: the CLI never needs it
-
     t = np.asarray(t, dtype=float)
     dt = t[1] - t[0] if t.size > 1 else 0.0
     if not dt > 0.0 or t[0] != 0.0 or np.abs(t - dt * np.arange(t.size)).max() > 1e-9 * t[-1]:
@@ -107,18 +105,6 @@ def constant_field_forward(t, xi: float, theta: float, gamma: float, delta_b: fl
     inv_k2 = 2.0 * k * k * decay * t * (np.cos(delta_b * t) + np.sinc(delta_b * t / math.pi))
     inv_cube = (2.0 * k) ** 3 / 12.0 * decay * decay * t * t
     return theta * (0.5 * inv_k2 - inv_k - inv_cube + fft.irfft(rest, n)[:t.size] / dt)
-
-
-def envelope_attenuation(xi: float, gamma: float, delta_b: float) -> float:
-    """Rough beat-envelope decay factor exp(-pi*xi*gamma/delta_b).
-
-    Models the amplitude lost by a thin-sample signal over one mirror
-    round trip; the ratio R / envelope_attenuation predicts the
-    backward/forward branch balance after retrieval.
-    """
-    if not delta_b > 0.0:
-        raise ValueError(f"delta_b must be > 0 (got {delta_b})")
-    return math.exp(-math.pi * xi * gamma / delta_b)
 
 
 def relative_l2(trace: OracleCurve, reference: OracleCurve, window: tuple[float, float]) -> float:

@@ -10,27 +10,25 @@ from dataclasses import replace
 
 import numpy as np
 
-from nfscatter import (
+from nfscatter import solver
+from nfscatter.analysis import beat_period, entanglement_report, excitation_pattern, storage_suppression
+from nfscatter.model import (
     DEFAULT_GAMMA,
     WAVE_NUMBER_K,
+    HyperfineSchedule,
     MirrorSpec,
-    OracleCurve,
     PulseSpec,
     SampleSpec,
     ScenarioConfig,
-    beat_period,
-    entanglement_report,
+    Segment,
+    depth_nodes,
+    derived_timings,
     envelope_attenuation,
-    excitation_pattern,
-    first_order_amplitude,
-    relative_l2,
-    run_scenario,
-    storage_suppression,
     validate_scenario,
 )
-from nfscatter import solver
-from nfscatter.model import HyperfineSchedule, Segment, depth_nodes, derived_timings
 from nfscatter.presets import preset_scenario
+from nfscatter.solver import run_scenario
+from reference_oracles import OracleCurve, first_order_amplitude, relative_l2
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA

@@ -4,17 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nfscatter import (
-    WAVE_NUMBER_K,
-    beat_period,
-    entanglement_report,
-    excitation_pattern,
-    run_scenario,
-    storage_suppression,
-    validate_scenario,
-)
+from nfscatter.analysis import beat_period, entanglement_report, excitation_pattern, storage_suppression
+from nfscatter.model import WAVE_NUMBER_K, validate_scenario
 from nfscatter.presets import preset_scenario
-from nfscatter.solver import CoherenceSnapshot, TraceSet
+from nfscatter.solver import CoherenceSnapshot, TraceSet, run_scenario
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA

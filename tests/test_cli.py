@@ -473,7 +473,7 @@ def test_module_entry_point_in_process(monkeypatch, capsys):
 
 
 def test_cli_import_leaves_fft_and_polynomial_unloaded():
-    # both cost setup time on every CLI start; the oracle loads numpy.fft only when called
+    # both cost setup time on every CLI start; only the tests' energy-domain reference uses numpy.fft
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -484,8 +484,9 @@ def test_cli_import_leaves_fft_and_polynomial_unloaded():
 
 def test_package_imports_stdlib_numpy_and_itself_only():
     # numpy is the one runtime dependency, and the closed-form oracles stay
-    # independent of the solver they check, so oracles.py imports nothing of the package
-    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+    # independent of the solver they check, so tests/reference_oracles.py imports nothing of the package
+    oracles = Path(__file__).resolve().parent / "reference_oracles.py"
+    for path in [*sorted(Path(cli.__file__).parent.glob("*.py")), oracles]:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 roots = [alias.name.partition(".")[0] for alias in node.names]
@@ -496,7 +497,18 @@ def test_package_imports_stdlib_numpy_and_itself_only():
             for root in roots:
                 where = f"{path.name}:{node.lineno} imports {root}"
                 assert root in sys.stdlib_module_names or root in ("numpy", "nfscatter"), where
-                assert not (path.name == "oracles.py" and root == "nfscatter"), where
+                assert not (path == oracles and root == "nfscatter"), where
+
+
+def test_package_import_loads_no_submodule():
+    # the package is the CLI's submodules, each imported by name; importing the package itself
+    # loads none of them, so no re-export layer grows back in __init__.py
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, nfscatter; print(sorted(m for m in sys.modules if m.startswith('nfscatter.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_package_calls_no_blas_and_no_long_double():

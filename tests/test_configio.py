@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from nfscatter import ScenarioConfig, Segment, validate_scenario
 from nfscatter.configio import ConfigError, apply_overrides, load_config, scenario_from_dict
+from nfscatter.model import ScenarioConfig, Segment, validate_scenario
 from nfscatter.presets import PRESETS, preset_scenario
 
 

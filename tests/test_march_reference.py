@@ -1,4 +1,4 @@
-"""The modal solver against two independent per-step reference loops.
+"""The solver's float64 propagator against two independent per-step reference loops.
 
 ``collocation_run`` steps the solver's own discretisation the plain way:
 both lines of both branches as complex states on the Gauss-Legendre nodes,
@@ -30,10 +30,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nfscatter import MirrorSpec, PulseSpec, SampleSpec, ScenarioConfig, gaussian_input, run_scenario, validate_scenario
 from nfscatter import solver
-from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule, ScenarioError, Segment, depth_nodes
+from nfscatter.model import (CLEBSCH_A, DEFAULT_GAMMA, HyperfineSchedule, MirrorSpec, PulseSpec, SampleSpec,
+                             ScenarioConfig, ScenarioError, Segment, depth_nodes, validate_scenario)
 from nfscatter.presets import preset_scenario
+from nfscatter.solver import gaussian_input, run_scenario
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA
@@ -332,8 +333,9 @@ def free_mode_across_blocks():
 
 # signed eigen_gap of the cases on either side of reference_run's exceptional point: real
 # and distinct above 0, a complex pair below; xi = 20 makes the field-off gap large enough
-# (1.4e-4) for the real side to reach 1e-4.  The modal solver has no exceptional point at
-# a real delta_b, so for it these are small splittings on thick slabs.
+# (1.4e-4) for the real side to reach 1e-4.  The solver's float64 propagator takes the
+# exponential of the whole generator and never its eigenvectors, so it has no exceptional
+# point at a real delta_b: for it these are small splittings on thick slabs.
 NEAR_COALESCING = {"coalescing_real_1e-4": 1e-4, "coalescing_real_1e-8": 1e-8,
                    "coalescing_pair_1e-4": -1e-4, "coalescing_pair_1e-8": -1e-8}
 

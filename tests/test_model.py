@@ -4,7 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nfscatter import (
+from nfscatter.model import (
+    CLEBSCH_A,
+    DEFAULT_GAMMA,
+    WAVE_NUMBER_K,
     HyperfineSchedule,
     MirrorSpec,
     PulseSpec,
@@ -15,7 +18,6 @@ from nfscatter import (
     derived_timings,
     validate_scenario,
 )
-from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, WAVE_NUMBER_K
 from nfscatter.presets import gated_mirror_scenario, preset_scenario
 
 GAMMA = 1.0 / 141.1

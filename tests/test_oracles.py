@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nfscatter import OracleCurve, envelope_attenuation, first_order_amplitude, relative_l2, run_scenario
-from nfscatter.model import DEFAULT_GAMMA, DEPTH_NODES, HyperfineSchedule, ScenarioError, depth_nodes
-from nfscatter.oracles import constant_field_forward, single_line_forward
+from nfscatter.model import DEFAULT_GAMMA, DEPTH_NODES, HyperfineSchedule, ScenarioError, depth_nodes, envelope_attenuation
 from nfscatter.presets import single_pass_scenario
+from nfscatter.solver import run_scenario
+from reference_oracles import (OracleCurve, constant_field_forward, first_order_amplitude, relative_l2,
+                               single_line_forward)
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA

@@ -23,11 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfscatter import run_scenario, validate_scenario
 from nfscatter.cli import main as cli_main
+from nfscatter.model import validate_scenario
 from nfscatter.presets import preset_scenario
-from nfscatter.solver import TraceSet
-from nfscatter.svgplot import _m4, _poly, _x_map, _y_map
+from nfscatter.solver import TraceSet, run_scenario
+from nfscatter.svgplot import _ML, _MR, _W, _m4, _poly, _x_map, _y_map
 from nfscatter.traceio import (TRACES_HEADER, TraceFormatError, read_traces_csv, write_pattern_csv,
                                write_traces_csv)
 
@@ -432,3 +432,16 @@ def test_plot_full_length_trace_is_small_and_deterministic(tmp_path):
         assert len(curves) == 2
         for points in curves:
             assert 771 < len(points.split()) <= 4 * 771
+
+
+def test_plot_schedule_overlay_stays_on_the_canvas(tmp_path):
+    # fig2a cut at 50 ns: its 100 ns retrieval segment starts after the last row
+    out = tmp_path / "p"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["run", "--preset", "fig2a", "--set", "t_end=50", "--out", str(out)]) == 0
+        assert cli_main(["plot", str(out / "traces.csv"), "--out", str(out)]) == 0
+    svg = (out / "traces_amplitude.svg").read_text()
+    overlay = re.findall(r'<polyline fill="none" stroke="#1e8449"[^>]* points="([^"]*)"', svg)
+    assert len(overlay) == 1
+    xs = [float(point.split(",")[0]) for point in overlay[0].split()]
+    assert xs and all(_ML <= x <= _W - _MR for x in xs), xs

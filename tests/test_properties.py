@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nfscatter import (
+from nfscatter.model import (
+    HyperfineSchedule,
     MirrorSpec,
     PulseSpec,
     SampleSpec,
@@ -13,11 +14,9 @@ from nfscatter import (
     Segment,
     derived_timings,
     envelope_attenuation,
-    run_scenario,
     validate_scenario,
 )
-from nfscatter.model import HyperfineSchedule
-from nfscatter.solver import _stretches
+from nfscatter.solver import _stretches, run_scenario
 
 GAMMA = 1.0 / 141.1
 DB30 = 30.0 * GAMMA

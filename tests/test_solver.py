@@ -6,22 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nfscatter import (
-    MirrorSpec,
-    OracleCurve,
-    PulseSpec,
-    SampleSpec,
-    ScenarioConfig,
-    ScenarioError,
-    gaussian_input,
-    relative_l2,
-    run_scenario,
-    validate_scenario,
-)
 from nfscatter import solver
-from nfscatter.model import CLEBSCH_A, DEFAULT_GAMMA, DEPTH_NODES, HyperfineSchedule
-from nfscatter.oracles import constant_field_forward
+from nfscatter.model import (CLEBSCH_A, DEFAULT_GAMMA, DEPTH_NODES, HyperfineSchedule, MirrorSpec, PulseSpec,
+                             SampleSpec, ScenarioConfig, ScenarioError, validate_scenario)
 from nfscatter.presets import preset_scenario
+from nfscatter.solver import gaussian_input, run_scenario
+from reference_oracles import OracleCurve, constant_field_forward, relative_l2
 from test_march_reference import expm
 
 GAMMA = 1.0 / 141.1
