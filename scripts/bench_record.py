@@ -11,7 +11,9 @@ the current directory, holds for each side the git shas, Python, numpy,
 BLAS, nproc and CPU model of its records and, per workload:
 
 - from the untraced runs (``--trace 0``), the median, quartiles and IQR of
-  ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb``, the median number
+  ``wall_s``, ``cpu_s``, ``setup_s`` and ``peak_rss_mb``, and of the
+  uncorrected ``raw_wall_s`` and the reference kernel's ``ref_kernel_ms``
+  (which the corrected times are scaled by), the median number
   of samples a run made (``untraced_samples``: a faster program fits more
   calls into the fixed ``--seconds``, and its peak resident set can rise
   with the call count alone), the seeds and the largest failed share of
@@ -30,6 +32,7 @@ import sys
 from pathlib import Path
 
 END_TO_END = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
+UNCORRECTED = ("raw_wall_s", "ref_kernel_ms")
 MACHINE = ("git_sha", "python", "numpy", "blas", "nproc", "cpu_model")
 SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -51,6 +54,8 @@ def side(records: list[dict], per_layer: list[str]) -> dict:
         out: dict = {}
         if plain:
             out.update({m: spread([r["metrics"][m] for r in plain]) for m in END_TO_END})
+            out.update({m: spread([r["metrics"][m] for r in plain]) for m in UNCORRECTED
+                        if all(m in r["metrics"] for r in plain)})
             out["untraced_samples"] = statistics.median(len(r["samples"]) for r in plain)
             out["seeds"] = sorted(r["record"]["seed"] for r in plain)
             out["fail_frac"] = max(r["metrics"]["fail_frac"] for r in plain)

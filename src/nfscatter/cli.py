@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -72,6 +73,9 @@ def build_report(scenario: ValidatedScenario, traces) -> dict:
         bounds = None  # retrieval lies beyond the simulated span
     window = (bounds[1], scenario.t_end) if bounds else (0.0, scenario.t_end)
     report.update(entanglement_report(traces, window))
+    if math.isinf(report["balance"]):
+        report["balance"] = None
+        report["notes"]["balance"] = "no forward energy in the window: the backward/forward ratio is unbounded"
 
     if bounds:
         t_off, t_on = bounds

@@ -22,7 +22,7 @@ from nfscatter import cli
 from nfscatter.cli import main
 from nfscatter.model import DEFAULT_GAMMA, DEPTH_NODES, MAX_GRID_POINTS, validate_scenario
 from nfscatter.presets import preset_scenario
-from nfscatter.traceio import TRACES_HEADER, read_traces_csv
+from nfscatter.traceio import TRACES_HEADER, read_traces_csv, write_json
 
 QUICK = [
     "--set", "t_end=40", "--set", "dt=0.02", "--set", "sample.n_depth=41",
@@ -413,6 +413,51 @@ def test_plot_non_finite_cell_rejected(tmp_path, capsys):
     assert not (tmp_path / "nan_intensity.svg").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[::-1], "t_ns not above the previous row's"),      # time runs backwards
+    (lambda rows: [rows[0], rows[1].rsplit(",", 1)[0] + ",7", *rows[2:]], "mirror_in_beam not 0 or 1"),
+])
+def test_plot_rejects_time_not_increasing_and_bad_flag(tmp_path, capsys, edit, message):
+    # before, the reversed file plotted with exit 0, its negative time span giving x coordinates 300 digits long
+    out = tmp_path / "r"
+    assert run_cli(["run", "--preset", "fig2a", "--set", "t_end=0.05", "--out", str(out)]) == 0
+    lines = (out / "traces.csv").read_text().splitlines()
+    first = lines.index(TRACES_HEADER) + 1
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:first] + edit(lines[first:])) + "\n")
+    assert run_cli(["plot", str(bad), "--out", str(tmp_path / "p")]) == 1
+    assert f"{bad}:{first + 2}: {message}" in capsys.readouterr().err  # the second data row
+    assert not list(tmp_path.glob("p/*.svg"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_unbounded_balance_is_null_in_report_json(tmp_path):
+    # R = 1 with the mirror never withdrawn: the forward detector sees nothing, so the
+    # backward/forward balance is unbounded; before, report.json held the non-JSON Infinity
+    out = tmp_path / "r"
+    assert run_cli(["run", "--preset", "fig2a", "--set", "mirror.reflectivity=1",
+                    "--set", "mirror.disable_time=null", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["balance"] is None
+    assert report["notes"]["balance"] == "no forward energy in the window: the backward/forward ratio is unbounded"
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "x.json", {"balance": math.inf})
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_sweep_unbounded_balance_is_an_empty_cell(tmp_path, monkeypatch):
+    # no preset reaches it through the sweep axes, so the entanglement report is made to return it
+    real = cli.entanglement_report
+    monkeypatch.setattr(cli, "entanglement_report", lambda traces, window: {**real(traces, window), "balance": math.inf})
+    out = tmp_path / "s"
+    assert run_cli(["sweep", "--axis", "xi", "--values", "1", "--base", "fig2b", "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in (out / "summary.csv").read_text().splitlines())
+    assert dict(zip(header, row))["balance"] == ""
+
+
 def test_plot_empty_rows_rejected(tmp_path, capsys):
     bad = tmp_path / "empty.csv"
     bad.write_text(TRACES_HEADER + "\n")
@@ -547,7 +592,8 @@ def test_bench_record_script(tmp_path, monkeypatch, capsys):
 
     def record(sha, seed, wall, traced=False):
         """A perfbench record as perfbench/run.py writes it, reduced to the keys the script reads."""
-        metrics = {"wall_s": wall, "cpu_s": 0.9 * wall, "setup_s": 0.1, "peak_rss_mb": 40.0, "fail_frac": 0.0}
+        metrics = {"wall_s": wall, "cpu_s": 0.9 * wall, "setup_s": 0.1, "peak_rss_mb": 40.0, "fail_frac": 0.0,
+                   "raw_wall_s": 0.7 * wall, "ref_kernel_ms": 0.6}
         if traced:
             metrics.update({"solver.run_s": 0.5 * wall, "traceio.write_s": 0.01})
         machine = {"seed": seed, "git_sha": sha, "python": "3.11.7", "numpy": "2.4.6", "blas": "openblas",
@@ -567,6 +613,7 @@ def test_bench_record_script(tmp_path, monkeypatch, capsys):
     assert wall["iqr"] == pytest.approx(0.175)
     sweep = out["change"]["workloads"]["sweep"]
     assert sweep["wall_s"]["median"] == pytest.approx(0.65)
+    assert sweep["raw_wall_s"]["median"] == pytest.approx(0.455) and sweep["ref_kernel_ms"]["iqr"] == 0.0
     assert sweep["seeds"] == [1, 2, 3, 4] and sweep["fail_frac"] == 0.0
     assert sweep["layers"] == pytest.approx({"solver.run_s": 0.3, "traceio.write_s": 0.01})
     assert out["change"]["machine"]["git_sha"] == ["bbb"] and out["parent"]["machine"]["nproc"] == ["2"]

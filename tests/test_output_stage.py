@@ -28,11 +28,24 @@ from nfscatter.model import validate_scenario
 from nfscatter.presets import preset_scenario
 from nfscatter.solver import TraceSet, run_scenario
 from nfscatter.svgplot import _ML, _MR, _W, _m4, _poly, _x_map, _y_map
-from nfscatter.traceio import (TRACES_HEADER, TraceFormatError, read_traces_csv, write_pattern_csv,
-                               write_traces_csv)
+from nfscatter.traceio import (_ROW_BLOCK, TRACES_HEADER, TraceFormatError, read_traces_csv,
+                               write_pattern_csv, write_traces_csv)
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072014e-308,
-           1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0]
+           1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0,
+           # powers of ten and their neighbours one ulp away, inside the writer's exponent table
+           # [-36, 8] and past it, where a wrong log10 or a carry to 10 digits shows
+           *(f(10.0 ** k) for k in (-37, -36, -20, -5, -4, -1, 0, 1, 5, 8, 9, 22, 23)
+             for f in (float, lambda x: math.nextafter(x, 0.0), lambda x: math.nextafter(x, math.inf))),
+           -1e-4, -math.nextafter(1e9, 0.0),
+           # 9.5-digit near-ties, and exact ties that round half to even
+           1.234567895, 0.1234567895, 9.9999999950e-5, 999999999.5, 123456789.5, 123456788.5,
+           -2.000000005e-21,
+           # each end of the table and one step beyond: 1e-36 .. 9.99999999e8
+           1.00000001e-36, 9.99999999e-37, 9.99999999e8, 1.00000001e9, -1.23456789e-36, 1.2345678e9,
+           # a plain float64 product x * 10**(8 - e) rounds to the wrong last digit: the tie margin
+           # sends them to Python
+           2632.283085, 5.311461685e-14]
 values = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
 
 
@@ -100,6 +113,37 @@ def test_write_traces_csv_spans_row_blocks(tmp_path):
     assert (tmp_path / "traces.csv").read_text() == reference_traces_csv(traces)
 
 
+def test_write_traces_csv_prints_every_special_value(tmp_path):
+    # each SPECIAL value in each column, whether the table or Python prints it
+    col = np.array(SPECIAL)
+    traces = TraceSet(t_grid=col, fwd_amp=np.roll(col, 1), bwd_amp=np.roll(col, 2), fwd_detected=np.roll(col, 3),
+                      mirror_in_beam=np.arange(len(col)) % 2 == 0, metadata={})
+    with np.errstate(over="ignore"):
+        write_traces_csv(tmp_path / "traces.csv", traces)
+        assert (tmp_path / "traces.csv").read_text() == reference_traces_csv(traces)
+
+
+def test_write_traces_csv_peak_memory_is_a_few_blocks(tmp_path):
+    # the writer holds one block of rows at a time: its peak does not grow with the file
+    n = 100_001
+    rng = np.random.default_rng(7)
+    amp = rng.standard_normal((3, n)) * 1e-3
+    traces = TraceSet(t_grid=np.arange(n) * 0.02, fwd_amp=amp[0], bwd_amp=amp[1], fwd_detected=amp[2],
+                      mirror_in_beam=np.arange(n) % 3 == 0, metadata={})
+    write_traces_csv(tmp_path / "warm.csv", TraceSet(  # the writer's tables are built once, on a first write
+        t_grid=np.arange(3.0), fwd_amp=amp[0, :3], bwd_amp=amp[1, :3], fwd_detected=amp[2, :3],
+        mirror_in_beam=np.ones(3, dtype=bool), metadata={}))
+    block_bytes = _ROW_BLOCK * 5 * 8  # one block of the five float columns
+    tracemalloc.start()
+    try:
+        write_traces_csv(tmp_path / "traces.csv", traces)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "traces.csv").stat().st_size > 5e6  # 7.3 MB
+    assert peak <= 30 * block_bytes, peak / block_bytes  # measured 18: the byte matrix, its text, temporaries
+
+
 def reference_pattern_csv(patterns, config_hash: str) -> str:
     """pattern.csv text formatted one cell at a time."""
     lines = ["# nfscatter pattern v1", f"# config_hash={config_hash}", "snapshot_t_ns,s_angstrom,density"]
@@ -154,10 +198,21 @@ cells = st.one_of(
     values.map("{:.9g}".format), values.map(repr), st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["1e5", "-0", "+3.25", " 2.5", "7 "]),
 )
+flag_cells = st.sampled_from(["0", "1", "-0", "+1", "1e0", "0.0", " 1"])
+
+
+def data_rows(max_size: int):
+    """Rows of cells, ordered by distinct t: the reader takes t_ns strictly increasing and flags of 0 or 1."""
+    def increasing_t(rows):
+        by_t = {float(r[0]): r for r in rows}
+        return [by_t[t] for t in sorted(by_t)]
+
+    row = st.tuples(st.lists(cells, min_size=7, max_size=7), flag_cells).map(lambda r: [*r[0], r[1]])
+    return st.lists(row, min_size=1, max_size=max_size).map(increasing_t)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(cells, min_size=8, max_size=8), min_size=1, max_size=30))
+@given(data_rows(max_size=30))
 def test_read_traces_csv_is_float_of_each_cell(rows):
     text = "# config_hash=h0\n" + TRACES_HEADER + "\n" + "".join(",".join(r) + "\n" for r in rows)
     with tempfile.TemporaryDirectory() as tmp:
@@ -199,6 +254,11 @@ GOOD_ROW = "0,1,2,3,4,5,6,1"
     ([TRACES_HEADER, "0,1,2,3,4,5,6,1,8"], 2, "expected 8 columns, got 9"),
     ([TRACES_HEADER, GOOD_ROW, "", "# c=1", "0,1,2,3,4,5,6"], 5, "expected 8 columns, got 7"),
     ([TRACES_HEADER, GOOD_ROW, GOOD_ROW, "0,1,2,3,4,5,6,1,8"], 4, "expected 8 columns, got 9"),
+    ([TRACES_HEADER, GOOD_ROW, GOOD_ROW], 3, "t_ns not above the previous row's"),
+    ([TRACES_HEADER, "1,1,2,3,4,5,6,1", "", "# c=1", "0.5,1,2,3,4,5,6,1"], 5, "t_ns not above the previous row's"),
+    ([TRACES_HEADER, "0,1,2,3,4,5,6,7"], 2, "mirror_in_beam not 0 or 1"),
+    ([TRACES_HEADER, GOOD_ROW, "1,1,2,3,4,5,6,0.5"], 3, "mirror_in_beam not 0 or 1"),
+    ([TRACES_HEADER, "1,1,2,3,4,5,6,-1", GOOD_ROW], 3, "t_ns not above the previous row's"),  # the time first
 ])
 def test_read_traces_csv_names_path_and_line(tmp_path, lines, lineno, message):
     path = tmp_path / "bad.csv"
@@ -316,7 +376,7 @@ def test_read_traces_csv_parses_a_written_file_in_one_loadtxt(tmp_path):
 def messy_traces_files(draw):
     """traces.csv text with CRLF or LF line ends, late comments, blank or whitespace-only lines, padded cells."""
     body = []
-    for row in draw(st.lists(st.lists(cells, min_size=8, max_size=8), min_size=1, max_size=20)):
+    for row in draw(data_rows(max_size=20)):
         body += draw(st.lists(st.sampled_from(["", "   ", "\t", "# tau=1.5", "# note", "#schedule=5:1"]),
                               max_size=2))
         pad = draw(st.sampled_from(["", " ", "\t "]))
